@@ -28,10 +28,7 @@ from .perception import (
     TypeBelief,
     ObjectBelief,
     VisualWeights,
-    perceive_node_types,
     target_spec_from_episode,
-    visual_score_stub,
-    node_classification_loss,
 )
 from .topo import SemanticTopoMap, RoutingTable
 from .reasoner import (
@@ -50,7 +47,6 @@ from .fusion import (
     balance_factor,
     fuse_final,
     fuse_variant_table,
-    variant_fusion,
     FixedBeta,
     VisitedFractionBeta,
     LogisticBeta,

@@ -192,10 +192,3 @@ def fuse_variant_table(
         l_final=fuse_final(l_c, l_f, beta),
         beta=beta,
     )
-
-
-def variant_fusion(mode, eta_c, eta_f, epsilon_c, epsilon_f, F, C, beta, **kwargs) -> dict[str, float]:
-    """Final fused scores for one of the ablation variants."""
-    return fuse_variant_table(
-        mode, eta_c, eta_f, epsilon_c, epsilon_f, F, C, beta, **kwargs
-    ).l_final

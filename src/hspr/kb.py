@@ -234,6 +234,8 @@ def load_kb(path) -> ProximityKB:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"KB file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise SchemaError(f"KB file {path} must contain a JSON object")
     if payload.get("schema_version") != KB_SCHEMA_VERSION:
         raise SchemaError(
             f"unsupported KB schema_version {payload.get('schema_version')!r}"

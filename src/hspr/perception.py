@@ -127,6 +127,8 @@ def load_confusion(path) -> ConfusionModel:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"confusion file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise SchemaError(f"confusion file {path} must contain a JSON object")
     if payload.get("schema_version") != CONFUSION_SCHEMA_VERSION:
         raise SchemaError(
             f"unsupported confusion schema_version {payload.get('schema_version')!r}"
@@ -138,16 +140,6 @@ def load_confusion(path) -> ConfusionModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed confusion file: {exc}") from exc
-
-
-def perceive_node_types(
-    true_types: list[tuple[str, int]],
-    model: ConfusionModel,
-    seed,
-) -> list[TypeBelief]:
-    """Type beliefs for a batch of nodes, deterministic in the seed."""
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    return [TypeBelief(node_id, model.row(t, rng)) for node_id, t in true_types]
 
 
 def target_spec_from_episode(episode, scene, model: ConfusionModel, object_noise: float, seed) -> TargetSpec:
@@ -223,34 +215,3 @@ def visual_score_table(
             value += float(rng.normal(0.0, weights.noise_sd))
         scores[node_id] = value
     return scores
-
-
-def visual_score_stub(
-    global_view: list[tuple[str, float, TypeBelief]],
-    local_view: list[tuple[str, float, TypeBelief]],
-    target: TargetSpec,
-    weights: VisualWeights,
-    seed,
-) -> tuple[dict[str, float], dict[str, float]]:
-    """Global and local visual score tables from one seed.
-
-    The global view pairs each navigable node with its path distance from
-    the current node; the local view pairs adjacent nodes with their edge
-    lengths.  The two tables draw noise from separate substreams so either
-    replays exactly on its own.
-    """
-    from .seeding import derive_rng
-
-    eps_c = visual_score_table(global_view, target, weights, derive_rng(seed, "global"))
-    eps_f = visual_score_table(local_view, target, weights, derive_rng(seed, "local"))
-    return eps_c, eps_f
-
-
-def node_classification_loss(beliefs: list[TypeBelief], truth: list[int]) -> float:
-    """Sum of -log belief mass at the true type, clamped at 1e-12."""
-    if len(beliefs) != len(truth):
-        raise ValueError("beliefs and truth lists differ in length")
-    total = 0.0
-    for belief, t in zip(beliefs, truth):
-        total += -float(np.log(max(float(belief.R[t]), 1e-12)))
-    return total

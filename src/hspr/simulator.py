@@ -168,7 +168,7 @@ def run_episode(
 
     for decision_step in range(agent.max_actions):
         F, C = topo.navigable_sets()
-        table = topo.all_pairs_shortest_paths()
+        table = topo.shortest_paths()
 
         if policy == "random":
             options = sorted(F) + [STOP]
@@ -190,7 +190,7 @@ def run_episode(
 
         route = topo.route_to(table, chosen)
         for prev, nxt in zip(route, route[1:]):
-            total_length += topo.edges[topo._edge_key(prev, nxt)]
+            total_length += topo.adj[prev][nxt]
             arrive(nxt)
             node_sequence.append(nxt)
         action_sequence.append(chosen)
@@ -242,10 +242,8 @@ def _scored_action(
     eta_c = {i: eta_all[i] for i in C}
     eta_f = {i: eta_all[i] for i in F}
 
-    global_view = [(i, table.distance(current, i), topo.nodes[i].belief) for i in sorted(C)]
-    local_view = [
-        (i, topo.edges[topo._edge_key(current, i)], topo.nodes[i].belief) for i in sorted(F)
-    ]
+    global_view = [(i, table.distance(i), topo.nodes[i].belief) for i in sorted(C)]
+    local_view = [(i, topo.adj[current][i], topo.nodes[i].belief) for i in sorted(F)]
     eps_c = visual_score_table(
         global_view, target, agent.visual, derive_rng(agent.seed, ep, "visual-global", decision_step)
     )
@@ -256,7 +254,7 @@ def _scored_action(
     visited_scores = None
     if agent.fusion_mode == "dynamic":
         visited = sorted(topo.visited_ids())
-        visited_view = [(i, table.distance(current, i), topo.nodes[i].belief) for i in visited]
+        visited_view = [(i, table.distance(i), topo.nodes[i].belief) for i in visited]
         eps_v = visual_score_table(
             visited_view, target, agent.visual,
             derive_rng(agent.seed, ep, "visual-visited", decision_step),

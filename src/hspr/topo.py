@@ -2,11 +2,15 @@
 
 Grows incrementally as nodes are physically visited: arriving at a node
 makes it current, reveals its true neighbors as navigable, and refreshes
-type beliefs.  Route planning runs Floyd-Warshall over the known graph.
+type beliefs.  Route planning runs single-source Dijkstra from the current
+node over the known edges, since a decision step only reads distances and
+routes from where the agent stands.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,19 +34,17 @@ class MapNode:
 
 @dataclass
 class RoutingTable:
-    """All-pairs shortest distances and first-hop successors over known nodes."""
+    """Shortest distances and route predecessors from one source node.
 
-    order: list[str]
-    index: dict[str, int]
-    dist: np.ndarray
-    next_hop: np.ndarray
+    Nodes missing from `dist` are unreachable on the known map.
+    """
 
-    def distance(self, a: str, b: str) -> float:
-        return float(self.dist[self.index[a], self.index[b]])
+    source: str
+    dist: dict[str, float]
+    prev: dict[str, str]
 
-    def first_hop(self, a: str, b: str) -> str | None:
-        hop = self.next_hop[self.index[a], self.index[b]]
-        return self.order[hop] if hop >= 0 else None
+    def distance(self, goal: str) -> float:
+        return self.dist.get(goal, math.inf)
 
 
 class SemanticTopoMap:
@@ -50,24 +52,14 @@ class SemanticTopoMap:
 
     def __init__(self):
         self.nodes: dict[str, MapNode] = {}
-        self.edges: dict[tuple[str, str], float] = {}
+        # undirected edges, stored both ways: adj[a][b] == adj[b][a]
+        self.adj: dict[str, dict[str, float]] = {}
         self.step = 0
         self.current: str | None = None
 
-    def _edge_key(self, a: str, b: str) -> tuple[str, str]:
-        return (a, b) if a < b else (b, a)
-
-    def has_edge(self, a: str, b: str) -> bool:
-        return self._edge_key(a, b) in self.edges
-
-    def neighbors(self, node_id: str) -> list[tuple[str, float]]:
-        out = []
-        for (a, b), length in self.edges.items():
-            if a == node_id:
-                out.append((b, length))
-            elif b == node_id:
-                out.append((a, length))
-        return out
+    def add_edge(self, a: str, b: str, length: float) -> None:
+        self.adj.setdefault(a, {})[b] = length
+        self.adj.setdefault(b, {})[a] = length
 
     def visited_ids(self) -> set[str]:
         """Visited nodes; the current node counts as visited for set queries."""
@@ -112,7 +104,7 @@ class SemanticTopoMap:
                 )
             else:
                 known.belief = belief_fn(nbr_record)
-            self.edges[self._edge_key(arrived_node, nbr_id)] = length
+            self.add_edge(arrived_node, nbr_id, length)
         self.step += 1
 
     def navigable_sets(self) -> tuple[set[str], set[str]]:
@@ -120,57 +112,61 @@ class SemanticTopoMap:
         if not self.nodes:
             raise ValueError("map is empty")
         C = self.navigable_ids()
-        F = {
-            nid
-            for nid in C
-            if self.current is not None and self.has_edge(self.current, nid)
-        }
+        near = self.adj.get(self.current, {})
+        F = {nid for nid in C if nid in near}
         return F, C
 
-    def all_pairs_shortest_paths(self) -> RoutingTable:
-        """Exact Floyd-Warshall distances + first-hop successors on known edges."""
-        if not self.nodes:
-            raise ValueError("map is empty")
-        order = sorted(self.nodes)
-        index = {nid: i for i, nid in enumerate(order)}
-        n = len(order)
-        dist = np.full((n, n), np.inf)
-        np.fill_diagonal(dist, 0.0)
-        next_hop = np.full((n, n), -1, dtype=np.int64)
-        next_hop[np.arange(n), np.arange(n)] = np.arange(n)
-        for (a, b), length in self.edges.items():
-            i, j = index[a], index[b]
-            if length < dist[i, j]:
-                dist[i, j] = dist[j, i] = length
-                next_hop[i, j] = j
-                next_hop[j, i] = i
-        for k in range(n):
-            via = dist[:, k, None] + dist[None, k, :]
-            better = via < dist
-            if better.any():
-                dist[better] = via[better]
-                rows = np.nonzero(better.any(axis=1))[0]
-                for i in rows:
-                    cols = np.nonzero(better[i])[0]
-                    next_hop[i, cols] = next_hop[i, k]
-        return RoutingTable(order=order, index=index, dist=dist, next_hop=next_hop)
+    def shortest_paths(self, source: str | None = None) -> RoutingTable:
+        """Exact Dijkstra distances and predecessors from source (default current).
+
+        Among equal-length routes the heap order (distance, node_id) decides:
+        a node's predecessor is its tied neighbor settled first, and a later
+        relaxation replaces it only when strictly shorter.
+        """
+        if source is None:
+            source = self.current
+        if source is None:
+            raise ValueError("map has no current node")
+        if source not in self.nodes:
+            raise ValueError(f"source {source!r} is not a known node")
+        dist = {source: 0.0}
+        prev: dict[str, str] = {}
+        heap = [(0.0, source)]
+        while heap:
+            d, node = heapq.heappop(heap)
+            if d > dist[node]:
+                continue
+            for nbr, length in self.adj.get(node, {}).items():
+                nd = d + length
+                if nd < dist.get(nbr, math.inf):
+                    dist[nbr] = nd
+                    prev[nbr] = node
+                    heapq.heappush(heap, (nd, nbr))
+        return RoutingTable(source=source, dist=dist, prev=prev)
+
+    def all_pairs_shortest_paths(self) -> dict[str, RoutingTable]:
+        """One single-source table per known node; for checks, not per step."""
+        return {s: self.shortest_paths(s) for s in sorted(self.nodes)}
 
     def route_to(self, table: RoutingTable, goal: str) -> list[str]:
-        """Node sequence current -> goal following first hops."""
+        """Node sequence current -> goal, walking the table's predecessors."""
         if self.current is None:
             raise ValueError("map has no current node")
+        if table.source != self.current:
+            raise ValueError(
+                f"routing table is from {table.source!r}, not the current node {self.current!r}"
+            )
         if goal not in self.nodes:
             raise ValueError(f"goal {goal!r} is not a known node")
-        if not np.isfinite(table.distance(self.current, goal)):
+        if not math.isfinite(table.distance(goal)):
             raise ValueError(f"goal {goal!r} is unreachable on the known map")
-        path = [self.current]
-        guard = len(self.nodes) + 1
-        while path[-1] != goal:
-            hop = table.first_hop(path[-1], goal)
-            if hop is None or len(path) > guard:
-                raise InternalError(f"broken next-hop chain toward {goal!r}")
+        path = [goal]
+        while path[-1] != self.current:
+            hop = table.prev.get(path[-1])
+            if hop is None or len(path) > len(self.nodes):
+                raise InternalError(f"broken predecessor chain toward {goal!r}")
             path.append(hop)
-        return path
+        return path[::-1]
 
     def snapshot(self) -> dict:
         """JSON-friendly view of node statuses and belief argmaxes."""
@@ -184,6 +180,9 @@ class SemanticTopoMap:
                 for nid, rec in sorted(self.nodes.items())
             },
             "edges": sorted(
-                [a, b, length] for (a, b), length in self.edges.items()
+                [a, b, length]
+                for a, near in self.adj.items()
+                for b, length in near.items()
+                if a < b
             ),
         }

@@ -108,14 +108,3 @@ def enumerate_paths_exhaustive(present_types, target_type, P_r, max_types, k):
                 candidates.append((seq, conf))
     candidates.sort(key=lambda item: (-item[1], len(item[0]), item[0]))
     return candidates[:k]
-
-
-def cross_entropy_sum(beliefs, truths):
-    """Naive per-item -log loop; beliefs are probability vectors."""
-    import math
-
-    total = 0.0
-    for vec, truth in zip(beliefs, truths):
-        p = max(float(vec[truth]), 1e-12)
-        total += -math.log(p)
-    return total

@@ -16,7 +16,7 @@ import pytest
 from scipy import stats
 
 from hspr.bench import recovery_generator_kb, standard_benchmark
-from hspr.fusion import compose_scores, fuse_final, variant_fusion
+from hspr.fusion import compose_scores, fuse_final, fuse_variant_table
 from hspr.kb import CountMatrices, accumulate_scene, normalize_counts
 from hspr.metrics import aggregate_report, episode_metrics
 from hspr.perception import ConfusionModel, TypeBelief, VisualWeights
@@ -154,18 +154,17 @@ def test_criterion_3_shortest_path_equivalence(rng):
         topo.current = ids[0]
         for i in range(1, n):
             j = int(rng.integers(i))
-            topo.edges[topo._edge_key(ids[j], ids[i])] = float(rng.uniform(0.1, 9.0))
+            topo.add_edge(ids[j], ids[i], float(rng.uniform(0.1, 9.0)))
         for _ in range(int(rng.integers(0, 2 * n))):
             a, b = rng.choice(n, 2, replace=False)
-            key = topo._edge_key(ids[int(a)], ids[int(b)])
-            if key not in topo.edges:
-                topo.edges[key] = float(rng.uniform(0.1, 9.0))
-        table = topo.all_pairs_shortest_paths()
-        edges = [(a, b, length) for (a, b), length in topo.edges.items()]
+            if ids[int(b)] not in topo.adj.get(ids[int(a)], {}):
+                topo.add_edge(ids[int(a)], ids[int(b)], float(rng.uniform(0.1, 9.0)))
+        edges = topo.snapshot()["edges"]
         for source in ids:
+            table = topo.shortest_paths(source)
             want = dijkstra_single_source(ids, edges, source)
             for dest in ids:
-                delta = abs(table.distance(source, dest) - want[dest])
+                delta = abs(table.distance(dest) - want[dest])
                 worst = max(worst, delta)
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-9 and elapsed < 30.0
@@ -260,32 +259,32 @@ def test_criterion_6_fusion_properties(rng):
             if status == CURRENT:
                 topo.current = nid
         for (a, b), length in edges.items():
-            topo.edges[topo._edge_key(a, b)] = length
+            topo.add_edge(a, b, length)
         return topo
 
     fixtures_ok = True
     # 1: everything local, residual == pure local blend
-    got = variant_fusion(
+    got = fuse_variant_table(
         "residual", {"x": 0.2}, {"x": 0.4}, {"x": 0.1}, {"x": 0.3}, {"x"}, {"x"}, beta=0.25,
-    )
+    ).l_final
     fixtures_ok &= abs(got["x"] - (0.25 * 0.3 + 0.75 * 0.7)) < 1e-12
     # 2: average zeroes the non-local local branch at beta 0.5
-    got = variant_fusion(
+    got = fuse_variant_table(
         "average", {"x": 0.2, "y": 0.6}, {"x": 0.4}, {"x": 0.1, "y": 0.2}, {"x": 0.3},
         {"x"}, {"x", "y"}, beta=0.9,
-    )
+    ).l_final
     fixtures_ok &= abs(got["y"] - 0.5 * 0.8) < 1e-12
     # 3: dynamic sums visited scores along the known route
     topo = fixture_map(
         {("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "d"): 1.0},
         {"a": CURRENT, "b": VISITED, "c": NAVIGABLE, "d": NAVIGABLE},
     )
-    table = topo.all_pairs_shortest_paths()
-    got = variant_fusion(
+    table = topo.shortest_paths()
+    got = fuse_variant_table(
         "dynamic", {"c": 0.5, "d": 0.1}, {"d": 0.2}, {"c": 0.0, "d": 0.0}, {"d": 0.05},
         {"d"}, {"c", "d"}, beta=0.5, topo_map=topo, table=table,
         visited_scores={"a": 1.0, "b": 10.0},
-    )
+    ).l_final
     fixtures_ok &= abs(got["c"] - (0.5 * 0.5 + 0.5 * 11.0)) < 1e-12
 
     ok = argmax_flips == 0 and bound_violations == 0 and fixtures_ok

@@ -131,3 +131,25 @@ class TestExitCodes:
                      "--confusion", str(tmp_path / "nope.json"),
                      "--seed", "1", "--out", str(tmp_path / "t.jsonl"))
         assert result.returncode == 3
+
+    def test_kb_top_level_array_is_3(self, pipeline_dir, tmp_path):
+        bad = tmp_path / "kb.json"
+        bad.write_text("[1,2]")
+        result = cli("run", "--scenes", str(pipeline_dir / "scenes"),
+                     "--kb", str(bad), "--episodes", str(pipeline_dir / "episodes.json"),
+                     "--seed", "1", "--out", str(tmp_path / "t.jsonl"))
+        assert result.returncode == 3
+        assert "error:" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_confusion_top_level_array_is_3(self, pipeline_dir, tmp_path):
+        bad = tmp_path / "confusion.json"
+        bad.write_text("[1,2]")
+        result = cli("run", "--scenes", str(pipeline_dir / "scenes"),
+                     "--kb", str(pipeline_dir / "kb.json"),
+                     "--episodes", str(pipeline_dir / "episodes.json"),
+                     "--confusion", str(bad),
+                     "--seed", "1", "--out", str(tmp_path / "t.jsonl"))
+        assert result.returncode == 3
+        assert "error:" in result.stderr
+        assert "Traceback" not in result.stderr

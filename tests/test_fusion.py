@@ -10,8 +10,8 @@ from hspr.fusion import (
     balance_factor,
     compose_scores,
     fuse_final,
+    fuse_variant_table,
     parse_beta_policy,
-    variant_fusion,
 )
 from hspr.perception import TypeBelief
 from hspr.topo import CURRENT, NAVIGABLE, VISITED, MapNode, SemanticTopoMap
@@ -146,9 +146,9 @@ def hand_map():
     for nid, status in [("a", CURRENT), ("b", VISITED), ("c", NAVIGABLE), ("d", NAVIGABLE)]:
         topo.nodes[nid] = MapNode(nid, status, (0.0, 0.0, 0.0), belief)
     topo.current = "a"
-    topo.edges[("a", "b")] = 1.0
-    topo.edges[("a", "c")] = 1.0
-    topo.edges[("b", "d")] = 1.0
+    topo.add_edge("a", "b", 1.0)
+    topo.add_edge("a", "c", 1.0)
+    topo.add_edge("b", "d", 1.0)
     return topo
 
 
@@ -162,25 +162,25 @@ class TestVariantFusion:
 
     def test_residual_equals_compose_plus_fuse(self):
         eta_c, eta_f, eps_c, eps_f, F, C = self.tables()
-        got = variant_fusion("residual", eta_c, eta_f, eps_c, eps_f, F, C, beta=0.4)
+        got = fuse_variant_table("residual", eta_c, eta_f, eps_c, eps_f, F, C, beta=0.4).l_final
         l_c, l_f = compose_scores(eta_c, eta_f, eps_c, eps_f, F, C)
         assert got == fuse_final(l_c, l_f, 0.4)
 
     def test_average_pins_beta_and_zeroes_non_local(self):
         eta_c, eta_f, eps_c, eps_f, F, C = self.tables()
-        got = variant_fusion("average", eta_c, eta_f, eps_c, eps_f, F, C, beta=0.9)
+        got = fuse_variant_table("average", eta_c, eta_f, eps_c, eps_f, F, C, beta=0.9).l_final
         assert math.isclose(got["d"], 0.5 * (0.2 + 0.3) + 0.5 * 0.0)
         assert math.isclose(got["c"], 0.5 * (0.6 + 0.1) + 0.5 * (0.6 + 0.15))
 
     def test_dynamic_sums_visited_route_scores(self):
         topo = hand_map()
-        table = topo.all_pairs_shortest_paths()
+        table = topo.shortest_paths()
         eta_c, eta_f, eps_c, eps_f, F, C = self.tables()
         visited_scores = {"a": 0.25, "b": 0.5}
-        got = variant_fusion(
+        got = fuse_variant_table(
             "dynamic", eta_c, eta_f, eps_c, eps_f, F, C, beta=0.4,
             topo_map=topo, table=table, visited_scores=visited_scores,
-        )
+        ).l_final
         # route a -> b -> d passes visited nodes a and b
         l_f_d = 0.25 + 0.5
         assert math.isclose(got["d"], 0.4 * (0.2 + 0.3) + 0.6 * l_f_d)
@@ -189,9 +189,9 @@ class TestVariantFusion:
     def test_unknown_mode_rejected(self):
         eta_c, eta_f, eps_c, eps_f, F, C = self.tables()
         with pytest.raises(ValueError, match="fusion mode"):
-            variant_fusion("blend", eta_c, eta_f, eps_c, eps_f, F, C, beta=0.5)
+            fuse_variant_table("blend", eta_c, eta_f, eps_c, eps_f, F, C, beta=0.5)
 
     def test_dynamic_requires_map_inputs(self):
         eta_c, eta_f, eps_c, eps_f, F, C = self.tables()
         with pytest.raises(ValueError, match="dynamic"):
-            variant_fusion("dynamic", eta_c, eta_f, eps_c, eps_f, F, C, beta=0.5)
+            fuse_variant_table("dynamic", eta_c, eta_f, eps_c, eps_f, F, C, beta=0.5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hspr.perception import TypeBelief
-from hspr.topo import CURRENT, NAVIGABLE, VISITED, SemanticTopoMap
+from hspr.topo import CURRENT, NAVIGABLE, VISITED, MapNode, SemanticTopoMap
 
 from conftest import make_scene
 from oracles import dijkstra_single_source
@@ -27,21 +27,30 @@ def random_map(rng, n_nodes):
     """A connected random map built directly, bypassing observe."""
     topo = SemanticTopoMap()
     ids = [f"n{i}" for i in range(n_nodes)]
-    from hspr.topo import MapNode
-
     for i, nid in enumerate(ids):
         status = CURRENT if i == 0 else (VISITED if i % 2 else NAVIGABLE)
         topo.nodes[nid] = MapNode(nid, status, (0.0, 0.0, 0.0), TypeBelief(nid, np.array([1.0])))
     topo.current = ids[0]
     for i in range(1, n_nodes):
         j = int(rng.integers(i))
-        topo.edges[topo._edge_key(ids[j], ids[i])] = float(rng.uniform(0.5, 5.0))
+        topo.add_edge(ids[j], ids[i], float(rng.uniform(0.5, 5.0)))
     extra = int(rng.integers(0, n_nodes))
     for _ in range(extra):
         a, b = rng.choice(n_nodes, 2, replace=False)
-        key = topo._edge_key(ids[int(a)], ids[int(b)])
-        if key not in topo.edges:
-            topo.edges[key] = float(rng.uniform(0.5, 5.0))
+        if ids[int(b)] not in topo.adj.get(ids[int(a)], {}):
+            topo.add_edge(ids[int(a)], ids[int(b)], float(rng.uniform(0.5, 5.0)))
+    return topo
+
+
+def diamond_map(edge_order):
+    """Unit 4-cycle a-b-d / a-c-d with a current: two equal routes a -> d."""
+    topo = SemanticTopoMap()
+    for nid in "abcd":
+        status = CURRENT if nid == "a" else NAVIGABLE
+        topo.nodes[nid] = MapNode(nid, status, (0.0, 0.0, 0.0), TypeBelief(nid, np.array([1.0])))
+    topo.current = "a"
+    for a, b in edge_order:
+        topo.add_edge(a, b, 1.0)
     return topo
 
 
@@ -53,7 +62,7 @@ class TestObserve:
         assert topo.current == "hub"
         assert topo.nodes["hub"].status == CURRENT
         assert topo.navigable_ids() == {"n1", "n2"}
-        assert len(topo.edges) == 2
+        assert topo.adj["hub"] == {"n1": 1.0, "n2": 2.0}
         assert topo.step == 1
 
     def test_moving_updates_statuses(self):
@@ -70,11 +79,11 @@ class TestObserve:
         topo = SemanticTopoMap()
         topo.observe(scene, "hub", oracle_belief)
         topo.observe(scene, "n2", oracle_belief)
-        edges_before = dict(topo.edges)
+        edges_before = topo.snapshot()["edges"]
         topo.observe(scene, "hub", oracle_belief)
         assert topo.nodes["hub"].status == CURRENT
         assert topo.nodes["n2"].status == VISITED
-        assert topo.edges == edges_before
+        assert topo.snapshot()["edges"] == edges_before
 
     def test_teleport_rejected(self):
         scene = star_scene()
@@ -107,7 +116,7 @@ class TestObserve:
         true_edges = {tuple(sorted((a, b))) for a, b, _ in scene.edges}
         for node in ["hub", "n2", "n3"]:
             topo.observe(scene, node, oracle_belief)
-            assert set(topo.edges) <= true_edges
+            assert {(a, b) for a, b, _ in topo.snapshot()["edges"]} <= true_edges
 
 
 class TestNavigableSets:
@@ -139,7 +148,7 @@ class TestNavigableSets:
                 if not options:
                     break
                 nxt = options[int(rng.integers(len(options)))]
-                route = topo.route_to(topo.all_pairs_shortest_paths(), nxt)
+                route = topo.route_to(topo.shortest_paths(), nxt)
                 for hop in route[1:]:
                     topo.observe(scene, hop, oracle_belief)
 
@@ -153,40 +162,52 @@ class TestShortestPaths:
         topo = SemanticTopoMap()
         for node in ["a", "b", "c"]:
             topo.observe(scene, node, oracle_belief)
-        table = topo.all_pairs_shortest_paths()
-        assert table.distance("a", "c") == 3.0
-        assert table.first_hop("a", "c") == "b"
-        assert table.distance("a", "a") == 0.0
+        table = topo.shortest_paths("a")
+        assert table.distance("c") == 3.0
+        assert table.prev["c"] == "b"
+        assert table.distance("a") == 0.0
+        assert topo.route_to(topo.shortest_paths(), "a") == ["c", "b", "a"]
 
     def test_disconnected_fragment_is_infinite(self):
         topo = random_map(np.random.default_rng(0), 4)
-        from hspr.topo import MapNode
-
         topo.nodes["island"] = MapNode(
             "island", NAVIGABLE, (0.0, 0.0, 0.0), TypeBelief("island", np.array([1.0]))
         )
-        table = topo.all_pairs_shortest_paths()
-        assert math.isinf(table.distance("n0", "island"))
-        assert table.first_hop("n0", "island") is None
+        table = topo.shortest_paths()
+        assert math.isinf(table.distance("island"))
+        assert "island" not in table.prev
+        with pytest.raises(ValueError, match="unreachable"):
+            topo.route_to(table, "island")
 
     def test_matches_dijkstra_oracle_on_random_maps(self, rng):
         for trial in range(10):
             topo = random_map(rng, 50)
-            table = topo.all_pairs_shortest_paths()
-            edges = [(a, b, length) for (a, b), length in topo.edges.items()]
+            edges = topo.snapshot()["edges"]
             for source in topo.nodes:
+                table = topo.shortest_paths(source)
                 want = dijkstra_single_source(list(topo.nodes), edges, source)
                 for dest in topo.nodes:
-                    assert abs(table.distance(source, dest) - want[dest]) <= 1e-9
+                    assert abs(table.distance(dest) - want[dest]) <= 1e-9
 
     def test_table_symmetric_and_triangle(self, rng):
         topo = random_map(rng, 20)
-        table = topo.all_pairs_shortest_paths()
-        d = table.dist
-        assert np.allclose(d, d.T)
-        n = len(table.order)
-        for k in range(n):
+        tables = topo.all_pairs_shortest_paths()
+        ids = sorted(tables)
+        d = np.array([[tables[s].distance(t) for t in ids] for s in ids])
+        assert np.all(np.abs(d - d.T) <= 1e-9)
+        for k in range(len(ids)):
             assert np.all(d <= d[:, [k]] + d[[k], :] + 1e-9)
+
+    def test_equal_routes_break_ties_by_settle_order(self):
+        # b is settled before c (same distance, smaller id), so d's route goes
+        # through b whatever order the edges were added in
+        for order in (
+            [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")],
+            [("c", "d"), ("a", "c"), ("b", "d"), ("a", "b")],
+        ):
+            topo = diamond_map(order)
+            assert topo.route_to(topo.shortest_paths(), "d") == ["a", "b", "d"]
+            assert topo.route_to(topo.shortest_paths(), "d") == ["a", "b", "d"]
 
 
 class TestRouteTo:
@@ -194,38 +215,45 @@ class TestRouteTo:
         scene = star_scene()
         topo = SemanticTopoMap()
         topo.observe(scene, "hub", oracle_belief)
-        table = topo.all_pairs_shortest_paths()
+        table = topo.shortest_paths()
         assert topo.route_to(table, "hub") == ["hub"]
 
     def test_adjacent_goal(self):
         scene = star_scene()
         topo = SemanticTopoMap()
         topo.observe(scene, "hub", oracle_belief)
-        table = topo.all_pairs_shortest_paths()
+        table = topo.shortest_paths()
         assert topo.route_to(table, "n1") == ["hub", "n1"]
 
     def test_route_length_matches_table_and_is_simple(self, rng):
         for trial in range(15):
             topo = random_map(rng, 25)
-            table = topo.all_pairs_shortest_paths()
+            table = topo.shortest_paths()
             ids = sorted(topo.nodes)
             goal = ids[int(rng.integers(len(ids)))]
-            if not math.isfinite(table.distance(topo.current, goal)):
+            if not math.isfinite(table.distance(goal)):
                 continue
             route = topo.route_to(table, goal)
             assert len(set(route)) == len(route)
-            total = sum(
-                topo.edges[topo._edge_key(a, b)] for a, b in zip(route, route[1:])
-            )
-            assert math.isclose(total, table.distance(topo.current, goal), rel_tol=1e-12, abs_tol=1e-12)
+            total = sum(topo.adj[a][b] for a, b in zip(route, route[1:]))
+            assert math.isclose(total, table.distance(goal), rel_tol=1e-12, abs_tol=1e-12)
 
     def test_unknown_goal_rejected(self):
         scene = star_scene()
         topo = SemanticTopoMap()
         topo.observe(scene, "hub", oracle_belief)
-        table = topo.all_pairs_shortest_paths()
+        table = topo.shortest_paths()
         with pytest.raises(ValueError, match="known"):
             topo.route_to(table, "ghost")
+
+    def test_stale_table_rejected(self):
+        scene = star_scene()
+        topo = SemanticTopoMap()
+        topo.observe(scene, "hub", oracle_belief)
+        table = topo.shortest_paths()
+        topo.observe(scene, "n2", oracle_belief)
+        with pytest.raises(ValueError, match="current node"):
+            topo.route_to(table, "n3")
 
     def test_snapshot_is_json_friendly(self):
         import json
