@@ -51,6 +51,9 @@ for i in range(200):
         pair = tuple(sorted((kb.type_vocabulary[t_of[ra]], kb.type_vocabulary[t_of[rb]])))
         adjacency[pair] += 1
 print("most frequent room adjacencies:")
-for pair, count in adjacency.most_common(8):
+# rank ties by pair name: most_common keeps insertion order, which follows
+# the hash-seeded iteration order of region_adjacency's set
+ranked = sorted(adjacency.items(), key=lambda item: (-item[1], item[0]))
+for pair, count in ranked[:8]:
     print(f"  {pair[0]:>13} -- {pair[1]:<13} {count}")
 print("\nPairs with zero proximity in the grammar never appear at all.")

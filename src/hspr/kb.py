@@ -206,7 +206,12 @@ def _matrix_from_payload(payload) -> np.ndarray:
         if payload.get("format") != "sparse":
             raise SchemaError(f"unknown matrix format {payload.get('format')!r}")
         M = np.zeros(tuple(payload["shape"]), dtype=np.float64)
+        if M.ndim != 2:
+            raise SchemaError(f"sparse matrix shape {payload['shape']} is not 2-D")
         for r, c, v in payload["triples"]:
+            if not (isinstance(r, int) and isinstance(c, int)
+                    and 0 <= r < M.shape[0] and 0 <= c < M.shape[1]):
+                raise SchemaError(f"sparse triple index ({r}, {c}) outside shape {M.shape}")
             M[r, c] = v
         return M
     return np.array(payload, dtype=np.float64)
@@ -241,7 +246,7 @@ def load_kb(path) -> ProximityKB:
             f"unsupported KB schema_version {payload.get('schema_version')!r}"
         )
     try:
-        return ProximityKB(
+        kb = ProximityKB(
             P_r=_matrix_from_payload(payload["P_r"]),
             P_o=_matrix_from_payload(payload["P_o"]),
             top_objects=[[int(o) for o in row] for row in payload["top_objects"]],
@@ -251,3 +256,43 @@ def load_kb(path) -> ProximityKB:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed KB file: {exc}") from exc
+    _check_kb(kb, path)
+    return kb
+
+
+def _check_kb(kb: ProximityKB, path) -> None:
+    """Reject a KB whose matrices or object lists the engine cannot use.
+
+    Both matrices must be square, sized to their vocabulary, and hold only
+    finite entries in [0, 1]; top_objects needs one row per type and valid
+    object indices.
+    """
+    for name, M, vocab in (
+        ("P_r", kb.P_r, kb.type_vocabulary),
+        ("P_o", kb.P_o, kb.object_vocabulary),
+    ):
+        if M.shape != (len(vocab), len(vocab)):
+            raise SchemaError(
+                f"KB file {path}: {name} has shape {M.shape}, "
+                f"expected ({len(vocab)}, {len(vocab)}) from its vocabulary"
+            )
+        # NaN fails both comparisons
+        bad = np.argwhere(~((M >= 0.0) & (M <= 1.0)))
+        if len(bad):
+            r, c = bad[0]
+            raise SchemaError(
+                f"KB file {path}: {name}[{r}, {c}] = {M[r, c]} is not in [0, 1]"
+            )
+    n_types, n_objects = len(kb.type_vocabulary), len(kb.object_vocabulary)
+    if len(kb.top_objects) != n_types:
+        raise SchemaError(
+            f"KB file {path}: top_objects has {len(kb.top_objects)} rows, "
+            f"expected one per type ({n_types})"
+        )
+    for t, row in enumerate(kb.top_objects):
+        for o in row:
+            if not 0 <= o < n_objects:
+                raise SchemaError(
+                    f"KB file {path}: top_objects[{t}] names object {o}, "
+                    f"outside the {n_objects} object types"
+                )

@@ -1,13 +1,19 @@
 """Proximity reasoning over node types.
 
 Scores navigable nodes by how close their believed type is to the target
-type through the proximity matrix, enumerates the top-K multi-hop type
-paths toward the target, and turns the selected path into discounted
-multi-step node scores.
+type through the proximity matrix, finds the top-K multi-hop type paths
+toward the target, and turns the selected path into discounted multi-step
+node scores.
+
+The top-K search is an exact best-first search: proximity entries lie in
+[0, 1], so a path's confidence never rises as it grows, and the search can
+stop at the K-th completed path with exactly the ranking a full enumeration
+would give.  It refuses a matrix with a NaN or an entry outside [0, 1].
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,36 +126,58 @@ def enumerate_type_paths(
     Paths are distinct-type sequences (s_1, ..., target) with at most
     max_steps types, s_1 visible now, and every transition nonzero in P_r
     (zero entries prune the branch).  Ranked by confidence descending, then
-    shorter path, then lexicographic type order.
+    shorter path, then lexicographic type order; the first config.beam are
+    returned.
+
+    Best-first search over partial paths keyed (-confidence, length, types).
+    Every entry of P_r lies in [0, 1] and IEEE rounding is monotone, so
+    extending a path by p gives conf * p <= conf, and the length grows by
+    one: a child's key is strictly greater than its parent's.  Completed
+    paths therefore leave the heap in exactly the ranking order, and the
+    search stops at the beam-th.  Confidences are multiplied left to right,
+    so they are bit-identical to an exhaustive enumeration.  Raises
+    ValueError when P_r holds a NaN or an entry outside [0, 1], because the
+    ordering argument needs that bound.
     """
     n = P_r.shape[0]
     if not 0 <= target_type < n:
         raise ValueError(f"target type {target_type} outside vocabulary of {n}")
-    found: list[TypePath] = []
-
-    def extend(seq: list[int], conf: float) -> None:
-        if seq[-1] == target_type:
-            found.append(TypePath(types=tuple(seq), confidence=conf))
-            return
-        if len(seq) == config.max_steps:
-            return
-        for t in range(n):
-            if t in seq:
-                continue
-            p = float(P_r[seq[-1], t])
-            if p == 0.0:
-                continue
-            seq.append(t)
-            extend(seq, conf * p)
-            seq.pop()
-
-    for s1 in sorted(present_types):
+    starts = sorted(present_types)
+    for s1 in starts:
         if not 0 <= s1 < n:
             raise ValueError(f"present type {s1} outside vocabulary of {n}")
-        extend([s1], 1.0)
+    # NaN fails both comparisons
+    if not (P_r.min() >= 0.0 and P_r.max() <= 1.0):
+        raise ValueError("proximity matrix entries must lie in [0, 1]")
 
-    found.sort(key=lambda p: (-p.confidence, len(p.types), p.types))
-    return found[: config.beam]
+    rows = P_r.tolist()
+    successors: dict[int, list[tuple[int, float]]] = {}  # nonzero row entries
+    # entries hold the negated confidence; negation is exact, so products
+    # match conf * p bit for bit
+    heap = [(-1.0, 1, (s1,)) for s1 in starts]  # sorted, so already a heap
+    found: list[TypePath] = []
+    while heap and len(found) < config.beam:
+        neg_conf, length, types = heapq.heappop(heap)
+        last = types[-1]
+        if last == target_type:
+            found.append(TypePath(types=types, confidence=-neg_conf))
+            continue
+        if length == config.max_steps:
+            continue
+        if length + 1 == config.max_steps:
+            # a full-length child completes only at the target
+            p = rows[last][target_type]
+            children = [(target_type, p)] if p != 0.0 else []
+        else:
+            children = successors.get(last)
+            if children is None:
+                children = successors[last] = [
+                    (t, p) for t, p in enumerate(rows[last]) if p != 0.0
+                ]
+        for t, p in children:
+            if t not in types:
+                heapq.heappush(heap, (neg_conf * p, length + 1, types + (t,)))
+    return found
 
 
 def select_path(

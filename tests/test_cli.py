@@ -153,3 +153,59 @@ class TestExitCodes:
         assert result.returncode == 3
         assert "error:" in result.stderr
         assert "Traceback" not in result.stderr
+
+
+def _set_entry(value):
+    def mutate(payload):
+        payload["P_r"][0][1] = value
+    return mutate
+
+
+def _drop_last(key):
+    def mutate(payload):
+        payload[key] = payload[key][:-1]
+    return mutate
+
+
+def _shrink_object_matrix(payload):
+    m = len(payload["object_vocabulary"]) - 1
+    payload["P_o"] = [[0.0] * m for _ in range(m)]
+
+
+def _sparse_triple_out_of_range(payload):
+    m = len(payload["object_vocabulary"])
+    payload["P_o"] = {"format": "sparse", "shape": [m, m], "triples": [[m, 0, 0.5]]}
+
+
+def _object_index_out_of_range(payload):
+    payload["top_objects"][0] = [999]
+
+
+KB_VIOLATIONS = {
+    "P_r_missing_row": (_drop_last("P_r"), "shape"),
+    "P_o_size_differs_from_vocabulary": (_shrink_object_matrix, "shape"),
+    "P_r_nan": (_set_entry(float("nan")), "not in [0, 1]"),
+    "P_r_infinite": (_set_entry(float("inf")), "not in [0, 1]"),
+    "P_r_negative": (_set_entry(-3.0), "not in [0, 1]"),
+    "P_r_above_one": (_set_entry(7.0), "not in [0, 1]"),
+    "P_o_sparse_triple_out_of_range": (_sparse_triple_out_of_range, "outside shape"),
+    "top_objects_row_count": (_drop_last("top_objects"), "one per type"),
+    "top_objects_index_out_of_range": (_object_index_out_of_range, "object 999"),
+}
+
+
+@pytest.mark.parametrize("violation", sorted(KB_VIOLATIONS))
+def test_invalid_kb_value_is_rejected_at_load(violation, pipeline_dir, tmp_path):
+    mutate, message = KB_VIOLATIONS[violation]
+    payload = json.loads((pipeline_dir / "kb.json").read_text())
+    mutate(payload)
+    bad = tmp_path / "kb.json"
+    bad.write_text(json.dumps(payload))
+    result = cli("run", "--scenes", str(pipeline_dir / "scenes"),
+                 "--kb", str(bad), "--episodes", str(pipeline_dir / "episodes.json"),
+                 "--seed", "1", "--out", str(tmp_path / "t.jsonl"))
+    assert result.returncode == 3
+    assert "error:" in result.stderr
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "t.jsonl").exists()

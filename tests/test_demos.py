@@ -1,0 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import hspr
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def run_demo(name, hash_seed):
+    src = str(Path(hspr.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(DEMOS / name)], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_scene_generation_demo_independent_of_hash_seed():
+    assert run_demo("02_scene_generation.py", 1) == run_demo("02_scene_generation.py", 2)

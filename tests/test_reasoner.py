@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hspr.bench import recovery_generator_kb
 from hspr.perception import TypeBelief
 from hspr.reasoner import (
     ReasonerConfig,
@@ -137,6 +138,56 @@ class TestEnumerateTypePaths:
             assert [(p.types, p.confidence) for p in got] == [
                 (tuple(seq), conf) for seq, conf in want
             ]
+
+    @pytest.mark.parametrize("beam", [3, 10])
+    def test_matches_exhaustive_oracle_at_large_vocabulary(self, beam):
+        # the large-vocab benchmark KB: 20 types, ~75% of P_r nonzero, M=4
+        P = recovery_generator_kb(n_types=20).P_r
+        config = ReasonerConfig(max_steps=4, beam=beam)
+        cases = [({0}, 19), ({3, 11}, 7), ({1, 5, 9, 14}, 2), ({2, 6, 12, 17, 18}, 0),
+                 ({4, 8}, 8)]
+        for present, target in cases:
+            got = enumerate_type_paths(present, target, P, config)
+            want = enumerate_paths_exhaustive(present, target, P.tolist(), 4, beam)
+            assert [(p.types, p.confidence) for p in got] == [
+                (tuple(seq), conf) for seq, conf in want
+            ]
+
+    def test_ties_on_quantised_kbs_match_exhaustive_oracle(self, rng):
+        # few distinct levels, including exact 1.0 entries that extend a path
+        # at equal confidence, so the length and lexicographic tie-breaks
+        # decide the order
+        levels = [0.0, 0.25, 0.5, 0.75, 1.0]
+        for trial in range(150):
+            n = int(rng.integers(3, 7))
+            P = rng.choice(levels, size=(n, n))
+            if trial % 2:
+                P[rng.uniform(size=(n, n)) < 0.5] = 1.0
+            max_steps = int(rng.integers(1, 5))
+            beam = int(rng.integers(1, 8))
+            target = int(rng.integers(n))
+            present = {int(t) for t in rng.choice(n, size=rng.integers(1, n + 1), replace=False)}
+            config = ReasonerConfig(max_steps=max_steps, beam=beam)
+            got = enumerate_type_paths(present, target, P, config)
+            want = enumerate_paths_exhaustive(present, target, P.tolist(), max_steps, beam)
+            assert [(p.types, p.confidence) for p in got] == [
+                (tuple(seq), conf) for seq, conf in want
+            ]
+
+    def test_equal_confidence_extension_ranks_shorter_first(self):
+        P = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [0.5, 0.5, 0.0]])
+        config = ReasonerConfig(max_steps=3, beam=3)
+        paths = enumerate_type_paths({0, 1}, 2, P, config)
+        assert [(p.types, p.confidence) for p in paths] == [
+            ((0, 2), 0.5), ((1, 2), 0.5), ((0, 1, 2), 0.5)
+        ]
+
+    @pytest.mark.parametrize("value", [float("nan"), -0.1, 1.5])
+    def test_entry_outside_unit_interval_rejected(self, value):
+        P = np.full((3, 3), 0.5)
+        P[1, 2] = value
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            enumerate_type_paths({0}, 2, P, ReasonerConfig())
 
     def test_order_independent_of_present_set_iteration(self):
         P = np.full((4, 4), 0.5)
