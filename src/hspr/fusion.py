@@ -178,10 +178,8 @@ def fuse_variant_table(
     elif mode == "dynamic":
         if topo_map is None or table is None or visited_scores is None:
             raise ValueError("dynamic fusion needs the map, routing table, and visited scores")
-        visited = topo_map.visited_ids()
-        for i in C - F:
-            route = topo_map.route_to(table, i)
-            l_f[i] = sum(visited_scores[v] for v in route if v in visited)
+        visited = {v: visited_scores[v] for v in topo_map.visited_ids()}
+        l_f.update(topo_map.route_sums(table, visited, C - F))
     return ActionScoreTable(
         eta_c=dict(eta_c),
         eta_f=dict(eta_f),

@@ -4,16 +4,21 @@ Neural predictors are replaced by distributions with controllable fidelity:
 a row-stochastic confusion model for node types, a noise-mixture for target
 specs and object types, and a heuristic visual scorer.  Identity confusion
 with zero noise reproduces ground truth exactly (the oracle configuration).
+
+The confusion matrix is validated once, when the model is built, and then
+frozen; the beliefs it hands out share its read-only rows (or read-only
+one-hot rows in sampled mode) instead of copying and re-checking them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import SchemaError
+from .seeding import LazyRng
 
 CONFUSION_SCHEMA_VERSION = 1
 _SUM_TOL = 1e-9
@@ -48,10 +53,14 @@ class TargetSpec:
 class TypeBelief:
     node_id: str
     R: np.ndarray
+    # set only by ConfusionModel.belief, whose rows are read-only and were
+    # validated with the matrix
+    _checked: InitVar[bool] = field(default=False, kw_only=True)
 
-    def __post_init__(self):
-        self.R = np.asarray(self.R, dtype=np.float64)
-        _check_distribution(self.R, f"type belief for {self.node_id}")
+    def __post_init__(self, _checked: bool):
+        if not _checked:
+            self.R = np.asarray(self.R, dtype=np.float64)
+            _check_distribution(self.R, f"type belief for {self.node_id}")
 
 
 @dataclass(eq=False)
@@ -67,14 +76,16 @@ class ConfusionModel:
     """Row-stochastic confusion matrix over node types.
 
     distribution mode emits the confusion row itself as the belief; sampled
-    mode draws a label from the row and emits a one-hot belief.
+    mode draws a label from the row and emits a one-hot belief.  M is a
+    private copy, validated here and then made read-only, so every row
+    handed out stays a valid distribution.
     """
 
     M: np.ndarray
     mode: str = "distribution"
 
     def __post_init__(self):
-        self.M = np.asarray(self.M, dtype=np.float64)
+        self.M = np.array(self.M, dtype=np.float64)
         if self.mode not in ("distribution", "sampled"):
             raise ValueError(f"unknown confusion mode {self.mode!r}")
         if self.M.ndim != 2 or self.M.shape[0] != self.M.shape[1]:
@@ -84,18 +95,27 @@ class ConfusionModel:
         sums = self.M.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > _SUM_TOL):
             raise ValueError("confusion matrix rows must sum to 1")
+        self.M.flags.writeable = False
+        self._one_hot = np.eye(self.n_types)
+        self._one_hot.flags.writeable = False
+
+    def __reduce__(self):
+        # unpickled arrays come back writeable; rebuilding re-freezes them
+        return (type(self), (self.M, self.mode))
 
     @property
     def n_types(self) -> int:
         return self.M.shape[0]
 
-    def row(self, true_type: int, rng: np.random.Generator) -> np.ndarray:
+    def row(self, true_type: int, rng: np.random.Generator | LazyRng) -> np.ndarray:
+        """The perceived type distribution, a read-only row; only sampled mode draws."""
         if self.mode == "distribution":
-            return self.M[true_type].copy()
-        label = int(rng.choice(self.n_types, p=self.M[true_type]))
-        vec = np.zeros(self.n_types)
-        vec[label] = 1.0
-        return vec
+            return self.M[true_type]
+        return self._one_hot[int(rng.choice(self.n_types, p=self.M[true_type]))]
+
+    def belief(self, node_id: str, true_type: int, rng: np.random.Generator | LazyRng) -> TypeBelief:
+        """Perceive one node; the row was validated with the matrix."""
+        return TypeBelief(node_id, self.row(true_type, rng), _checked=True)
 
     @classmethod
     def identity(cls, n_types: int, mode: str = "distribution") -> "ConfusionModel":
@@ -158,7 +178,7 @@ def target_spec_from_episode(episode, scene, model: ConfusionModel, object_noise
             f"episode {episode.episode_id} target object {episode.target_object!r} "
             f"not found at node {episode.target_node!r}"
         )
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = seed if isinstance(seed, (np.random.Generator, LazyRng)) else np.random.default_rng(seed)
     Y_r = model.row(target.node_type, rng)
     n_o = scene.n_object_types
     one_hot = np.zeros(n_o)
@@ -200,7 +220,7 @@ def visual_score_table(
     view: list[tuple[str, float, TypeBelief]],
     target: TargetSpec,
     weights: VisualWeights,
-    rng: np.random.Generator,
+    rng: np.random.Generator | LazyRng,
 ) -> dict[str, float]:
     """Score candidate nodes from (distance, belief) pairs.
 

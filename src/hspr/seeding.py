@@ -24,3 +24,27 @@ def stable_digest(*parts) -> int:
 def derive_rng(*parts) -> np.random.Generator:
     """Return a Generator keyed by the given parts (seed, episode id, step, ...)."""
     return np.random.default_rng(stable_digest(*parts))
+
+
+class LazyRng:
+    """Stands in for derive_rng(*parts) and derives it on the first draw.
+
+    Many keyed streams never draw (distribution-mode perception, noiseless
+    or empty visual views), so they never pay for the hash and the
+    generator seeding.  The first draw sees exactly the stream that
+    derive_rng(*parts) gives.
+    """
+
+    def __init__(self, *parts):
+        self._parts = parts
+        self._rng = None
+
+    def __getattr__(self, name: str):
+        # reached only for names not yet on the instance: Generator methods
+        if name.startswith("_"):
+            raise AttributeError(name)
+        if self._rng is None:
+            self._rng = derive_rng(*self._parts)
+        value = getattr(self._rng, name)
+        setattr(self, name, value)  # later lookups skip __getattr__
+        return value

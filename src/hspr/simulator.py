@@ -4,7 +4,8 @@ Each decision step observes the current node, perceives navigable nodes,
 replans the type path, scores candidates with proximity + visual evidence,
 fuses, and either stops or routes to the chosen navigable node (observing
 every hop on the way).  All randomness derives from (agent seed, episode id,
-step), so batches replay identically under any parallelism.
+step), so batches replay identically under any parallelism; a keyed
+generator is derived only when it first draws.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import InternalError, SchemaError
 from .fusion import (
     STOP,
     BetaPolicy,
@@ -45,7 +46,7 @@ from .reasoner import (
     select_path,
 )
 from .scene import SceneGraph
-from .seeding import derive_rng
+from .seeding import LazyRng, derive_rng
 from .synth import Episode
 from .topo import SemanticTopoMap
 
@@ -145,7 +146,7 @@ def run_episode(
     ep = episode.episode_id
     target = target_spec_from_episode(
         episode, scene, agent.confusion, agent.object_noise,
-        derive_rng(agent.seed, ep, "target"),
+        LazyRng(agent.seed, ep, "target"),
     )
 
     topo = SemanticTopoMap()
@@ -153,10 +154,10 @@ def run_episode(
 
     def arrive(node_id: str) -> None:
         nonlocal obs_counter
-        rng = derive_rng(agent.seed, ep, "perceive", obs_counter)
+        rng = LazyRng(agent.seed, ep, "perceive", obs_counter)
         obs_counter += 1
         topo.observe(
-            scene, node_id, lambda rec: TypeBelief(rec.node_id, agent.confusion.row(rec.node_type, rng))
+            scene, node_id, lambda rec: agent.confusion.belief(rec.node_id, rec.node_type, rng)
         )
 
     arrive(episode.start_node)
@@ -245,10 +246,10 @@ def _scored_action(
     global_view = [(i, table.distance(i), topo.nodes[i].belief) for i in sorted(C)]
     local_view = [(i, topo.adj[current][i], topo.nodes[i].belief) for i in sorted(F)]
     eps_c = visual_score_table(
-        global_view, target, agent.visual, derive_rng(agent.seed, ep, "visual-global", decision_step)
+        global_view, target, agent.visual, LazyRng(agent.seed, ep, "visual-global", decision_step)
     )
     eps_f = visual_score_table(
-        local_view, target, agent.visual, derive_rng(agent.seed, ep, "visual-local", decision_step)
+        local_view, target, agent.visual, LazyRng(agent.seed, ep, "visual-local", decision_step)
     )
 
     visited_scores = None
@@ -257,7 +258,7 @@ def _scored_action(
         visited_view = [(i, table.distance(i), topo.nodes[i].belief) for i in visited]
         eps_v = visual_score_table(
             visited_view, target, agent.visual,
-            derive_rng(agent.seed, ep, "visual-visited", decision_step),
+            LazyRng(agent.seed, ep, "visual-visited", decision_step),
         )
         visited_scores = {i: eta_all[i] + eps_v[i] for i in visited}
 
@@ -327,7 +328,8 @@ def run_batch(
     trace: bool = False,
 ) -> BatchResult:
     """Run many episodes; results are sorted by episode id and independent
-    of the worker count.  Per-episode errors are captured, not raised."""
+    of the worker count.  Per-episode input errors are captured, not
+    raised; an InternalError (an engine bug) propagates."""
     ordered = sorted(episodes, key=lambda e: e.episode_id)
     jobs = []
     failures: dict[str, str] = {}
@@ -343,6 +345,8 @@ def run_batch(
         for job in jobs:
             try:
                 trajectories.append(_run_one(job))
+            except InternalError:
+                raise
             except Exception as exc:
                 failures[job[1].episode_id] = str(exc)
                 log.warning("episode %s failed: %s", job[1].episode_id, exc)
@@ -352,6 +356,9 @@ def run_batch(
             for episode_id, future in futures:
                 try:
                     trajectories.append(future.result())
+                except InternalError:
+                    pool.shutdown(cancel_futures=True)
+                    raise
                 except Exception as exc:
                     failures[episode_id] = str(exc)
                     log.warning("episode %s failed: %s", episode_id, exc)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,14 +149,17 @@ class SemanticTopoMap:
         """One single-source table per known node; for checks, not per step."""
         return {s: self.shortest_paths(s) for s in sorted(self.nodes)}
 
-    def route_to(self, table: RoutingTable, goal: str) -> list[str]:
-        """Node sequence current -> goal, walking the table's predecessors."""
+    def _check_table(self, table: RoutingTable) -> None:
         if self.current is None:
             raise ValueError("map has no current node")
         if table.source != self.current:
             raise ValueError(
                 f"routing table is from {table.source!r}, not the current node {self.current!r}"
             )
+
+    def route_to(self, table: RoutingTable, goal: str) -> list[str]:
+        """Node sequence current -> goal, walking the table's predecessors."""
+        self._check_table(table)
         if goal not in self.nodes:
             raise ValueError(f"goal {goal!r} is not a known node")
         if not math.isfinite(table.distance(goal)):
@@ -167,6 +171,36 @@ class SemanticTopoMap:
                 raise InternalError(f"broken predecessor chain toward {goal!r}")
             path.append(hop)
         return path[::-1]
+
+    def route_sums(
+        self, table: RoutingTable, weights: dict[str, float], goals: Collection[str]
+    ) -> dict[str, float]:
+        """Per goal, the weights of the nodes on its route, summed from current.
+
+        Equals sum(weights[v] for v in route_to(table, goal) if v in weights)
+        bit for bit: each sum is built left to right from the current node,
+        but prefixes shared down the predecessor tree are added once.
+        """
+        self._check_table(table)
+        source = self.current
+        # sum() starts from the integer 0, so start there too (0 + -0.0 is 0.0)
+        sums = {source: 0 + weights[source] if source in weights else 0}
+        for goal in goals:
+            if not math.isfinite(table.distance(goal)):
+                raise ValueError(f"goal {goal!r} is unreachable on the known map")
+            chain = []  # goal back to the first node with a known sum
+            node = goal
+            while node not in sums:
+                chain.append(node)
+                node = table.prev.get(node)
+                if node is None or len(chain) > len(self.nodes):
+                    raise InternalError(f"broken predecessor chain toward {goal!r}")
+            total = sums[node]
+            for node in reversed(chain):
+                if node in weights:
+                    total += weights[node]
+                sums[node] = total
+        return {goal: sums[goal] for goal in goals}
 
     def snapshot(self) -> dict:
         """JSON-friendly view of node statuses and belief argmaxes."""

@@ -108,3 +108,17 @@ def enumerate_paths_exhaustive(present_types, target_type, P_r, max_types, k):
                 candidates.append((seq, conf))
     candidates.sort(key=lambda item: (-item[1], len(item[0]), item[0]))
     return candidates[:k]
+
+
+def route_visited_sum(prev, source, goal, visited_scores):
+    """Visited scores along one route, summed left to right from the source.
+
+    Walks the predecessor map from goal back to source and applies the
+    per-candidate formula of dynamic fusion:
+    sum(visited_scores[v] for v in route if v in visited_scores).
+    """
+    route = [goal]
+    while route[-1] != source:
+        route.append(prev[route[-1]])
+    route.reverse()
+    return sum(visited_scores[v] for v in route if v in visited_scores)

@@ -1,10 +1,14 @@
 import json
+import multiprocessing
 import subprocess
 import sys
 
 import pytest
 
+from hspr.cli import dispatch
+from hspr.errors import InternalError
 from hspr.kb import load_kb
+from hspr.topo import SemanticTopoMap
 
 
 def cli(*args, cwd=None, env=None):
@@ -208,4 +212,25 @@ def test_invalid_kb_value_is_rejected_at_load(violation, pipeline_dir, tmp_path)
     assert "error:" in result.stderr
     assert message in result.stderr
     assert "Traceback" not in result.stderr
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_engine_bug_exits_4(parallel, pipeline_dir, tmp_path, monkeypatch, capsys):
+    if parallel != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers inherit the patched method only when forked")
+
+    def broken(self, source=None):
+        raise InternalError("routing invariant broken")
+
+    monkeypatch.setattr(SemanticTopoMap, "shortest_paths", broken)
+    code = dispatch(["run", "--scenes", str(pipeline_dir / "scenes"),
+                     "--kb", str(pipeline_dir / "kb.json"),
+                     "--episodes", str(pipeline_dir / "episodes.json"),
+                     "--seed", "1", "--parallel", parallel,
+                     "--out", str(tmp_path / "t.jsonl")])
+    stderr = capsys.readouterr().err
+    assert code == 4
+    assert "internal error: routing invariant broken" in stderr
+    assert "Traceback" not in stderr
     assert not (tmp_path / "t.jsonl").exists()

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -56,6 +57,10 @@ class TestConfusionModel:
         with pytest.raises(ValueError, match="sum to 1"):
             ConfusionModel(np.array([[0.5, 0.4], [0.5, 0.5]]))
 
+    def test_negative_entry_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            ConfusionModel(np.array([[1.2, -0.2], [0.5, 0.5]]))
+
     def test_file_round_trip(self, tmp_path):
         model = ConfusionModel.eps_uniform(3, 0.3, mode="sampled")
         path = tmp_path / "confusion.json"
@@ -63,6 +68,60 @@ class TestConfusionModel:
         loaded = load_confusion(path)
         assert np.array_equal(loaded.M, model.M)
         assert loaded.mode == "sampled"
+
+
+class TestReadOnlyRows:
+    def test_matrix_is_read_only(self):
+        model = ConfusionModel.eps_uniform(4, 0.2)
+        with pytest.raises(ValueError, match="read-only"):
+            model.M[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.M[1] *= 2.0
+
+    def test_matrix_is_a_private_copy(self):
+        source = np.full((3, 3), 1.0 / 3.0)
+        model = ConfusionModel(source)
+        source[0] = [1.0, 0.0, 0.0]
+        assert source.flags.writeable
+        assert np.allclose(model.M, 1.0 / 3.0)
+
+    @pytest.mark.parametrize("mode", ["distribution", "sampled"])
+    def test_belief_rows_are_read_only(self, mode):
+        model = ConfusionModel.eps_uniform(4, 0.4, mode=mode)
+        belief = model.belief("n", 2, np.random.default_rng(0))
+        assert belief.node_id == "n"
+        assert math.isclose(belief.R.sum(), 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            belief.R[0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            model.row(2, np.random.default_rng(0))[1] = 0.5
+
+    def test_distribution_beliefs_share_the_row(self):
+        model = ConfusionModel.eps_uniform(4, 0.2)
+        belief = model.belief("n", 3, np.random.default_rng(0))
+        assert np.shares_memory(belief.R, model.M)
+        assert np.array_equal(belief.R, model.M[3])
+
+    def test_sampled_beliefs_are_one_hot(self):
+        model = ConfusionModel.eps_uniform(5, 0.5, mode="sampled")
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            R = model.belief("n", 1, rng).R
+            assert sorted(R.tolist()) == [0.0] * 4 + [1.0]
+
+    def test_unpickled_model_is_read_only(self):
+        model = pickle.loads(pickle.dumps(ConfusionModel.eps_uniform(3, 0.3, mode="sampled")))
+        assert model.mode == "sampled"
+        with pytest.raises(ValueError, match="read-only"):
+            model.M[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            model.belief("n", 0, np.random.default_rng(0)).R[0] = 0.5
+
+    def test_direct_type_belief_is_still_validated(self):
+        with pytest.raises(ValueError, match="negative"):
+            TypeBelief("n", np.array([1.2, -0.2]))
+        with pytest.raises(ValueError, match="sum to 1"):
+            TypeBelief("n", np.array([0.5, 0.4]))
 
 
 class TestTargetSpec:

@@ -1,8 +1,12 @@
+import hashlib
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from hspr import seeding, simulator
 from hspr.bench import standard_benchmark
 from hspr.fusion import STOP
 from hspr.kb import ProximityKB
@@ -245,3 +249,88 @@ class TestRunBatch:
         assert [trajectory_to_payload(t) for t in loaded] == [
             trajectory_to_payload(t) for t in batch.trajectories
         ]
+
+
+def trajectory_digest(trajectories):
+    h = hashlib.sha256()
+    for traj in trajectories:
+        h.update(json.dumps(trajectory_to_payload(traj), sort_keys=True).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def count_derivations(monkeypatch):
+    """Count derived generators by label, wherever the engine derives one."""
+    labels = Counter()
+    original = seeding.derive_rng
+
+    def counting(*parts):
+        labels[parts[2]] += 1
+        return original(*parts)
+
+    monkeypatch.setattr(seeding, "derive_rng", counting)
+    monkeypatch.setattr(simulator, "derive_rng", counting)
+    return labels
+
+
+class TestRandomStreams:
+    # sha256 of the trajectory JSONL, recorded before generators were
+    # derived lazily; the streams and their keys must not change
+    SAMPLED_DYNAMIC = "3912a144f1b202f8b1f73a3af80b4b1f1c6e3ffe90698b19d72c89de8e559730"
+    RANDOM_POLICY = "96d67559fc1805189b5fd16bd02babf33958a38f32790bf29bdef1ce45138fa8"
+
+    def test_sampled_mode_streams_pinned(self, small_bench):
+        scenes, episodes, kb = small_bench
+        agent = AgentConfig(
+            confusion=ConfusionModel.eps_uniform(10, 0.3, mode="sampled"),
+            visual=VisualWeights(noise_sd=0.15), fusion_mode="dynamic", seed=9,
+        )
+        batch = run_batch(scenes, episodes, kb, agent, "hspr")
+        assert not batch.failures
+        assert trajectory_digest(batch.trajectories) == self.SAMPLED_DYNAMIC
+
+    def test_random_policy_streams_pinned(self, small_bench):
+        scenes, episodes, kb = small_bench
+        agent = AgentConfig(
+            confusion=ConfusionModel.eps_uniform(10, 0.2),
+            visual=VisualWeights(noise_sd=0.1), seed=3,
+        )
+        batch = run_batch(scenes, episodes, kb, agent, "random")
+        assert not batch.failures
+        assert trajectory_digest(batch.trajectories) == self.RANDOM_POLICY
+
+    def test_distribution_mode_derives_only_generators_that_draw(self, small_bench, monkeypatch):
+        scenes, episodes, kb = small_bench
+        labels = count_derivations(monkeypatch)
+        agent = bench_agent(confusion=ConfusionModel.eps_uniform(10, 0.2),
+                            visual=VisualWeights(noise_sd=0.1), fusion_mode="dynamic")
+        for episode in episodes[:4]:
+            run_episode(scenes[episode.scene_id], episode, kb, agent, "hspr")
+        assert labels["perceive"] == 0
+        assert labels["target"] == 0
+        assert labels["visual-global"] > 0 and labels["visual-visited"] > 0
+
+    def test_noiseless_visual_scores_derive_nothing(self, small_bench, monkeypatch):
+        scenes, episodes, kb = small_bench
+        labels = count_derivations(monkeypatch)
+        episode = episodes[0]
+        run_episode(scenes[episode.scene_id], episode, kb, bench_agent(), "hspr")
+        assert not labels
+
+    def test_sampled_mode_derives_perception_generators(self, small_bench, monkeypatch):
+        scenes, episodes, kb = small_bench
+        labels = count_derivations(monkeypatch)
+        agent = bench_agent(confusion=ConfusionModel.eps_uniform(10, 0.2, mode="sampled"))
+        episode = episodes[0]
+        traj = run_episode(scenes[episode.scene_id], episode, kb, agent, "hspr")
+        assert labels["target"] == 1
+        assert labels["perceive"] == len(traj.node_sequence)
+
+    def test_lazy_generator_draws_the_derived_stream(self, monkeypatch):
+        labels = count_derivations(monkeypatch)
+        lazy = seeding.LazyRng(4, "ep", "visual-local", 2)
+        assert not labels
+        want = seeding.derive_rng(4, "ep", "visual-local", 2)
+        assert [lazy.normal(0.0, 1.0) for _ in range(5)] == [want.normal(0.0, 1.0) for _ in range(5)]
+        assert lazy.integers(1000) == want.integers(1000)
+        assert labels["visual-local"] == 2

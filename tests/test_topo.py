@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from hspr.errors import InternalError
 from hspr.perception import TypeBelief
 from hspr.topo import CURRENT, NAVIGABLE, VISITED, MapNode, SemanticTopoMap
 
 from conftest import make_scene
-from oracles import dijkstra_single_source
+from oracles import dijkstra_single_source, route_visited_sum
 
 
 def oracle_belief(record):
@@ -262,3 +263,47 @@ class TestRouteTo:
         topo = SemanticTopoMap()
         topo.observe(scene, "hub", oracle_belief)
         json.dumps(topo.snapshot())
+
+
+def visited_scores(rng, topo):
+    """Scores of mixed sign and magnitude, so that a changed addition order
+    shows in the last bits; some are -0.0, which sum() turns into 0.0."""
+    scores = {}
+    for nid in sorted(topo.visited_ids()):
+        scores[nid] = -0.0 if rng.random() < 0.1 else float(rng.normal() * 10.0 ** rng.integers(-6, 7))
+    return scores
+
+
+class TestRouteSums:
+    def test_matches_per_candidate_oracle_bit_for_bit(self, rng):
+        for trial in range(250):
+            topo = random_map(rng, int(rng.integers(1, 41)))
+            table = topo.shortest_paths()
+            weights = visited_scores(rng, topo)
+            goals = sorted(topo.nodes)
+            got = topo.route_sums(table, weights, goals)
+            for goal in goals:
+                want = route_visited_sum(table.prev, topo.current, goal, weights)
+                assert got[goal] == want and math.copysign(1, got[goal]) == math.copysign(1, want)
+
+    def test_broken_predecessor_chain_raises(self, rng):
+        topo = random_map(rng, 12)
+        table = topo.shortest_paths()
+        weights = visited_scores(rng, topo)
+        far = max((n for n in table.prev if table.prev[n] != topo.current), key=table.distance)
+        hop = table.prev[far]
+        del table.prev[hop]
+        with pytest.raises(InternalError, match="broken predecessor chain"):
+            topo.route_sums(table, weights, [far])
+        table.prev[hop] = far  # a cycle that never reaches the current node
+        with pytest.raises(InternalError, match="broken predecessor chain"):
+            topo.route_sums(table, weights, [far])
+
+    def test_stale_table_rejected(self):
+        scene = star_scene()
+        topo = SemanticTopoMap()
+        topo.observe(scene, "hub", oracle_belief)
+        table = topo.shortest_paths()
+        topo.observe(scene, "n2", oracle_belief)
+        with pytest.raises(ValueError, match="current node"):
+            topo.route_sums(table, {}, ["n3"])
