@@ -38,6 +38,7 @@ from .scene import load_scene, save_scene
 from .simulator import (
     POLICIES,
     AgentConfig,
+    check_vocabularies,
     load_trajectories,
     run_batch,
     save_trajectories,
@@ -227,6 +228,11 @@ def cmd_run(args) -> int:
     config.validate()
     scenes = _load_scenes_dir(config.scenes_dir)
     kb = load_kb(config.kb_path)
+    for scene_id in sorted(scenes):
+        try:
+            check_vocabularies(scenes[scene_id], kb)
+        except ValueError as exc:
+            raise SchemaError(str(exc)) from exc
     episodes = load_episodes(config.episodes_path)
     first = next(iter(scenes.values()))
     agent = _agent_from_args(args, first.n_types)

@@ -6,8 +6,10 @@ specs and object types, and a heuristic visual scorer.  Identity confusion
 with zero noise reproduces ground truth exactly (the oracle configuration).
 
 The confusion matrix is validated once, when the model is built, and then
-frozen; the beliefs it hands out share its read-only rows (or read-only
-one-hot rows in sampled mode) instead of copying and re-checking them.
+frozen.  Perceiving a node yields a row index; the belief for row k shares
+row k of the model's read-only `rows` (the matrix itself, or a one-hot
+identity in sampled mode) instead of copying and re-checking it, so every
+belief the agent holds is one of only n_types rows.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ class TargetSpec:
 class TypeBelief:
     node_id: str
     R: np.ndarray
+    # the confusion row R was read from; None for a belief built directly
+    row: int | None = field(default=None, kw_only=True)
     # set only by ConfusionModel.belief, whose rows are read-only and were
     # validated with the matrix
     _checked: InitVar[bool] = field(default=False, kw_only=True)
@@ -96,8 +100,11 @@ class ConfusionModel:
         if np.any(np.abs(sums - 1.0) > _SUM_TOL):
             raise ValueError("confusion matrix rows must sum to 1")
         self.M.flags.writeable = False
-        self._one_hot = np.eye(self.n_types)
-        self._one_hot.flags.writeable = False
+        if self.mode == "distribution":
+            self.rows = self.M
+        else:
+            self.rows = np.eye(self.n_types)
+            self.rows.flags.writeable = False
 
     def __reduce__(self):
         # unpickled arrays come back writeable; rebuilding re-freezes them
@@ -107,15 +114,23 @@ class ConfusionModel:
     def n_types(self) -> int:
         return self.M.shape[0]
 
-    def row(self, true_type: int, rng: np.random.Generator | LazyRng) -> np.ndarray:
-        """The perceived type distribution, a read-only row; only sampled mode draws."""
-        if self.mode == "distribution":
-            return self.M[true_type]
-        return self._one_hot[int(rng.choice(self.n_types, p=self.M[true_type]))]
+    def perceive(self, true_type: int, rng: np.random.Generator | LazyRng) -> int:
+        """Index into `rows` of the perceived type distribution.
 
-    def belief(self, node_id: str, true_type: int, rng: np.random.Generator | LazyRng) -> TypeBelief:
-        """Perceive one node; the row was validated with the matrix."""
-        return TypeBelief(node_id, self.row(true_type, rng), _checked=True)
+        distribution mode returns true_type and draws nothing; sampled mode
+        draws one label from the confusion row.
+        """
+        if self.mode == "distribution":
+            return true_type
+        return int(rng.choice(self.n_types, p=self.M[true_type]))
+
+    def row(self, true_type: int, rng: np.random.Generator | LazyRng) -> np.ndarray:
+        """The perceived type distribution, a read-only row."""
+        return self.rows[self.perceive(true_type, rng)]
+
+    def belief(self, node_id: str, row: int) -> TypeBelief:
+        """The belief holding rows[row]; the row was validated with the matrix."""
+        return TypeBelief(node_id, self.rows[row], row=row, _checked=True)
 
     @classmethod
     def identity(cls, n_types: int, mode: str = "distribution") -> "ConfusionModel":
@@ -217,20 +232,20 @@ class VisualWeights:
 
 
 def visual_score_table(
-    view: list[tuple[str, float, TypeBelief]],
-    target: TargetSpec,
+    view: list[tuple[str, float, float]],
     weights: VisualWeights,
     rng: np.random.Generator | LazyRng,
 ) -> dict[str, float]:
-    """Score candidate nodes from (distance, belief) pairs.
+    """Score candidate nodes from (node id, distance, type alignment) triples.
 
-    score = w_d * exp(-d / decay) + w_t * (R . Y_r) + N(0, noise_sd), with
-    noise drawn in view order so a fixed seed replays exactly.
+    The type alignment of a node is R . Y_r, its belief against the target
+    type.  score = w_d * exp(-d / decay) + w_t * alignment + N(0, noise_sd),
+    with noise drawn in view order so a fixed seed replays exactly.
     """
     scores = {}
-    for node_id, distance, belief in view:
+    for node_id, distance, alignment in view:
         value = weights.w_d * float(np.exp(-distance / weights.decay))
-        value += weights.w_t * float(belief.R @ target.Y_r)
+        value += weights.w_t * alignment
         if weights.noise_sd > 0:
             value += float(rng.normal(0.0, weights.noise_sd))
         scores[node_id] = value

@@ -6,6 +6,11 @@ fuses, and either stops or routes to the chosen navigable node (observing
 every hop on the way).  All randomness derives from (agent seed, episode id,
 step), so batches replay identically under any parallelism; a keyed
 generator is derived only when it first draws.
+
+Every belief on the map is one of the confusion model's rows, so each
+belief-dependent score (proximity, multi-step, present types, visual type
+alignment) is computed once per row per episode and read for every node
+at that row.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from .perception import (
 )
 from .reasoner import (
     ReasonerConfig,
+    TypePath,
     enumerate_type_paths,
     multi_step_scores,
     object_proximity_scores,
@@ -87,7 +93,7 @@ class Trajectory:
 
 
 def stop_score(
-    current_belief: TypeBelief,
+    type_alignment: float,
     objects: ObjectBelief,
     target: TargetSpec,
     kb: ProximityKB,
@@ -95,11 +101,12 @@ def stop_score(
 ) -> float:
     """Evidence that the agent is standing at the target.
 
-    Type match of the current node plus the best object-proximity score over
-    the node's instances; a node with no objects contributes zero there.
+    Type match of the current node (type_alignment, its R . Y_r) plus the
+    best object-proximity score over the node's instances; a node with no
+    objects contributes zero there.
     """
     w_type, w_obj = stop_weights
-    score = w_type * float(current_belief.R @ target.Y_r)
+    score = w_type * type_alignment
     if objects.probs:
         mu = object_proximity_scores(objects, kb.P_o, target.Y_o)
         score += w_obj * max(mu.values())
@@ -117,17 +124,88 @@ def ground_object(node_record, objects: ObjectBelief, P_o: np.ndarray, Y_o: np.n
     return min(mu, key=lambda oid: (-mu[oid], oid))
 
 
-def _check_compatible(scene: SceneGraph, episode: Episode, kb: ProximityKB) -> None:
+def check_vocabularies(scene: SceneGraph, kb: ProximityKB) -> None:
+    """Raise ValueError unless the KB was built over the scene's vocabularies."""
+    if (
+        kb.type_vocabulary != scene.type_vocabulary
+        or kb.object_vocabulary != scene.object_vocabulary
+    ):
+        raise ValueError(f"KB vocabularies do not match scene {scene.scene_id!r}")
+
+
+def _check_compatible(scene: SceneGraph, episode: Episode, kb: ProximityKB, agent: AgentConfig) -> None:
     if episode.scene_id != scene.scene_id:
         raise ValueError(
             f"episode {episode.episode_id} belongs to scene {episode.scene_id!r}, "
             f"got {scene.scene_id!r}"
         )
-    if (
-        kb.type_vocabulary != scene.type_vocabulary
-        or kb.object_vocabulary != scene.object_vocabulary
-    ):
-        raise ValueError("KB vocabularies do not match the scene")
+    check_vocabularies(scene, kb)
+    if agent.confusion.n_types != kb.P_r.shape[0]:
+        raise ValueError(
+            f"confusion model has {agent.confusion.n_types} types, "
+            f"proximity matrix has {kb.P_r.shape[0]}"
+        )
+
+
+class _RowScores:
+    """One episode's belief-dependent scores, one entry per confusion row.
+
+    Each table maps a row index to the score of a belief holding that row.
+    A row missing from a table is filled once, by the function that scores
+    any list of beliefs, called on one belief per missing row; every node at
+    that row then reads the same value.
+    """
+
+    def __init__(self, kb: ProximityKB, target: TargetSpec, reasoner: ReasonerConfig):
+        self.kb = kb
+        self.target = target
+        self.reasoner = reasoner
+        self._alignment: dict[int, float] = {}  # R . Y_r
+        self._direct: dict[int, float] = {}  # R . P_r . Y_r
+        self._present: dict[int, set[int]] = {}  # types held with mass >= tau
+        self._multi: dict[tuple[int, ...], dict[int, float]] = {}  # by path types
+
+    @staticmethod
+    def _fill(table: dict, reps: dict[int, TypeBelief], score) -> dict:
+        missing = [b for row, b in reps.items() if row not in table]
+        if missing:
+            values = score(missing)
+            for b in missing:
+                table[b.row] = values[b.node_id]
+        return table
+
+    def alignment(self, reps: dict[int, TypeBelief]) -> dict[int, float]:
+        Y_r = self.target.Y_r
+        return self._fill(
+            self._alignment, reps, lambda bs: {b.node_id: float(b.R @ Y_r) for b in bs}
+        )
+
+    def direct(self, reps: dict[int, TypeBelief]) -> dict[int, float]:
+        return self._fill(
+            self._direct, reps, lambda bs: proximity_scores(bs, self.kb.P_r, self.target.Y_r)
+        )
+
+    def multi_step(self, reps: dict[int, TypeBelief], path: TypePath) -> dict[int, float]:
+        return self._fill(
+            self._multi.setdefault(path.types, {}), reps,
+            lambda bs: multi_step_scores(bs, path, self.kb.P_r, self.reasoner),
+        )
+
+    def present(self, reps: dict[int, TypeBelief]) -> set[int]:
+        tau = self.reasoner.feasibility_tau
+        table = self._fill(
+            self._present, reps,
+            lambda bs: {b.node_id: present_types_from_beliefs([b], tau) for b in bs},
+        )
+        return set().union(*(table[row] for row in reps))
+
+
+def _by_row(beliefs) -> dict[int, TypeBelief]:
+    """The first belief at each confusion row."""
+    reps: dict[int, TypeBelief] = {}
+    for b in beliefs:
+        reps.setdefault(b.row, b)
+    return reps
 
 
 def run_episode(
@@ -141,7 +219,7 @@ def run_episode(
     """Execute one episode under the given policy."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    _check_compatible(scene, episode, kb)
+    _check_compatible(scene, episode, kb, agent)
 
     ep = episode.episode_id
     target = target_spec_from_episode(
@@ -149,16 +227,14 @@ def run_episode(
         LazyRng(agent.seed, ep, "target"),
     )
 
+    row_scores = _RowScores(kb, target, agent.reasoner)
     topo = SemanticTopoMap()
     obs_counter = 0
 
     def arrive(node_id: str) -> None:
         nonlocal obs_counter
-        rng = LazyRng(agent.seed, ep, "perceive", obs_counter)
+        topo.observe(scene, node_id, agent.confusion, LazyRng(agent.seed, ep, "perceive", obs_counter))
         obs_counter += 1
-        topo.observe(
-            scene, node_id, lambda rec: agent.confusion.belief(rec.node_id, rec.node_type, rng)
-        )
 
     arrive(episode.start_node)
     node_sequence = [episode.start_node]
@@ -178,7 +254,7 @@ def run_episode(
             step_trace = {"chosen": chosen} if trace else None
         else:
             chosen, step_trace = _scored_action(
-                scene, kb, agent, policy, target, topo, table, F, C,
+                scene, kb, agent, policy, target, row_scores, topo, table, F, C,
                 decision_step, ep, trace,
             )
         if trace:
@@ -216,48 +292,58 @@ def run_episode(
 
 
 def _scored_action(
-    scene, kb, agent, policy, target, topo, table, F, C,
+    scene, kb, agent, policy, target, row_scores, topo, table, F, C,
     decision_step, ep, trace,
 ):
     """One fused scoring round; returns (chosen action, optional trace)."""
     current = topo.current
-    score_ids = sorted(C | topo.visited_ids()) if agent.fusion_mode == "dynamic" else sorted(C)
-    beliefs = [topo.nodes[i].belief for i in score_ids]
-    beliefs_C = [b for b in beliefs if b.node_id in C]
+    nodes = topo.nodes
+    candidates = sorted(C)
+    visited = sorted(topo.visited_ids()) if agent.fusion_mode == "dynamic" else []
+    score_ids = candidates + visited  # navigable and visited are disjoint
+    row_of = {i: nodes[i].belief.row for i in score_ids}
+    reps = _by_row(nodes[i].belief for i in score_ids)
 
     selected_path = None
     paths = []
     if policy == "visual_only":
-        eta_all = {i: 0.0 for i in score_ids}
-    elif policy == "greedy_eta":
-        eta_all = proximity_scores(beliefs, kb.P_r, target.Y_r)
+        eta_all = dict.fromkeys(row_of, 0.0)
     else:
-        present = present_types_from_beliefs(beliefs_C, agent.reasoner.feasibility_tau)
-        paths = enumerate_type_paths(present, target.target_type, kb.P_r, agent.reasoner)
-        selected_path = select_path(paths, beliefs_C, agent.reasoner.feasibility_tau)
-        if selected_path is None:
-            eta_all = proximity_scores(beliefs, kb.P_r, target.Y_r)
+        if policy == "greedy_eta":
+            by_row = row_scores.direct(reps)
         else:
-            eta_all = multi_step_scores(beliefs, selected_path[0], kb.P_r, agent.reasoner)
+            # feasibility reads only which rows C holds, so one belief per row
+            reps_C = _by_row(nodes[i].belief for i in candidates)
+            present = row_scores.present(reps_C)
+            paths = enumerate_type_paths(present, target.target_type, kb.P_r, agent.reasoner)
+            selected_path = select_path(
+                paths, list(reps_C.values()), agent.reasoner.feasibility_tau
+            )
+            if selected_path is None:
+                by_row = row_scores.direct(reps)
+            else:
+                by_row = row_scores.multi_step(reps, selected_path[0])
+        eta_all = {i: by_row[row] for i, row in row_of.items()}
 
     eta_c = {i: eta_all[i] for i in C}
     eta_f = {i: eta_all[i] for i in F}
 
-    global_view = [(i, table.distance(i), topo.nodes[i].belief) for i in sorted(C)]
-    local_view = [(i, topo.adj[current][i], topo.nodes[i].belief) for i in sorted(F)]
+    current_belief = nodes[current].belief
+    alignment = row_scores.alignment({**reps, current_belief.row: current_belief})
+    global_view = [(i, table.distance(i), alignment[row_of[i]]) for i in candidates]
+    local_view = [(i, topo.adj[current][i], alignment[row_of[i]]) for i in sorted(F)]
     eps_c = visual_score_table(
-        global_view, target, agent.visual, LazyRng(agent.seed, ep, "visual-global", decision_step)
+        global_view, agent.visual, LazyRng(agent.seed, ep, "visual-global", decision_step)
     )
     eps_f = visual_score_table(
-        local_view, target, agent.visual, LazyRng(agent.seed, ep, "visual-local", decision_step)
+        local_view, agent.visual, LazyRng(agent.seed, ep, "visual-local", decision_step)
     )
 
     visited_scores = None
     if agent.fusion_mode == "dynamic":
-        visited = sorted(topo.visited_ids())
-        visited_view = [(i, table.distance(i), topo.nodes[i].belief) for i in visited]
+        visited_view = [(i, table.distance(i), alignment[row_of[i]]) for i in visited]
         eps_v = visual_score_table(
-            visited_view, target, agent.visual,
+            visited_view, agent.visual,
             LazyRng(agent.seed, ep, "visual-visited", decision_step),
         )
         visited_scores = {i: eta_all[i] + eps_v[i] for i in visited}
@@ -269,7 +355,7 @@ def _scored_action(
         eq11_literal=agent.eq11_literal,
     )
     stop = stop_score(
-        topo.nodes[current].belief,
+        alignment[current_belief.row],
         object_beliefs(scene.node(current), scene.n_object_types, agent.object_noise),
         target, kb, agent.stop_weights,
     )
@@ -278,7 +364,7 @@ def _scored_action(
 
     chosen = STOP
     best = l_final[STOP]
-    for i in sorted(C):
+    for i in candidates:
         if l_final[i] > best:
             best = l_final[i]
             chosen = i

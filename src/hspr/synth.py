@@ -316,9 +316,12 @@ def load_episodes(path) -> list[Episode]:
             raise SchemaError(f"episode manifest {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, list):
         raise SchemaError("episode manifest must be a JSON array of episode records")
-    try:
-        return [
-            Episode(
+    episodes = []
+    for index, e in enumerate(payload):
+        if not isinstance(e, dict):
+            raise SchemaError(f"episode manifest record {index} is not a JSON object")
+        try:
+            episode = Episode(
                 episode_id=str(e["episode_id"]),
                 scene_id=str(e["scene_id"]),
                 start_node=str(e["start_node"]),
@@ -327,7 +330,13 @@ def load_episodes(path) -> list[Episode]:
                 shortest_length=float(e["shortest_length"]),
                 target_type=int(e["target_type"]),
             )
-            for e in payload
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed episode manifest: {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed episode manifest: {exc}") from exc
+        # metrics divide by it: SPL is undefined unless it is finite and > 0
+        if not (math.isfinite(episode.shortest_length) and episode.shortest_length > 0):
+            raise SchemaError(
+                f"episode {episode.episode_id}: shortest_length must be finite and > 0, "
+                f"got {e['shortest_length']!r}"
+            )
+        episodes.append(episode)
+    return episodes

@@ -1,24 +1,27 @@
 """The agent's semantic topological map.
 
 Grows incrementally as nodes are physically visited: arriving at a node
-makes it current, reveals its true neighbors as navigable, and refreshes
-type beliefs.  Route planning runs single-source Dijkstra from the current
-node over the known edges, since a decision step only reads distances and
-routes from where the agent stands.
+makes it current, reveals its true neighbors as navigable, and re-perceives
+their types.  The map updates its visited and navigable sets whenever a
+status changes, so set queries read them instead of scanning every node.
+Route planning runs single-source Dijkstra from the current node over the
+known edges, since a decision step only reads distances and routes from
+where the agent stands.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Collection
+from collections.abc import Collection, KeysView
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InternalError
-from .perception import TypeBelief
+from .perception import ConfusionModel, TypeBelief
 from .scene import SceneGraph
+from .seeding import LazyRng
 
 CURRENT = "current"
 VISITED = "visited"
@@ -57,65 +60,97 @@ class SemanticTopoMap:
         self.adj: dict[str, dict[str, float]] = {}
         self.step = 0
         self.current: str | None = None
+        # status sets as insertion-ordered dicts, written only by _set_status
+        self._visited: dict[str, None] = {}
+        self._navigable: dict[str, None] = {}
 
     def add_edge(self, a: str, b: str, length: float) -> None:
         self.adj.setdefault(a, {})[b] = length
         self.adj.setdefault(b, {})[a] = length
 
-    def visited_ids(self) -> set[str]:
-        """Visited nodes; the current node counts as visited for set queries."""
-        return {
-            nid for nid, rec in self.nodes.items() if rec.status in (VISITED, CURRENT)
-        }
+    def add_node(
+        self, node_id: str, status: str, position: tuple[float, float, float], belief: TypeBelief
+    ) -> MapNode:
+        """Add a node with its status; observe adds every node it reveals this way."""
+        if node_id in self.nodes:
+            raise ValueError(f"node {node_id!r} is already on the map")
+        node = self.nodes[node_id] = MapNode(node_id, status, position, belief)
+        self._set_status(node, status)
+        return node
 
-    def navigable_ids(self) -> set[str]:
-        return {nid for nid, rec in self.nodes.items() if rec.status == NAVIGABLE}
+    def _set_status(self, node: MapNode, status: str) -> None:
+        # the only writer of statuses, so the two status sets stay exact
+        node.status = status
+        if status == NAVIGABLE:
+            self._navigable[node.node_id] = None
+            self._visited.pop(node.node_id, None)
+        else:
+            self._visited[node.node_id] = None
+            self._navigable.pop(node.node_id, None)
 
-    def observe(self, scene: SceneGraph, arrived_node: str, belief_fn) -> None:
+    def visited_ids(self) -> KeysView[str]:
+        """Visited nodes; the current node counts as visited for set queries.
+
+        A read-only view that follows the map as it grows.
+        """
+        return self._visited.keys()
+
+    def navigable_ids(self) -> KeysView[str]:
+        """Navigable nodes, as a read-only view that follows the map."""
+        return self._navigable.keys()
+
+    def observe(
+        self,
+        scene: SceneGraph,
+        arrived_node: str,
+        confusion: ConfusionModel,
+        rng: np.random.Generator | LazyRng,
+    ) -> None:
         """Arrive at a node: update statuses, reveal neighbors, refresh beliefs.
 
-        belief_fn(node_record) -> TypeBelief supplies perception for the
-        arrived node and each revealed neighbor.  Arrival is legal at the
-        episode start (empty map) or at any already-known node; anything
-        else is a teleport.
+        The arrived node, then each neighbor in id order, is perceived
+        through confusion with rng.  A known node keeps its belief object
+        unless it is perceived at another confusion row, so in distribution
+        mode every node holds one belief for the whole episode.  Arrival is
+        legal at the episode start (empty map) or at any already-known node;
+        anything else is a teleport.
         """
         if self.nodes and arrived_node not in self.nodes:
             raise ValueError(
                 f"cannot arrive at {arrived_node!r}: not a known node and not the start"
             )
-        record = scene.node(arrived_node)
         if self.current is not None and self.current != arrived_node:
-            self.nodes[self.current].status = VISITED
-        arrived = self.nodes.get(arrived_node)
-        if arrived is None:
-            self.nodes[arrived_node] = MapNode(
-                arrived_node, CURRENT, record.position, belief_fn(record)
-            )
-        else:
-            arrived.status = CURRENT
-            arrived.belief = belief_fn(record)
+            self._set_status(self.nodes[self.current], VISITED)
+        self._perceive(scene.node(arrived_node), CURRENT, confusion, rng)
         self.current = arrived_node
 
         for nbr_id, length in sorted(scene.neighbors(arrived_node)):
-            nbr_record = scene.node(nbr_id)
-            known = self.nodes.get(nbr_id)
-            if known is None:
-                self.nodes[nbr_id] = MapNode(
-                    nbr_id, NAVIGABLE, nbr_record.position, belief_fn(nbr_record)
-                )
-            else:
-                known.belief = belief_fn(nbr_record)
+            self._perceive(scene.node(nbr_id), NAVIGABLE, confusion, rng)
             self.add_edge(arrived_node, nbr_id, length)
         self.step += 1
 
-    def navigable_sets(self) -> tuple[set[str], set[str]]:
-        """(local F, global C): all navigable nodes, and those adjacent to current."""
+    def _perceive(self, record, new_status: str, confusion: ConfusionModel, rng) -> None:
+        """Perceive one node and give it new_status if it is new or becomes current.
+
+        A known node's belief is replaced only when its row changed.
+        """
+        row = confusion.perceive(record.node_type, rng)
+        known = self.nodes.get(record.node_id)
+        if known is None:
+            belief = confusion.belief(record.node_id, row)
+            self.add_node(record.node_id, new_status, record.position, belief)
+            return
+        if known.belief.row != row:
+            known.belief = confusion.belief(record.node_id, row)
+        if new_status == CURRENT:
+            self._set_status(known, CURRENT)
+
+    def navigable_sets(self) -> tuple[set[str], KeysView[str]]:
+        """(local F, global C): navigable nodes adjacent to current, and all of them."""
         if not self.nodes:
             raise ValueError("map is empty")
         C = self.navigable_ids()
-        near = self.adj.get(self.current, {})
-        F = {nid for nid in C if nid in near}
-        return F, C
+        return C & self.adj.get(self.current, {}).keys(), C
 
     def shortest_paths(self, source: str | None = None) -> RoutingTable:
         """Exact Dijkstra distances and predecessors from source (default current).

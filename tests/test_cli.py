@@ -234,3 +234,63 @@ def test_engine_bug_exits_4(parallel, pipeline_dir, tmp_path, monkeypatch, capsy
     assert "internal error: routing invariant broken" in stderr
     assert "Traceback" not in stderr
     assert not (tmp_path / "t.jsonl").exists()
+
+
+def _set_shortest_length(value):
+    def mutate(records):
+        records[1]["shortest_length"] = value
+    return mutate
+
+
+def _replace_record(records):
+    records[1] = ["not", "an", "object"]
+
+
+MANIFEST_VIOLATIONS = {
+    "shortest_length_zero": (_set_shortest_length(0), "shortest_length"),
+    "shortest_length_negative": (_set_shortest_length(-2), "shortest_length"),
+    "shortest_length_nan": (_set_shortest_length("NaN"), "shortest_length"),
+    "shortest_length_infinite": (_set_shortest_length("inf"), "shortest_length"),
+    "record_not_an_object": (_replace_record, "record 1 is not a JSON object"),
+}
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+@pytest.mark.parametrize("violation", sorted(MANIFEST_VIOLATIONS))
+def test_invalid_manifest_record_is_3(violation, command, pipeline_dir, tmp_path):
+    mutate, message = MANIFEST_VIOLATIONS[violation]
+    records = json.loads((pipeline_dir / "episodes.json").read_text())
+    mutate(records)
+    bad = tmp_path / "episodes.json"
+    bad.write_text(json.dumps(records))
+    if command == "run":
+        result = cli("run", "--scenes", str(pipeline_dir / "scenes"),
+                     "--kb", str(pipeline_dir / "kb.json"), "--episodes", str(bad),
+                     "--seed", "1", "--out", str(tmp_path / "t.jsonl"))
+    else:
+        assert cli("run", "--scenes", str(pipeline_dir / "scenes"),
+                   "--kb", str(pipeline_dir / "kb.json"),
+                   "--episodes", str(pipeline_dir / "episodes.json"),
+                   "--seed", "1", "--out", str(tmp_path / "t.jsonl")).returncode == 0
+        result = cli("eval", "--scenes", str(pipeline_dir / "scenes"), "--episodes", str(bad),
+                     "--traj", str(tmp_path / "t.jsonl"), "--out", str(tmp_path / "report"))
+    assert result.returncode == 3
+    assert result.stderr.startswith("error:")
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_kb_vocabulary_mismatch_fails_before_any_episode(pipeline_dir, tmp_path):
+    payload = json.loads((pipeline_dir / "kb.json").read_text())
+    vocabulary = payload["type_vocabulary"]
+    vocabulary[0], vocabulary[1] = vocabulary[1], vocabulary[0]
+    bad = tmp_path / "kb.json"
+    bad.write_text(json.dumps(payload))
+    result = cli("run", "--scenes", str(pipeline_dir / "scenes"),
+                 "--kb", str(bad), "--episodes", str(pipeline_dir / "episodes.json"),
+                 "--seed", "1", "--out", str(tmp_path / "t.jsonl"))
+    assert result.returncode == 3
+    lines = result.stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: KB vocabularies do not match scene")
+    assert not (tmp_path / "t.jsonl").exists()

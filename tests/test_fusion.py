@@ -14,7 +14,7 @@ from hspr.fusion import (
     parse_beta_policy,
 )
 from hspr.perception import TypeBelief
-from hspr.topo import CURRENT, NAVIGABLE, VISITED, MapNode, SemanticTopoMap
+from hspr.topo import CURRENT, NAVIGABLE, VISITED, SemanticTopoMap
 
 
 def random_tables(rng, n_local=3, n_global=6):
@@ -83,7 +83,7 @@ class TestBalanceFactor:
         belief = TypeBelief("x", np.array([1.0]))
         statuses = [CURRENT] + [VISITED] * 2 + [NAVIGABLE] * 7
         for i, status in enumerate(statuses):
-            topo.nodes[f"n{i}"] = MapNode(f"n{i}", status, (0.0, 0.0, 0.0), belief)
+            topo.add_node(f"n{i}", status, (0.0, 0.0, 0.0), belief)
         topo.current = "n0"
         assert balance_factor(VisitedFractionBeta(), topo) == 0.3
 
@@ -144,7 +144,7 @@ def hand_map():
     topo = SemanticTopoMap()
     belief = TypeBelief("x", np.array([1.0]))
     for nid, status in [("a", CURRENT), ("b", VISITED), ("c", NAVIGABLE), ("d", NAVIGABLE)]:
-        topo.nodes[nid] = MapNode(nid, status, (0.0, 0.0, 0.0), belief)
+        topo.add_node(nid, status, (0.0, 0.0, 0.0), belief)
     topo.current = "a"
     topo.add_edge("a", "b", 1.0)
     topo.add_edge("a", "c", 1.0)

@@ -53,6 +53,19 @@ class TestConfusionModel:
         b = perceive(model, [i % 5 for i in range(20)], seed=3)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
+    def test_perceive_returns_the_row_index(self):
+        model = ConfusionModel.eps_uniform(4, 0.5)
+        assert model.perceive(3, None) == 3  # distribution mode draws nothing
+        belief = model.belief("n", 3)
+        assert belief.row == 3
+        assert np.shares_memory(belief.R, model.rows) and np.array_equal(belief.R, model.rows[3])
+        sampled = ConfusionModel.eps_uniform(4, 0.5, mode="sampled")
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(20):
+            row = sampled.perceive(1, a)
+            assert row == int(b.choice(4, p=sampled.M[1]))
+            assert sampled.belief("n", row).R[row] == 1.0
+
     def test_non_stochastic_matrix_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
             ConfusionModel(np.array([[0.5, 0.4], [0.5, 0.5]]))
@@ -88,7 +101,7 @@ class TestReadOnlyRows:
     @pytest.mark.parametrize("mode", ["distribution", "sampled"])
     def test_belief_rows_are_read_only(self, mode):
         model = ConfusionModel.eps_uniform(4, 0.4, mode=mode)
-        belief = model.belief("n", 2, np.random.default_rng(0))
+        belief = model.belief("n", model.perceive(2, np.random.default_rng(0)))
         assert belief.node_id == "n"
         assert math.isclose(belief.R.sum(), 1.0)
         with pytest.raises(ValueError, match="read-only"):
@@ -98,7 +111,7 @@ class TestReadOnlyRows:
 
     def test_distribution_beliefs_share_the_row(self):
         model = ConfusionModel.eps_uniform(4, 0.2)
-        belief = model.belief("n", 3, np.random.default_rng(0))
+        belief = model.belief("n", model.perceive(3, np.random.default_rng(0)))
         assert np.shares_memory(belief.R, model.M)
         assert np.array_equal(belief.R, model.M[3])
 
@@ -106,7 +119,7 @@ class TestReadOnlyRows:
         model = ConfusionModel.eps_uniform(5, 0.5, mode="sampled")
         rng = np.random.default_rng(4)
         for _ in range(20):
-            R = model.belief("n", 1, rng).R
+            R = model.belief("n", model.perceive(1, rng)).R
             assert sorted(R.tolist()) == [0.0] * 4 + [1.0]
 
     def test_unpickled_model_is_read_only(self):
@@ -115,7 +128,7 @@ class TestReadOnlyRows:
         with pytest.raises(ValueError, match="read-only"):
             model.M[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            model.belief("n", 0, np.random.default_rng(0)).R[0] = 0.5
+            model.belief("n", model.perceive(0, np.random.default_rng(0))).R[0] = 0.5
 
     def test_direct_type_belief_is_still_validated(self):
         with pytest.raises(ValueError, match="negative"):
@@ -162,23 +175,25 @@ class TestVisualScores:
     def test_alignment_term_only(self):
         weights = VisualWeights(w_d=0.0, w_t=2.0, decay=5.0, noise_sd=0.0)
         belief = TypeBelief("n", np.array([0.2, 0.7, 0.1]))
-        table = visual_score_table([("n", 4.0, belief)], self.target(), weights, np.random.default_rng(0))
+        alignment = float(belief.R @ self.target().Y_r)
+        table = visual_score_table([("n", 4.0, alignment)], weights, np.random.default_rng(0))
         assert math.isclose(table["n"], 2.0 * 0.7)
 
     def test_distance_term_only_at_zero_distance(self):
         weights = VisualWeights(w_d=0.8, w_t=0.0, decay=5.0, noise_sd=0.0)
         belief = TypeBelief("n", np.array([1.0, 0.0, 0.0]))
-        table = visual_score_table([("n", 0.0, belief)], self.target(), weights, np.random.default_rng(0))
+        alignment = float(belief.R @ self.target().Y_r)
+        table = visual_score_table([("n", 0.0, alignment)], weights, np.random.default_rng(0))
         assert math.isclose(table["n"], 0.8)
 
     def test_fixed_seed_replays_identically(self):
         weights = VisualWeights(w_d=0.5, w_t=1.0, decay=8.0, noise_sd=0.3)
         beliefs = [TypeBelief(f"n{i}", np.array([0.5, 0.25, 0.25])) for i in range(6)]
-        view = [(b.node_id, float(i), b) for i, b in enumerate(beliefs)]
-        a = visual_score_table(view, self.target(), weights, np.random.default_rng(99))
-        b = visual_score_table(view, self.target(), weights, np.random.default_rng(99))
+        view = [(b.node_id, float(i), float(b.R @ self.target().Y_r)) for i, b in enumerate(beliefs)]
+        a = visual_score_table(view, weights, np.random.default_rng(99))
+        b = visual_score_table(view, weights, np.random.default_rng(99))
         assert a == b
-        c = visual_score_table(view, self.target(), weights, np.random.default_rng(100))
+        c = visual_score_table(view, weights, np.random.default_rng(100))
         assert a != c
 
     def test_decay_must_be_positive(self):

@@ -11,6 +11,13 @@ from hspr.bench import standard_benchmark
 from hspr.fusion import STOP
 from hspr.kb import ProximityKB
 from hspr.perception import ConfusionModel, ObjectBelief, TargetSpec, TypeBelief, VisualWeights
+from hspr.reasoner import (
+    ReasonerConfig,
+    TypePath,
+    multi_step_scores,
+    present_types_from_beliefs,
+    proximity_scores,
+)
 from hspr.simulator import (
     AgentConfig,
     ground_object,
@@ -159,6 +166,12 @@ class TestRunEpisode:
         with pytest.raises(ValueError, match="vocabularies"):
             run_episode(two_node_scene, episode, bad_kb, oracle_agent(), "hspr")
 
+    def test_confusion_width_mismatch_rejected(self, two_node_scene):
+        episode = Episode("e0", "test", "a", "b", "b-obj", 3.0, 1)
+        agent = oracle_agent(confusion=ConfusionModel.identity(5))
+        with pytest.raises(ValueError, match="confusion model has 5 types, proximity matrix has 4"):
+            run_episode(two_node_scene, episode, mini_kb(), agent, "visual_only")
+
     def test_unknown_policy_rejected(self, two_node_scene):
         episode = Episode("e0", "test", "a", "b", "b-obj", 3.0, 1)
         with pytest.raises(ValueError, match="policy"):
@@ -179,13 +192,13 @@ class TestStopScore:
         objects = ObjectBelief("n", {"o": np.array([1.0, 0.0])})
         target = TargetSpec(Y_r=np.array([1.0, 0.0]), Y_o=np.array([1.0, 0.0]))
         kb = mini_kb(2, 2)
-        assert stop_score(belief, objects, target, kb, (0.0, 0.0)) == 0.0
+        assert stop_score(float(belief.R @ target.Y_r), objects, target, kb, (0.0, 0.0)) == 0.0
 
     def test_bare_node_has_no_object_term(self):
         belief = TypeBelief("n", np.array([1.0, 0.0]))
         target = TargetSpec(Y_r=np.array([1.0, 0.0]), Y_o=np.array([1.0, 0.0]))
         kb = mini_kb(2, 2)
-        got = stop_score(belief, ObjectBelief("n", {}), target, kb, (2.0, 5.0))
+        got = stop_score(float(belief.R @ target.Y_r), ObjectBelief("n", {}), target, kb, (2.0, 5.0))
         assert got == 2.0
 
     def test_object_term_takes_best_instance(self):
@@ -196,7 +209,7 @@ class TestStopScore:
         })
         target = TargetSpec(Y_r=np.array([1.0, 0.0]), Y_o=np.array([1.0, 0.0]))
         kb = mini_kb(2, 2)
-        got = stop_score(belief, objects, target, kb, (1.0, 2.0))
+        got = stop_score(float(belief.R @ target.Y_r), objects, target, kb, (1.0, 2.0))
         assert math.isclose(got, 0.0 + 2.0 * 0.95)
 
 
@@ -278,6 +291,24 @@ class TestRandomStreams:
     # derived lazily; the streams and their keys must not change
     SAMPLED_DYNAMIC = "3912a144f1b202f8b1f73a3af80b4b1f1c6e3ffe90698b19d72c89de8e559730"
     RANDOM_POLICY = "96d67559fc1805189b5fd16bd02babf33958a38f32790bf29bdef1ce45138fa8"
+    # traced runs in distribution mode, the benchmark's configuration,
+    # recorded before scores were read from per-row tables: the steps carry
+    # every score, so these pin the scores bit for bit, not just the moves
+    DISTRIBUTION_TRACED = {
+        "dynamic": "1f5e8ecf315d8680ddd4b0718af7714f4aa55037452dd2c7273519ced07f3f82",
+        "residual": "e466e96430f13f0c271df9cc0dde233e51b13818e2ff172f6fcbc9ea0940fc9c",
+    }
+
+    @pytest.mark.parametrize("fusion_mode", sorted(DISTRIBUTION_TRACED))
+    def test_distribution_mode_scores_pinned(self, small_bench, fusion_mode):
+        scenes, episodes, kb = small_bench
+        agent = AgentConfig(
+            confusion=ConfusionModel.eps_uniform(10, 0.2),
+            visual=VisualWeights(noise_sd=0.1), fusion_mode=fusion_mode, seed=4,
+        )
+        batch = run_batch(scenes, episodes, kb, agent, "hspr", trace=True)
+        assert not batch.failures
+        assert trajectory_digest(batch.trajectories) == self.DISTRIBUTION_TRACED[fusion_mode]
 
     def test_sampled_mode_streams_pinned(self, small_bench):
         scenes, episodes, kb = small_bench
@@ -334,3 +365,115 @@ class TestRandomStreams:
         assert [lazy.normal(0.0, 1.0) for _ in range(5)] == [want.normal(0.0, 1.0) for _ in range(5)]
         assert lazy.integers(1000) == want.integers(1000)
         assert labels["visual-local"] == 2
+
+
+def same_float(a, b):
+    """Equal as IEEE values, including the sign of a zero."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def all_type_paths(n_types, max_steps):
+    """Every distinct-type sequence of 1..max_steps types."""
+    paths = [(t,) for t in range(n_types)]
+    frontier = list(paths)
+    for _ in range(max_steps - 1):
+        frontier = [p + (t,) for p in frontier for t in range(n_types) if t not in p]
+        paths.extend(frontier)
+    return paths
+
+
+class TestRowScores:
+    """Per-row tables against the per-node functions they stand in for."""
+
+    @pytest.mark.parametrize("mode", ["distribution", "sampled"])
+    def test_match_per_node_scores_bit_for_bit(self, mode):
+        rng = np.random.default_rng(17 if mode == "sampled" else 16)
+        for _ in range(12):
+            n = int(rng.integers(2, 6))
+            M = rng.dirichlet(np.full(n, 0.5), size=n)
+            M[rng.random((n, n)) < 0.2] = 0.0
+            M[np.arange(n), np.arange(n)] += 1e-3
+            confusion = ConfusionModel(M / M.sum(axis=1, keepdims=True), mode=mode)
+            P_r = rng.uniform(0.0, 1.0, (n, n))
+            P_r[rng.random((n, n)) < 0.3] = 0.0
+            P_r[rng.random((n, n)) < 0.1] = -0.0
+            kb = ProximityKB(
+                P_r=P_r, P_o=np.eye(1), top_objects=[[0]] * n,
+                type_vocabulary=[f"t{t}" for t in range(n)], object_vocabulary=["o"],
+            )
+            target = TargetSpec(Y_r=confusion.row(int(rng.integers(n)), rng), Y_o=np.ones(1))
+            config = ReasonerConfig(
+                gamma=float(rng.uniform(0.1, 1.0)), max_steps=4,
+                feasibility_tau=float(rng.choice([0.0, 0.2, 0.5, 1.0])),
+                omega=tuple(float(w) for w in rng.uniform(-1.0, 2.0, 4)),
+            )
+            beliefs = [
+                confusion.belief(f"n{i}", confusion.perceive(int(rng.integers(n)), rng))
+                for i in range(int(rng.integers(1, 15)))
+            ]
+            table = simulator._RowScores(kb, target, config)
+            # fill from a prefix first, so later reads mix old and new rows
+            for view in (beliefs[: len(beliefs) // 2], beliefs):
+                reps = simulator._by_row(view)
+                direct = table.direct(reps)
+                alignment = table.alignment(reps)
+                per_node = proximity_scores(view, P_r, target.Y_r)
+                for b in view:
+                    assert same_float(direct[b.row], per_node[b.node_id])
+                    assert same_float(alignment[b.row], float(b.R @ target.Y_r))
+                assert table.present(reps) == present_types_from_beliefs(view, config.feasibility_tau)
+            for types in all_type_paths(n, 4):
+                path = TypePath(types, 1.0)
+                got = table.multi_step(simulator._by_row(beliefs), path)
+                want = multi_step_scores(beliefs, path, P_r, config)
+                for b in beliefs:
+                    assert same_float(got[b.row], want[b.node_id])
+
+    def test_distribution_mode_builds_one_belief_per_known_node(self, small_bench, monkeypatch):
+        scenes, episodes, kb = small_bench
+        built = Counter()
+        original = TypeBelief.__init__
+
+        def counting(self, node_id, *args, **kwargs):
+            built[node_id] += 1
+            original(self, node_id, *args, **kwargs)
+
+        monkeypatch.setattr(TypeBelief, "__init__", counting)
+        agent = bench_agent(confusion=ConfusionModel.eps_uniform(10, 0.2),
+                            visual=VisualWeights(noise_sd=0.1), fusion_mode="dynamic")
+        for episode in episodes[:6]:
+            built.clear()
+            scene = scenes[episode.scene_id]
+            traj = run_episode(scene, episode, kb, agent, "hspr")
+            known = set(traj.node_sequence)
+            for node in traj.node_sequence:
+                known.update(nbr for nbr, _ in scene.neighbors(node))
+            assert set(built) == known
+            assert set(built.values()) == {1}
+
+    def test_sampled_mode_draws_once_per_perceived_node(self, small_bench, monkeypatch):
+        scenes, episodes, kb = small_bench
+        draws = Counter()
+
+        class CountingGenerator(np.random.Generator):
+            def choice(self, *args, **kwargs):
+                draws[self.key] += 1
+                return super().choice(*args, **kwargs)
+
+        def derive(*parts):
+            generator = CountingGenerator(np.random.PCG64(seeding.stable_digest(*parts)))
+            generator.key = parts
+            return generator
+
+        monkeypatch.setattr(seeding, "derive_rng", derive)
+        agent = bench_agent(confusion=ConfusionModel.eps_uniform(10, 0.3, mode="sampled"))
+        for episode in episodes[:6]:
+            draws.clear()
+            scene = scenes[episode.scene_id]
+            traj = run_episode(scene, episode, kb, agent, "hspr")
+            # one draw for the target, then one per node each arrival perceives
+            want = {(agent.seed, episode.episode_id, "target"): 1}
+            for k, node in enumerate(traj.node_sequence):
+                key = (agent.seed, episode.episode_id, "perceive", k)
+                want[key] = 1 + len(scene.neighbors(node))
+            assert dict(draws) == want

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from hspr.errors import InternalError
-from hspr.perception import TypeBelief
-from hspr.topo import CURRENT, NAVIGABLE, VISITED, MapNode, SemanticTopoMap
+from hspr.perception import ConfusionModel, TypeBelief
+from hspr.topo import CURRENT, NAVIGABLE, VISITED, SemanticTopoMap
 
 from conftest import make_scene
 from oracles import dijkstra_single_source, route_visited_sum
 
 
-def oracle_belief(record):
-    R = np.zeros(4)
-    R[record.node_type] = 1.0
-    return TypeBelief(record.node_id, R)
+# identity confusion: each node believes its true type with certainty
+ORACLE = ConfusionModel.identity(4)
 
 
 def star_scene():
@@ -30,7 +28,7 @@ def random_map(rng, n_nodes):
     ids = [f"n{i}" for i in range(n_nodes)]
     for i, nid in enumerate(ids):
         status = CURRENT if i == 0 else (VISITED if i % 2 else NAVIGABLE)
-        topo.nodes[nid] = MapNode(nid, status, (0.0, 0.0, 0.0), TypeBelief(nid, np.array([1.0])))
+        topo.add_node(nid, status, (0.0, 0.0, 0.0), TypeBelief(nid, np.array([1.0])))
     topo.current = ids[0]
     for i in range(1, n_nodes):
         j = int(rng.integers(i))
@@ -48,7 +46,7 @@ def diamond_map(edge_order):
     topo = SemanticTopoMap()
     for nid in "abcd":
         status = CURRENT if nid == "a" else NAVIGABLE
-        topo.nodes[nid] = MapNode(nid, status, (0.0, 0.0, 0.0), TypeBelief(nid, np.array([1.0])))
+        topo.add_node(nid, status, (0.0, 0.0, 0.0), TypeBelief(nid, np.array([1.0])))
     topo.current = "a"
     for a, b in edge_order:
         topo.add_edge(a, b, 1.0)
@@ -59,7 +57,7 @@ class TestObserve:
     def test_start_reveals_neighbors(self):
         scene = star_scene()
         topo = SemanticTopoMap()
-        topo.observe(scene, "hub", oracle_belief)
+        topo.observe(scene, "hub", ORACLE, None)
         assert topo.current == "hub"
         assert topo.nodes["hub"].status == CURRENT
         assert topo.navigable_ids() == {"n1", "n2"}
@@ -69,8 +67,8 @@ class TestObserve:
     def test_moving_updates_statuses(self):
         scene = star_scene()
         topo = SemanticTopoMap()
-        topo.observe(scene, "hub", oracle_belief)
-        topo.observe(scene, "n2", oracle_belief)
+        topo.observe(scene, "hub", ORACLE, None)
+        topo.observe(scene, "n2", ORACLE, None)
         assert topo.nodes["hub"].status == VISITED
         assert topo.nodes["n2"].status == CURRENT
         assert topo.navigable_ids() == {"n1", "n3"}
@@ -78,10 +76,10 @@ class TestObserve:
     def test_revisiting_a_visited_node(self):
         scene = star_scene()
         topo = SemanticTopoMap()
-        topo.observe(scene, "hub", oracle_belief)
-        topo.observe(scene, "n2", oracle_belief)
+        topo.observe(scene, "hub", ORACLE, None)
+        topo.observe(scene, "n2", ORACLE, None)
         edges_before = topo.snapshot()["edges"]
-        topo.observe(scene, "hub", oracle_belief)
+        topo.observe(scene, "hub", ORACLE, None)
         assert topo.nodes["hub"].status == CURRENT
         assert topo.nodes["n2"].status == VISITED
         assert topo.snapshot()["edges"] == edges_before
@@ -89,15 +87,15 @@ class TestObserve:
     def test_teleport_rejected(self):
         scene = star_scene()
         topo = SemanticTopoMap()
-        topo.observe(scene, "hub", oracle_belief)
+        topo.observe(scene, "hub", ORACLE, None)
         with pytest.raises(ValueError, match="arrive"):
-            topo.observe(scene, "n3", oracle_belief)
+            topo.observe(scene, "n3", ORACLE, None)
 
     def test_full_walk_covers_scene(self):
         scene = star_scene()
         topo = SemanticTopoMap()
         for node in ["hub", "n1", "hub", "n2", "n3"]:
-            topo.observe(scene, node, oracle_belief)
+            topo.observe(scene, node, ORACLE, None)
         assert set(topo.nodes) == set(scene.node_ids())
         assert topo.visited_ids() == set(scene.node_ids()) - topo.navigable_ids()
 
@@ -106,7 +104,7 @@ class TestObserve:
         topo = SemanticTopoMap()
         walk = ["hub", "n2", "n3", "n2", "hub", "n1"]
         for node in walk:
-            topo.observe(scene, node, oracle_belief)
+            topo.observe(scene, node, ORACLE, None)
             statuses = [rec.status for rec in topo.nodes.values()]
             assert statuses.count(CURRENT) == 1
             assert set(statuses) <= {CURRENT, VISITED, NAVIGABLE}
@@ -116,23 +114,76 @@ class TestObserve:
         topo = SemanticTopoMap()
         true_edges = {tuple(sorted((a, b))) for a, b, _ in scene.edges}
         for node in ["hub", "n2", "n3"]:
-            topo.observe(scene, node, oracle_belief)
+            topo.observe(scene, node, ORACLE, None)
             assert {(a, b) for a, b, _ in topo.snapshot()["edges"]} <= true_edges
+
+    def test_status_sets_follow_every_status_change(self, rng):
+        def assert_sets_match_statuses(topo):
+            statuses = {nid: rec.status for nid, rec in topo.nodes.items()}
+            assert topo.visited_ids() == {n for n, s in statuses.items() if s in (VISITED, CURRENT)}
+            assert topo.navigable_ids() == {n for n, s in statuses.items() if s == NAVIGABLE}
+
+        scene = star_scene()
+        for _ in range(20):
+            topo = SemanticTopoMap()
+            topo.observe(scene, "hub", ORACLE, None)
+            assert_sets_match_statuses(topo)
+            for _ in range(5):
+                goal = sorted(topo.nodes)[int(rng.integers(len(topo.nodes)))]
+                for hop in topo.route_to(topo.shortest_paths(), goal)[1:]:
+                    topo.observe(scene, hop, ORACLE, None)
+                    assert_sets_match_statuses(topo)
+
+    def test_status_sets_are_read_only(self):
+        topo = SemanticTopoMap()
+        topo.observe(star_scene(), "hub", ORACLE, None)
+        for ids in (topo.visited_ids(), topo.navigable_ids(), topo.navigable_sets()[1]):
+            with pytest.raises(AttributeError):
+                ids.add("n9")
+            with pytest.raises(AttributeError):
+                ids.discard("hub")
+            with pytest.raises(TypeError):
+                ids.mapping["n9"] = None
+        assert topo.visited_ids() == {"hub"}
+        assert topo.navigable_ids() == {"n1", "n2"}
+
+    def test_known_node_keeps_its_belief_until_its_row_changes(self):
+        scene = star_scene()
+        topo = SemanticTopoMap()
+        topo.observe(scene, "hub", ORACLE, None)
+        first = topo.nodes["n2"].belief
+        assert first.row == 2
+        topo.observe(scene, "n2", ORACLE, None)
+        topo.observe(scene, "hub", ORACLE, None)
+        assert topo.nodes["n2"].belief is first
+        # sampled: hub, n1, n2 draw in that order on each arrival at hub
+        sampled = ConfusionModel.eps_uniform(4, 1.0, mode="sampled")
+        rng, twin = np.random.default_rng(3), np.random.default_rng(3)
+        replaced = 0
+        for _ in range(10):
+            before = topo.nodes["n2"].belief
+            topo.observe(scene, "hub", sampled, rng)
+            want = [sampled.perceive(scene.node(n).node_type, twin) for n in ("hub", "n1", "n2")][2]
+            after = topo.nodes["n2"].belief
+            assert after.row == want and after.R[want] == 1.0
+            assert (after is before) == (want == before.row)
+            replaced += after is not before
+        assert replaced
 
 
 class TestNavigableSets:
     def test_first_step_local_equals_global(self):
         scene = star_scene()
         topo = SemanticTopoMap()
-        topo.observe(scene, "hub", oracle_belief)
+        topo.observe(scene, "hub", ORACLE, None)
         F, C = topo.navigable_sets()
         assert F == C == {"n1", "n2"}
 
     def test_frontier_left_behind_is_global_only(self):
         scene = star_scene()
         topo = SemanticTopoMap()
-        topo.observe(scene, "hub", oracle_belief)
-        topo.observe(scene, "n2", oracle_belief)
+        topo.observe(scene, "hub", ORACLE, None)
+        topo.observe(scene, "n2", ORACLE, None)
         F, C = topo.navigable_sets()
         assert "n1" in C and "n1" not in F
         assert "n3" in F
@@ -141,7 +192,7 @@ class TestNavigableSets:
         scene = star_scene()
         for trial in range(20):
             topo = SemanticTopoMap()
-            topo.observe(scene, "hub", oracle_belief)
+            topo.observe(scene, "hub", ORACLE, None)
             for _ in range(6):
                 F, C = topo.navigable_sets()
                 assert F <= C
@@ -151,7 +202,7 @@ class TestNavigableSets:
                 nxt = options[int(rng.integers(len(options)))]
                 route = topo.route_to(topo.shortest_paths(), nxt)
                 for hop in route[1:]:
-                    topo.observe(scene, hop, oracle_belief)
+                    topo.observe(scene, hop, ORACLE, None)
 
 
 class TestShortestPaths:
@@ -162,7 +213,7 @@ class TestShortestPaths:
         )
         topo = SemanticTopoMap()
         for node in ["a", "b", "c"]:
-            topo.observe(scene, node, oracle_belief)
+            topo.observe(scene, node, ORACLE, None)
         table = topo.shortest_paths("a")
         assert table.distance("c") == 3.0
         assert table.prev["c"] == "b"
@@ -171,7 +222,7 @@ class TestShortestPaths:
 
     def test_disconnected_fragment_is_infinite(self):
         topo = random_map(np.random.default_rng(0), 4)
-        topo.nodes["island"] = MapNode(
+        topo.add_node(
             "island", NAVIGABLE, (0.0, 0.0, 0.0), TypeBelief("island", np.array([1.0]))
         )
         table = topo.shortest_paths()
@@ -215,14 +266,14 @@ class TestRouteTo:
     def test_goal_is_current(self):
         scene = star_scene()
         topo = SemanticTopoMap()
-        topo.observe(scene, "hub", oracle_belief)
+        topo.observe(scene, "hub", ORACLE, None)
         table = topo.shortest_paths()
         assert topo.route_to(table, "hub") == ["hub"]
 
     def test_adjacent_goal(self):
         scene = star_scene()
         topo = SemanticTopoMap()
-        topo.observe(scene, "hub", oracle_belief)
+        topo.observe(scene, "hub", ORACLE, None)
         table = topo.shortest_paths()
         assert topo.route_to(table, "n1") == ["hub", "n1"]
 
@@ -242,7 +293,7 @@ class TestRouteTo:
     def test_unknown_goal_rejected(self):
         scene = star_scene()
         topo = SemanticTopoMap()
-        topo.observe(scene, "hub", oracle_belief)
+        topo.observe(scene, "hub", ORACLE, None)
         table = topo.shortest_paths()
         with pytest.raises(ValueError, match="known"):
             topo.route_to(table, "ghost")
@@ -250,9 +301,9 @@ class TestRouteTo:
     def test_stale_table_rejected(self):
         scene = star_scene()
         topo = SemanticTopoMap()
-        topo.observe(scene, "hub", oracle_belief)
+        topo.observe(scene, "hub", ORACLE, None)
         table = topo.shortest_paths()
-        topo.observe(scene, "n2", oracle_belief)
+        topo.observe(scene, "n2", ORACLE, None)
         with pytest.raises(ValueError, match="current node"):
             topo.route_to(table, "n3")
 
@@ -261,7 +312,7 @@ class TestRouteTo:
 
         scene = star_scene()
         topo = SemanticTopoMap()
-        topo.observe(scene, "hub", oracle_belief)
+        topo.observe(scene, "hub", ORACLE, None)
         json.dumps(topo.snapshot())
 
 
@@ -302,8 +353,8 @@ class TestRouteSums:
     def test_stale_table_rejected(self):
         scene = star_scene()
         topo = SemanticTopoMap()
-        topo.observe(scene, "hub", oracle_belief)
+        topo.observe(scene, "hub", ORACLE, None)
         table = topo.shortest_paths()
-        topo.observe(scene, "n2", oracle_belief)
+        topo.observe(scene, "n2", ORACLE, None)
         with pytest.raises(ValueError, match="current node"):
             topo.route_sums(table, {}, ["n3"])
