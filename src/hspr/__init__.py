@@ -33,6 +33,7 @@ from .perception import (
 from .topo import SemanticTopoMap, RoutingTable
 from .reasoner import (
     ReasonerConfig,
+    SuccessorTable,
     TypePath,
     proximity_scores,
     object_proximity_scores,

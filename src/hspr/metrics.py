@@ -54,6 +54,14 @@ def episode_metrics(
     for node_id in trajectory.node_sequence + [trajectory.stop_node]:
         if not scene.has_node(node_id):
             raise ValueError(f"trajectory visits unknown node {node_id!r}")
+    selected = trajectory.selected_object
+    if selected is not None and all(
+        o.object_id != selected for o in scene.node(trajectory.stop_node).objects
+    ):
+        raise ValueError(
+            f"trajectory {trajectory.episode_id}: selected_object {selected!r} "
+            f"is not an object at stop node {trajectory.stop_node!r}"
+        )
     if ne_mode not in ("geodesic", "euclidean"):
         raise ValueError(f"unknown ne mode {ne_mode!r}")
 

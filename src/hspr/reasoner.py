@@ -8,12 +8,15 @@ node scores.
 The top-K search is an exact best-first search: proximity entries lie in
 [0, 1], so a path's confidence never rises as it grows, and the search can
 stop at the K-th completed path with exactly the ranking a full enumeration
-would give.  It refuses a matrix with a NaN or an entry outside [0, 1].
+would give.  A `SuccessorTable` checks the matrix once, refusing a NaN or an
+entry outside [0, 1], and sorts each row's successors once, so the many
+searches of an episode share that work.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections.abc import Collection
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,10 +118,39 @@ def present_types_from_beliefs(
     return present
 
 
+class SuccessorTable:
+    """Proximity rows of one KB, checked once, with sorted successor lists.
+
+    Holds P_r as nested lists.  A row's nonzero successors are sorted by
+    (-p, type) the first time a search expands that row, and kept for every
+    later search over the same matrix.  Raises ValueError when P_r holds a
+    NaN or an entry outside [0, 1], because the search's ordering argument
+    needs that bound.
+    """
+
+    def __init__(self, P_r: np.ndarray):
+        # NaN fails both comparisons
+        if not (P_r.min() >= 0.0 and P_r.max() <= 1.0):
+            raise ValueError("proximity matrix entries must lie in [0, 1]")
+        self.n = P_r.shape[0]
+        self.rows: list[list[float]] = P_r.tolist()
+        self._sorted: dict[int, list[tuple[int, float]]] = {}
+
+    def successors(self, t: int) -> list[tuple[int, float]]:
+        """Nonzero (type, p) of row t, by p descending, then type."""
+        succ = self._sorted.get(t)
+        if succ is None:
+            succ = self._sorted[t] = sorted(
+                ((u, p) for u, p in enumerate(self.rows[t]) if p != 0.0),
+                key=lambda item: (-item[1], item[0]),
+            )
+        return succ
+
+
 def enumerate_type_paths(
-    present_types: set[int],
+    present_types: Collection[int],
     target_type: int,
-    P_r: np.ndarray,
+    table: SuccessorTable,
     config: ReasonerConfig,
 ) -> list[TypePath]:
     """Top-K type paths from a currently visible type to the target.
@@ -133,31 +165,44 @@ def enumerate_type_paths(
     Every entry of P_r lies in [0, 1] and IEEE rounding is monotone, so
     extending a path by p gives conf * p <= conf, and the length grows by
     one: a child's key is strictly greater than its parent's.  Completed
-    paths therefore leave the heap in exactly the ranking order, and the
-    search stops at the beam-th.  Confidences are multiplied left to right,
-    so they are bit-identical to an exhaustive enumeration.  Raises
-    ValueError when P_r holds a NaN or an entry outside [0, 1], because the
-    ordering argument needs that bound.
+    paths therefore leave the heap in ranking order, and the search stops at
+    the beam-th.  Confidences are multiplied left to right, so they are
+    bit-identical to an exhaustive enumeration.
+
+    Successors enter the heap one at a time: a popped path pushes its best
+    child that is not already on it, and the next such sibling after itself
+    in its parent's (-p, type) order, whose key is no smaller in confidence.
+    Siblings whose products tie by rounding may then leave the heap out of
+    type order, but only siblings of one parent can fall between their keys,
+    at most one of those ends at the target, and every descendant is longer,
+    so the completed paths still leave in ranking order.
     """
-    n = P_r.shape[0]
+    n = table.n
     if not 0 <= target_type < n:
         raise ValueError(f"target type {target_type} outside vocabulary of {n}")
     starts = sorted(present_types)
     for s1 in starts:
         if not 0 <= s1 < n:
             raise ValueError(f"present type {s1} outside vocabulary of {n}")
-    # NaN fails both comparisons
-    if not (P_r.min() >= 0.0 and P_r.max() <= 1.0):
-        raise ValueError("proximity matrix entries must lie in [0, 1]")
 
-    rows = P_r.tolist()
-    successors: dict[int, list[tuple[int, float]]] = {}  # nonzero row entries
-    # entries hold the negated confidence; negation is exact, so products
-    # match conf * p bit for bit
-    heap = [(-1.0, 1, (s1,)) for s1 in starts]  # sorted, so already a heap
+    # entries are (-confidence, length, types, -parent confidence, parent's
+    # successor list, index in it); types are unique, so the tail never
+    # takes part in a comparison.  Negation is exact, so products match
+    # conf * p bit for bit.  A path without siblings to advance (a start
+    # type, or a full-length child) has no successor list.
+    heap = [(-1.0, 1, (s1,), 0.0, None, 0) for s1 in starts]  # sorted, so already a heap
     found: list[TypePath] = []
     while heap and len(found) < config.beam:
-        neg_conf, length, types = heapq.heappop(heap)
+        neg_conf, length, types, parent_neg_conf, siblings, k = heapq.heappop(heap)
+        if siblings is not None:
+            parent = types[:-1]
+            for j in range(k + 1, len(siblings)):
+                t, p = siblings[j]
+                if t not in parent:
+                    heapq.heappush(heap, (
+                        parent_neg_conf * p, length, parent + (t,), parent_neg_conf, siblings, j
+                    ))
+                    break
         last = types[-1]
         if last == target_type:
             found.append(TypePath(types=types, confidence=-neg_conf))
@@ -166,17 +211,15 @@ def enumerate_type_paths(
             continue
         if length + 1 == config.max_steps:
             # a full-length child completes only at the target
-            p = rows[last][target_type]
-            children = [(target_type, p)] if p != 0.0 else []
-        else:
-            children = successors.get(last)
-            if children is None:
-                children = successors[last] = [
-                    (t, p) for t, p in enumerate(rows[last]) if p != 0.0
-                ]
-        for t, p in children:
+            p = table.rows[last][target_type]
+            if p != 0.0:
+                heapq.heappush(heap, (neg_conf * p, length + 1, types + (target_type,), 0.0, None, 0))
+            continue
+        children = table.successors(last)
+        for j, (t, p) in enumerate(children):
             if t not in types:
-                heapq.heappush(heap, (neg_conf * p, length + 1, types + (t,)))
+                heapq.heappush(heap, (neg_conf * p, length + 1, types + (t,), neg_conf, children, j))
+                break
     return found
 
 

@@ -10,13 +10,15 @@ generator is derived only when it first draws.
 Every belief on the map is one of the confusion model's rows, so each
 belief-dependent score (proximity, multi-step, present types, visual type
 alignment) is computed once per row per episode and read for every node
-at that row.
+at that row.  Type-path searches share one successor table per episode,
+and each distinct present-type set is searched once per episode.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -43,6 +45,7 @@ from .perception import (
 )
 from .reasoner import (
     ReasonerConfig,
+    SuccessorTable,
     TypePath,
     enumerate_type_paths,
     multi_step_scores,
@@ -154,6 +157,9 @@ class _RowScores:
     A row missing from a table is filled once, by the function that scores
     any list of beliefs, called on one belief per missing row; every node at
     that row then reads the same value.
+
+    Top-K type paths are kept per present-type set, as tuples, and searched
+    through one successor table built on the episode's first search.
     """
 
     def __init__(self, kb: ProximityKB, target: TargetSpec, reasoner: ReasonerConfig):
@@ -164,6 +170,8 @@ class _RowScores:
         self._direct: dict[int, float] = {}  # R . P_r . Y_r
         self._present: dict[int, set[int]] = {}  # types held with mass >= tau
         self._multi: dict[tuple[int, ...], dict[int, float]] = {}  # by path types
+        self._successors: SuccessorTable | None = None
+        self._paths: dict[frozenset[int], tuple[TypePath, ...]] = {}
 
     @staticmethod
     def _fill(table: dict, reps: dict[int, TypeBelief], score) -> dict:
@@ -190,6 +198,17 @@ class _RowScores:
             self._multi.setdefault(path.types, {}), reps,
             lambda bs: multi_step_scores(bs, path, self.kb.P_r, self.reasoner),
         )
+
+    def paths(self, present: set[int]) -> tuple[TypePath, ...]:
+        key = frozenset(present)
+        found = self._paths.get(key)
+        if found is None:
+            if self._successors is None:
+                self._successors = SuccessorTable(self.kb.P_r)
+            found = self._paths[key] = tuple(enumerate_type_paths(
+                present, self.target.target_type, self._successors, self.reasoner
+            ))
+        return found
 
     def present(self, reps: dict[int, TypeBelief]) -> set[int]:
         tau = self.reasoner.feasibility_tau
@@ -315,7 +334,7 @@ def _scored_action(
             # feasibility reads only which rows C holds, so one belief per row
             reps_C = _by_row(nodes[i].belief for i in candidates)
             present = row_scores.present(reps_C)
-            paths = enumerate_type_paths(present, target.target_type, kb.P_r, agent.reasoner)
+            paths = row_scores.paths(present)
             selected_path = select_path(
                 paths, list(reps_C.values()), agent.reasoner.feasibility_tau
             )
@@ -469,13 +488,20 @@ def trajectory_to_payload(traj: Trajectory) -> dict:
     return payload
 
 
+def _string_list(payload: dict, name: str) -> list[str]:
+    value = payload[name]
+    if not isinstance(value, list):  # a string would split into characters
+        raise TypeError(f"{name} must be a list, got {value!r}")
+    return [str(item) for item in value]
+
+
 def trajectory_from_payload(payload: dict) -> Trajectory:
     try:
-        return Trajectory(
+        traj = Trajectory(
             episode_id=str(payload["episode_id"]),
             policy=str(payload.get("policy", "hspr")),
-            node_sequence=[str(n) for n in payload["node_sequence"]],
-            action_sequence=[str(a) for a in payload["action_sequence"]],
+            node_sequence=_string_list(payload, "node_sequence"),
+            action_sequence=_string_list(payload, "action_sequence"),
             stop_node=str(payload["stop_node"]),
             selected_object=(
                 None if payload["selected_object"] is None else str(payload["selected_object"])
@@ -485,6 +511,12 @@ def trajectory_from_payload(payload: dict) -> Trajectory:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed trajectory record: {exc}") from exc
+    if not (math.isfinite(traj.total_length) and traj.total_length >= 0):
+        raise SchemaError(
+            f"trajectory {traj.episode_id}: total_length must be finite and >= 0, "
+            f"got {payload['total_length']!r}"
+        )
+    return traj
 
 
 def save_trajectories(trajectories: list[Trajectory], path) -> None:

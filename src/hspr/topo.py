@@ -113,12 +113,16 @@ class SemanticTopoMap:
         unless it is perceived at another confusion row, so in distribution
         mode every node holds one belief for the whole episode.  Arrival is
         legal at the episode start (empty map) or at any already-known node;
-        anything else is a teleport.
+        anything else is a teleport.  The arrived node's edges are added on
+        its first arrival only; every arrival perceives the same nodes.
         """
         if self.nodes and arrived_node not in self.nodes:
             raise ValueError(
                 f"cannot arrive at {arrived_node!r}: not a known node and not the start"
             )
+        # a node's edges are all known after its first arrival, and
+        # re-assigning a known key would keep its place in adj anyway
+        first_arrival = arrived_node not in self._visited
         if self.current is not None and self.current != arrived_node:
             self._set_status(self.nodes[self.current], VISITED)
         self._perceive(scene.node(arrived_node), CURRENT, confusion, rng)
@@ -126,7 +130,8 @@ class SemanticTopoMap:
 
         for nbr_id, length in sorted(scene.neighbors(arrived_node)):
             self._perceive(scene.node(nbr_id), NAVIGABLE, confusion, rng)
-            self.add_edge(arrived_node, nbr_id, length)
+            if first_arrival:
+                self.add_edge(arrived_node, nbr_id, length)
         self.step += 1
 
     def _perceive(self, record, new_status: str, confusion: ConfusionModel, rng) -> None:

@@ -20,7 +20,7 @@ from hspr.fusion import compose_scores, fuse_final, fuse_variant_table
 from hspr.kb import CountMatrices, accumulate_scene, normalize_counts
 from hspr.metrics import aggregate_report, episode_metrics
 from hspr.perception import ConfusionModel, TypeBelief, VisualWeights
-from hspr.reasoner import ReasonerConfig, enumerate_type_paths
+from hspr.reasoner import ReasonerConfig, SuccessorTable, enumerate_type_paths
 from hspr.simulator import AgentConfig, run_batch, run_episode
 from hspr.synth import GeneratorConfig, generate_scene
 from hspr.topo import CURRENT, NAVIGABLE, VISITED, SemanticTopoMap
@@ -185,7 +185,10 @@ def test_criterion_4_path_enumeration_oracle(rng):
         k = int(rng.integers(1, n + 1))
         present = {int(t) for t in rng.choice(n, size=k, replace=False)}
         config = ReasonerConfig(max_steps=max_steps, beam=beam)
-        got = [(p.types, p.confidence) for p in enumerate_type_paths(present, target, P, config)]
+        got = [
+            (p.types, p.confidence)
+            for p in enumerate_type_paths(present, target, SuccessorTable(P), config)
+        ]
         want = [
             (tuple(seq), conf)
             for seq, conf in enumerate_paths_exhaustive(present, target, P.tolist(), max_steps, beam)

@@ -8,6 +8,7 @@ import pytest
 from hspr.cli import dispatch
 from hspr.errors import InternalError
 from hspr.kb import load_kb
+from hspr.scene import load_scene
 from hspr.topo import SemanticTopoMap
 
 
@@ -294,3 +295,57 @@ def test_kb_vocabulary_mismatch_fails_before_any_episode(pipeline_dir, tmp_path)
     assert len(lines) == 1
     assert lines[0].startswith("error: KB vocabularies do not match scene")
     assert not (tmp_path / "t.jsonl").exists()
+
+
+@pytest.fixture(scope="module")
+def trajectory_lines(pipeline_dir, tmp_path_factory):
+    """The JSONL records of one valid run over the shared world."""
+    out = tmp_path_factory.mktemp("traj") / "t.jsonl"
+    assert cli("run", "--scenes", str(pipeline_dir / "scenes"),
+               "--kb", str(pipeline_dir / "kb.json"),
+               "--episodes", str(pipeline_dir / "episodes.json"),
+               "--seed", "1", "--out", str(out)).returncode == 0
+    return out.read_text().splitlines()
+
+
+def _set_field(name, value):
+    def mutate(record, scenes_dir):
+        record[name] = value
+    return mutate
+
+
+def _object_elsewhere(record, scenes_dir):
+    # a real object of the scene, but at a node other than the stop node
+    scene = load_scene(scenes_dir / f"{record['episode_id'].split('-')[0]}.json")
+    record["selected_object"] = next(
+        o.object_id
+        for node_id in scene.node_ids() if node_id != record["stop_node"]
+        for o in scene.node(node_id).objects
+    )
+
+
+TRAJECTORY_VIOLATIONS = {
+    "total_length_nan": (_set_field("total_length", "nan"), "total_length"),
+    "total_length_negative": (_set_field("total_length", -5.0), "total_length"),
+    "total_length_infinite": (_set_field("total_length", "inf"), "total_length"),
+    "node_sequence_string": (_set_field("node_sequence", "r0_n0"), "node_sequence"),
+    "action_sequence_string": (_set_field("action_sequence", "STOP"), "action_sequence"),
+    "selected_object_elsewhere": (_object_elsewhere, "selected_object"),
+}
+
+
+@pytest.mark.parametrize("violation", sorted(TRAJECTORY_VIOLATIONS))
+def test_invalid_trajectory_record_is_3(violation, pipeline_dir, trajectory_lines, tmp_path):
+    mutate, field = TRAJECTORY_VIOLATIONS[violation]
+    records = [json.loads(line) for line in trajectory_lines]
+    mutate(records[1], pipeline_dir / "scenes")
+    bad = tmp_path / "t.jsonl"
+    bad.write_text("".join(json.dumps(r) + "\n" for r in records))
+    result = cli("eval", "--scenes", str(pipeline_dir / "scenes"),
+                 "--episodes", str(pipeline_dir / "episodes.json"),
+                 "--traj", str(bad), "--out", str(tmp_path / "report"))
+    assert result.returncode == 3
+    assert result.stderr.startswith("error:")
+    assert field in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not (tmp_path / "report").exists()

@@ -17,13 +17,13 @@ from conftest import make_scene
 
 
 def path_scene():
-    # a -2m- b -2m- c -2m- d, target object at d
+    # a -2m- b -2m- c -2m- d, target object and one other object at d
     return make_scene(
         [
             ("a", "r0", 0, (0.0, 0.0, 0.0)),
             ("b", "r0", 0, (2.0, 0.0, 0.0)),
             ("c", "r1", 1, (4.0, 0.0, 0.0)),
-            ("d", "r1", 1, (6.0, 0.0, 0.0), [("d-obj", 2, 0)]),
+            ("d", "r1", 1, (6.0, 0.0, 0.0), [("d-obj", 2, 0), ("d-lamp", 3, 1)]),
         ],
         [("a", "b", 2.0), ("b", "c", 2.0), ("c", "d", 2.0)],
     )
@@ -94,9 +94,17 @@ class TestEpisodeMetrics:
         assert m.oracle_success
 
     def test_rgs_requires_right_object(self):
-        m = episode_metrics(traj(["a", "b", "c", "d"], "d", selected="other"), EPISODE, path_scene())
+        m = episode_metrics(
+            traj(["a", "b", "c", "d"], "d", selected="d-lamp"), EPISODE, path_scene()
+        )
         assert m.success and not m.rgs
         assert m.rgspl == 0.0
+
+    @pytest.mark.parametrize("selected", ["other", "d-obj"])
+    def test_object_not_at_stop_node_rejected(self, selected):
+        # "other" is nowhere in the scene; "d-obj" is, but not at c
+        with pytest.raises(ValueError, match="selected_object"):
+            episode_metrics(traj(["a", "b", "c"], "c", selected=selected), EPISODE, path_scene())
 
     def test_euclidean_mode(self):
         m = episode_metrics(

@@ -7,6 +7,7 @@ from hspr.bench import recovery_generator_kb
 from hspr.perception import TypeBelief
 from hspr.reasoner import (
     ReasonerConfig,
+    SuccessorTable,
     TypePath,
     enumerate_type_paths,
     multi_step_scores,
@@ -97,13 +98,13 @@ class TestEnumerateTypePaths:
     def test_single_type_path_when_target_visible(self):
         P = np.array([[0.0, 0.9], [0.9, 0.0]])
         config = ReasonerConfig(max_steps=1)
-        paths = enumerate_type_paths({1}, 1, P, config)
+        paths = enumerate_type_paths({1}, 1, SuccessorTable(P), config)
         assert paths == [TypePath(types=(1,), confidence=1.0)]
 
     def test_no_paths_when_target_unreachable_at_depth_one(self):
         P = np.array([[0.0, 0.9], [0.9, 0.0]])
         config = ReasonerConfig(max_steps=1)
-        assert enumerate_type_paths({0}, 1, P, config) == []
+        assert enumerate_type_paths({0}, 1, SuccessorTable(P), config) == []
 
     def test_forced_detour_route(self):
         # a cannot reach t directly; a->b->t is the only nonzero route
@@ -111,7 +112,7 @@ class TestEnumerateTypePaths:
         P[0, 1] = P[1, 0] = 0.9  # a-b
         P[1, 2] = P[2, 1] = 0.9  # b-t
         config = ReasonerConfig(max_steps=3)
-        paths = enumerate_type_paths({0}, 2, P, config)
+        paths = enumerate_type_paths({0}, 2, SuccessorTable(P), config)
         assert paths[0].types == (0, 1, 2)
         assert math.isclose(paths[0].confidence, 0.81)
 
@@ -120,7 +121,7 @@ class TestEnumerateTypePaths:
         P[0, 2] = 0.0
         P[0, 1] = P[1, 2] = 0.5
         config = ReasonerConfig(max_steps=2)
-        paths = enumerate_type_paths({0}, 2, P, config)
+        paths = enumerate_type_paths({0}, 2, SuccessorTable(P), config)
         assert all(0.0 not in [P[a, b] for a, b in zip(p.types, p.types[1:])] for p in paths)
 
     def test_matches_exhaustive_oracle_on_random_kbs(self, rng):
@@ -133,7 +134,7 @@ class TestEnumerateTypePaths:
             target = int(rng.integers(n))
             present = {int(t) for t in rng.choice(n, size=rng.integers(1, n + 1), replace=False)}
             config = ReasonerConfig(max_steps=max_steps, beam=beam)
-            got = enumerate_type_paths(present, target, P, config)
+            got = enumerate_type_paths(present, target, SuccessorTable(P), config)
             want = enumerate_paths_exhaustive(present, target, P.tolist(), max_steps, beam)
             assert [(p.types, p.confidence) for p in got] == [
                 (tuple(seq), conf) for seq, conf in want
@@ -143,11 +144,12 @@ class TestEnumerateTypePaths:
     def test_matches_exhaustive_oracle_at_large_vocabulary(self, beam):
         # the large-vocab benchmark KB: 20 types, ~75% of P_r nonzero, M=4
         P = recovery_generator_kb(n_types=20).P_r
+        table = SuccessorTable(P)  # shared, as in an episode
         config = ReasonerConfig(max_steps=4, beam=beam)
         cases = [({0}, 19), ({3, 11}, 7), ({1, 5, 9, 14}, 2), ({2, 6, 12, 17, 18}, 0),
                  ({4, 8}, 8)]
         for present, target in cases:
-            got = enumerate_type_paths(present, target, P, config)
+            got = enumerate_type_paths(present, target, table, config)
             want = enumerate_paths_exhaustive(present, target, P.tolist(), 4, beam)
             assert [(p.types, p.confidence) for p in got] == [
                 (tuple(seq), conf) for seq, conf in want
@@ -168,16 +170,63 @@ class TestEnumerateTypePaths:
             target = int(rng.integers(n))
             present = {int(t) for t in rng.choice(n, size=rng.integers(1, n + 1), replace=False)}
             config = ReasonerConfig(max_steps=max_steps, beam=beam)
-            got = enumerate_type_paths(present, target, P, config)
+            got = enumerate_type_paths(present, target, SuccessorTable(P), config)
             want = enumerate_paths_exhaustive(present, target, P.tolist(), max_steps, beam)
             assert [(p.types, p.confidence) for p in got] == [
                 (tuple(seq), conf) for seq, conf in want
             ]
 
+    def test_ties_by_rounding_on_ulp_neighbours_match_exhaustive_oracle(self, rng):
+        # entries one ulp apart sort as different successors, but their
+        # products with a parent's confidence can round to the same value
+        assert 0.1 * 0.7 == 0.1 * np.nextafter(0.7, 0.0)
+        levels = [0.1, 0.3, 0.7, 0.9]
+        for trial in range(300):
+            n = int(rng.integers(3, 7))
+            P = rng.choice(levels, size=(n, n))
+            shift = rng.integers(-1, 2, size=(n, n))
+            P = np.where(shift < 0, np.nextafter(P, 0.0), P)
+            P = np.where(shift > 0, np.nextafter(P, 1.0), P)
+            P[rng.uniform(size=(n, n)) < 0.2] = 0.0
+            max_steps = int(rng.integers(2, 5))
+            beam = int(rng.integers(1, 10))
+            target = int(rng.integers(n))
+            present = {int(t) for t in rng.choice(n, size=rng.integers(1, n + 1), replace=False)}
+            config = ReasonerConfig(max_steps=max_steps, beam=beam)
+            got = enumerate_type_paths(present, target, SuccessorTable(P), config)
+            want = enumerate_paths_exhaustive(present, target, P.tolist(), max_steps, beam)
+            assert [(p.types, p.confidence) for p in got] == [
+                (tuple(seq), conf) for seq, conf in want
+            ]
+
+    def test_siblings_tied_by_rounding_keep_the_ranking(self):
+        # from (0, 3), type 1 at 0.7 - 1 ulp sorts after type 2 at 0.7, so
+        # (0, 3, 1) enters the heap only when (0, 3, 2) leaves it, although
+        # both products are 0.1 * 0.7 and (0, 3, 1) has the smaller key
+        P = np.zeros((4, 4))
+        P[0, 3] = 0.1
+        P[3, 2] = 0.7
+        P[3, 1] = np.nextafter(0.7, 0.0)
+        P[1, 2] = 1.0
+        paths = enumerate_type_paths({0}, 2, SuccessorTable(P), ReasonerConfig(max_steps=4, beam=5))
+        assert [(p.types, p.confidence) for p in paths] == [
+            ((0, 3, 2), 0.1 * 0.7), ((0, 3, 1, 2), 0.1 * 0.7)
+        ]
+        assert paths[0].confidence == 0.1 * P[3, 1]
+
+    def test_successor_table_sorts_nonzero_entries_by_value_then_type(self):
+        P = np.array([[0.0, 0.5, 0.9, 0.5], [0.2, 0.0, -0.0, 0.0], [0.0] * 4, [1.0] * 4])
+        table = SuccessorTable(P)
+        assert table.successors(0) == [(2, 0.9), (1, 0.5), (3, 0.5)]
+        assert table.successors(1) == [(0, 0.2)]
+        assert table.successors(2) == []
+        assert table.successors(3) == [(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)]
+        assert table.successors(0) is table.successors(0)
+
     def test_equal_confidence_extension_ranks_shorter_first(self):
         P = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5], [0.5, 0.5, 0.0]])
         config = ReasonerConfig(max_steps=3, beam=3)
-        paths = enumerate_type_paths({0, 1}, 2, P, config)
+        paths = enumerate_type_paths({0, 1}, 2, SuccessorTable(P), config)
         assert [(p.types, p.confidence) for p in paths] == [
             ((0, 2), 0.5), ((1, 2), 0.5), ((0, 1, 2), 0.5)
         ]
@@ -187,14 +236,14 @@ class TestEnumerateTypePaths:
         P = np.full((3, 3), 0.5)
         P[1, 2] = value
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            enumerate_type_paths({0}, 2, P, ReasonerConfig())
+            enumerate_type_paths({0}, 2, SuccessorTable(P), ReasonerConfig())
 
     def test_order_independent_of_present_set_iteration(self):
         P = np.full((4, 4), 0.5)
         np.fill_diagonal(P, 0.0)
         config = ReasonerConfig(max_steps=3, beam=10)
-        a = enumerate_type_paths({0, 1, 2}, 3, P, config)
-        b = enumerate_type_paths({2, 1, 0}, 3, P, config)
+        a = enumerate_type_paths({0, 1, 2}, 3, SuccessorTable(P), config)
+        b = enumerate_type_paths({2, 1, 0}, 3, SuccessorTable(P), config)
         assert a == b
 
 

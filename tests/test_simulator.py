@@ -13,7 +13,9 @@ from hspr.kb import ProximityKB
 from hspr.perception import ConfusionModel, ObjectBelief, TargetSpec, TypeBelief, VisualWeights
 from hspr.reasoner import (
     ReasonerConfig,
+    SuccessorTable,
     TypePath,
+    enumerate_type_paths,
     multi_step_scores,
     present_types_from_beliefs,
     proximity_scores,
@@ -477,3 +479,47 @@ class TestRowScores:
                 key = (agent.seed, episode.episode_id, "perceive", k)
                 want[key] = 1 + len(scene.neighbors(node))
             assert dict(draws) == want
+
+
+class TestPathMemo:
+    """Each episode searches each distinct present-type set once."""
+
+    def test_one_search_per_distinct_present_set_per_episode(self, small_bench, monkeypatch):
+        scenes, episodes, kb = small_bench
+        searched, presents = [], []
+        original_present = simulator._RowScores.present
+
+        def counting(present, *args):
+            searched.append(frozenset(present))
+            return enumerate_type_paths(present, *args)
+
+        def recording(self, reps):
+            present = original_present(self, reps)
+            presents.append(frozenset(present))
+            return present
+
+        monkeypatch.setattr(simulator, "enumerate_type_paths", counting)
+        monkeypatch.setattr(simulator._RowScores, "present", recording)
+        agent = bench_agent(confusion=ConfusionModel.eps_uniform(10, 0.2),
+                            visual=VisualWeights(noise_sd=0.1), fusion_mode="dynamic")
+        repeats = 0
+        for _ in range(2):  # the memo does not outlive its episode
+            for episode in episodes:
+                searched.clear()
+                presents.clear()
+                run_episode(scenes[episode.scene_id], episode, kb, agent, "hspr")
+                assert searched == list(dict.fromkeys(presents))
+                repeats += len(presents) - len(searched)
+        assert repeats > 0
+
+    def test_memo_hands_out_tuples(self):
+        kb = mini_kb()
+        target = TargetSpec(Y_r=np.eye(4)[3], Y_o=np.ones(4) / 4)
+        config = ReasonerConfig(beam=4)
+        scores = simulator._RowScores(kb, target, config)
+        table = SuccessorTable(kb.P_r)
+        first = scores.paths({0, 1})
+        assert isinstance(first, tuple)
+        assert first == tuple(enumerate_type_paths({0, 1}, 3, table, config))
+        assert scores.paths({1, 0}) is first
+        assert scores.paths({2}) == tuple(enumerate_type_paths({2}, 3, table, config))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hspr.bench import standard_benchmark
 from hspr.errors import InternalError
 from hspr.perception import ConfusionModel, TypeBelief
 from hspr.topo import CURRENT, NAVIGABLE, VISITED, SemanticTopoMap
@@ -169,6 +170,31 @@ class TestObserve:
             assert (after is before) == (want == before.row)
             replaced += after is not before
         assert replaced
+
+
+    @pytest.mark.parametrize("mode", ["distribution", "sampled"])
+    def test_edges_match_re_adding_oracle_over_walks_with_revisits(self, rng, mode):
+        # the map adds a node's edges on its first arrival only; the oracle
+        # re-adds them on every arrival, which keeps each key in its place
+        scenes, _, kb = standard_benchmark(n_scenes=3, episodes_per_scene=1, seed=5)
+        confusion = ConfusionModel.eps_uniform(len(kb.type_vocabulary), 0.3, mode=mode)
+        for scene in scenes.values():
+            topo = SemanticTopoMap()
+            oracle: dict[str, dict[str, float]] = {}
+            node = sorted(scene.node_ids())[0]
+            revisits = 0
+            for k in range(40):
+                revisits += node in topo.visited_ids()
+                topo.observe(scene, node, confusion, np.random.default_rng(k))
+                for nbr, length in sorted(scene.neighbors(node)):
+                    oracle.setdefault(node, {})[nbr] = length
+                    oracle.setdefault(nbr, {})[node] = length
+                assert list(topo.adj) == list(oracle)
+                for n, near in oracle.items():
+                    assert list(topo.adj[n].items()) == list(near.items())
+                options = sorted(scene.neighbors(node))
+                node = options[int(rng.integers(len(options)))][0]
+            assert revisits > 0
 
 
 class TestNavigableSets:
