@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .bench import house_generator_kb, standard_benchmark
@@ -191,58 +190,30 @@ def cmd_gen_episodes(args) -> int:
     return EXIT_OK
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters of one `run` invocation."""
-
-    scenes_dir: str
-    kb_path: str
-    episodes_path: str
-    out_path: str
-    policy: str
-    seed: int
-    parallelism: int
-    trace: bool
-
-    def validate(self) -> None:
-        if not Path(self.scenes_dir).is_dir():
-            raise SchemaError(f"scene directory {self.scenes_dir!r} does not exist")
-        for label, path in (("KB", self.kb_path), ("episode manifest", self.episodes_path)):
-            if not Path(path).is_file():
-                raise SchemaError(f"{label} file {path!r} does not exist")
-        if self.parallelism < 1:
-            raise SchemaError("--parallel must be >= 1")
-
-
 def cmd_run(args) -> int:
-    config = RunConfig(
-        scenes_dir=args.scenes,
-        kb_path=args.kb,
-        episodes_path=args.episodes,
-        out_path=args.out,
-        policy=args.policy,
-        seed=args.seed,
-        parallelism=args.parallel,
-        trace=args.trace,
-    )
-    config.validate()
-    scenes = _load_scenes_dir(config.scenes_dir)
-    kb = load_kb(config.kb_path)
+    if not Path(args.scenes).is_dir():
+        raise SchemaError(f"scene directory {args.scenes!r} does not exist")
+    for label, path in (("KB", args.kb), ("episode manifest", args.episodes)):
+        if not Path(path).is_file():
+            raise SchemaError(f"{label} file {path!r} does not exist")
+    if args.parallel < 1:
+        raise SchemaError("--parallel must be >= 1")
+    scenes = _load_scenes_dir(args.scenes)
+    kb = load_kb(args.kb)
     for scene_id in sorted(scenes):
         try:
             check_vocabularies(scenes[scene_id], kb)
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
-    episodes = load_episodes(config.episodes_path)
+    episodes = load_episodes(args.episodes)
     first = next(iter(scenes.values()))
     agent = _agent_from_args(args, first.n_types)
     result = run_batch(
-        scenes, episodes, kb, agent, config.policy,
-        parallelism=config.parallelism, trace=config.trace,
+        scenes, episodes, kb, agent, args.policy, parallelism=args.parallel, trace=args.trace
     )
-    save_trajectories(result.trajectories, config.out_path)
+    save_trajectories(result.trajectories, args.out)
     for episode_id, error in sorted(result.failures.items()):
-        print(f"episode {episode_id} failed: {error}", file=sys.stderr)
+        print(f"error: episode {episode_id} failed: {error}", file=sys.stderr)
     print(
         f"ran {len(result.trajectories)} episodes "
         f"({len(result.failures)} failed) -> {args.out}"

@@ -254,7 +254,7 @@ def load_kb(path) -> ProximityKB:
             object_vocabulary=[str(t) for t in payload["object_vocabulary"]],
             provenance=payload.get("provenance", {}),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed KB file: {exc}") from exc
     _check_kb(kb, path)
     return kb

@@ -173,7 +173,7 @@ def load_confusion(path) -> ConfusionModel:
             np.array(payload["matrix"], dtype=np.float64),
             mode=payload.get("mode", "distribution"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed confusion file: {exc}") from exc
 
 

@@ -8,12 +8,11 @@ workers.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
-
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import InvariantViolation, SchemaError
 
@@ -54,15 +53,16 @@ class SceneGraph:
     type_vocabulary: list[str]
     object_vocabulary: list[str]
     _index: dict[str, NodeRecord] = field(default_factory=dict, repr=False)
-    _adjacency: dict[str, list[tuple[str, float]]] = field(default_factory=dict, repr=False)
+    # undirected edges, stored both ways in edge order: the shape dijkstra reads
+    _adjacency: dict[str, dict[str, float]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self._index = {n.node_id: n for n in self.nodes}
-        self._adjacency = {n.node_id: [] for n in self.nodes}
+        self._adjacency = {n.node_id: {} for n in self.nodes}
         for a, b, length in self.edges:
             if a in self._adjacency and b in self._adjacency:
-                self._adjacency[a].append((b, length))
-                self._adjacency[b].append((a, length))
+                self._adjacency[a][b] = length
+                self._adjacency[b][a] = length
 
     @property
     def n_types(self) -> int:
@@ -78,9 +78,9 @@ class SceneGraph:
     def has_node(self, node_id: str) -> bool:
         return node_id in self._index
 
-    def neighbors(self, node_id: str) -> list[tuple[str, float]]:
+    def neighbors(self, node_id: str) -> ItemsView[str, float]:
         """Neighbors of a node with edge lengths, in stored edge order."""
-        return self._adjacency[node_id]
+        return self._adjacency[node_id].items()
 
     def node_ids(self) -> list[str]:
         return [n.node_id for n in self.nodes]
@@ -137,15 +137,7 @@ def validate_scene(scene: SceneGraph) -> None:
 
 
 def _is_connected(scene: SceneGraph) -> bool:
-    start = scene.nodes[0].node_id
-    seen = {start}
-    stack = [start]
-    while stack:
-        for nbr, _ in scene.neighbors(stack.pop()):
-            if nbr not in seen:
-                seen.add(nbr)
-                stack.append(nbr)
-    return len(seen) == len(scene.nodes)
+    return len(hop_distances(scene, scene.nodes[0].node_id)) == len(scene.nodes)
 
 
 def _scene_from_payload(payload: dict) -> SceneGraph:
@@ -184,7 +176,7 @@ def _scene_from_payload(payload: dict) -> SceneGraph:
             type_vocabulary=[str(t) for t in payload["type_vocabulary"]],
             object_vocabulary=[str(t) for t in payload["object_vocabulary"]],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed scene file: {exc}") from exc
     for node in scene.nodes:
         if len(node.position) != 3:
@@ -318,19 +310,42 @@ def region_adjacency(scene: SceneGraph, regions: list[Region]) -> set[tuple[str,
     return pairs
 
 
+def dijkstra(
+    adj: Mapping[str, Mapping[str, float]], source: str
+) -> tuple[dict[str, float], dict[str, str]]:
+    """Exact shortest distances and route predecessors from source.
+
+    adj maps each node to its neighbors and edge lengths; nodes missing from
+    the returned dist are unreachable.  Among equal-length routes the heap
+    order (distance, node_id) decides: a node's predecessor is its tied
+    neighbor settled first, and a later relaxation replaces it only when
+    strictly shorter.
+    """
+    dist = {source: 0.0}
+    prev: dict[str, str] = {}
+    heap = [(0.0, source)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist[node]:
+            continue
+        for nbr, length in adj.get(node, {}).items():
+            nd = d + length
+            if nd < dist.get(nbr, math.inf):
+                dist[nbr] = nd
+                prev[nbr] = node
+                heapq.heappush(heap, (nd, nbr))
+    return dist, prev
+
+
 def geodesic_distances(scene: SceneGraph, source: str) -> dict[str, float]:
-    """Exact shortest-path distances (meters) from source to every node."""
-    order = scene.node_ids()
-    idx = {nid: i for i, nid in enumerate(order)}
-    rows, cols, vals = [], [], []
-    for a, b, length in scene.edges:
-        rows += [idx[a], idx[b]]
-        cols += [idx[b], idx[a]]
-        vals += [length, length]
-    n = len(order)
-    graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
-    dist = dijkstra(graph, directed=False, indices=idx[source])
-    return {nid: float(dist[i]) for i, nid in enumerate(order)}
+    """Exact shortest-path distances (meters) from source to every node.
+
+    Unreachable nodes get inf.
+    """
+    if not scene.has_node(source):
+        raise ValueError(f"unknown node {source!r}")
+    dist, _ = dijkstra(scene._adjacency, source)
+    return {nid: dist.get(nid, math.inf) for nid in scene.node_ids()}
 
 
 def hop_distances(scene: SceneGraph, source: str) -> dict[str, int]:

@@ -509,7 +509,7 @@ def trajectory_from_payload(payload: dict) -> Trajectory:
             total_length=float(payload["total_length"]),
             steps=payload.get("steps"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed trajectory record: {exc}") from exc
     if not (math.isfinite(traj.total_length) and traj.total_length >= 0):
         raise SchemaError(

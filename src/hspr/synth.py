@@ -330,7 +330,7 @@ def load_episodes(path) -> list[Episode]:
                 shortest_length=float(e["shortest_length"]),
                 target_type=int(e["target_type"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError, TypeError, ValueError) as exc:
             raise SchemaError(f"malformed episode manifest: {exc}") from exc
         # metrics divide by it: SPL is undefined unless it is finite and > 0
         if not (math.isfinite(episode.shortest_length) and episode.shortest_length > 0):

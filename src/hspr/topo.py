@@ -11,7 +11,6 @@ where the agent stands.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Collection, KeysView
 from dataclasses import dataclass
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import InternalError
 from .perception import ConfusionModel, TypeBelief
-from .scene import SceneGraph
+from .scene import SceneGraph, dijkstra
 from .seeding import LazyRng
 
 CURRENT = "current"
@@ -170,19 +169,7 @@ class SemanticTopoMap:
             raise ValueError("map has no current node")
         if source not in self.nodes:
             raise ValueError(f"source {source!r} is not a known node")
-        dist = {source: 0.0}
-        prev: dict[str, str] = {}
-        heap = [(0.0, source)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist[node]:
-                continue
-            for nbr, length in self.adj.get(node, {}).items():
-                nd = d + length
-                if nd < dist.get(nbr, math.inf):
-                    dist[nbr] = nd
-                    prev[nbr] = node
-                    heapq.heappush(heap, (nd, nbr))
+        dist, prev = dijkstra(self.adj, source)
         return RoutingTable(source=source, dist=dist, prev=prev)
 
     def all_pairs_shortest_paths(self) -> dict[str, RoutingTable]:

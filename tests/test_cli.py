@@ -160,6 +160,43 @@ class TestExitCodes:
         assert "Traceback" not in result.stderr
 
 
+def test_cli_import_loads_no_scipy():
+    code = "import sys, hspr.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+RUN_FAULTS = {
+    "missing_scene_dir": (("--scenes", "missing-scenes"), "scene directory"),
+    "missing_kb": (("--kb", "missing-kb.json"), "KB file"),
+    "missing_manifest": (("--episodes", "missing-episodes.json"), "episode manifest file"),
+    "parallel_zero": (("--parallel", "0"), "--parallel must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(RUN_FAULTS))
+def test_run_argument_fault_is_3(fault, pipeline_dir, tmp_path, capsys):
+    (flag, value), message = RUN_FAULTS[fault]
+    args = {
+        "--scenes": str(pipeline_dir / "scenes"),
+        "--kb": str(pipeline_dir / "kb.json"),
+        "--episodes": str(pipeline_dir / "episodes.json"),
+        "--parallel": "1",
+    }
+    args[flag] = value if flag == "--parallel" else str(tmp_path / value)
+    argv = ["run", "--seed", "1", "--out", str(tmp_path / "t.jsonl")]
+    for name, arg in args.items():
+        argv += [name, arg]
+    code = dispatch(argv)
+    stderr = capsys.readouterr().err
+    assert code == 3
+    assert stderr.startswith("error:")
+    assert message in stderr
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "t.jsonl").exists()
+
+
 def _set_entry(value):
     def mutate(payload):
         payload["P_r"][0][1] = value
@@ -328,6 +365,9 @@ TRAJECTORY_VIOLATIONS = {
     "total_length_nan": (_set_field("total_length", "nan"), "total_length"),
     "total_length_negative": (_set_field("total_length", -5.0), "total_length"),
     "total_length_infinite": (_set_field("total_length", "inf"), "total_length"),
+    "total_length_too_large_for_float": (
+        _set_field("total_length", 10**400), "malformed trajectory record"
+    ),
     "node_sequence_string": (_set_field("node_sequence", "r0_n0"), "node_sequence"),
     "action_sequence_string": (_set_field("action_sequence", "STOP"), "action_sequence"),
     "selected_object_elsewhere": (_object_elsewhere, "selected_object"),

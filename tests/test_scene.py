@@ -1,14 +1,22 @@
 import json
+import math
 
+import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
+from hspr.bench import house_generator_kb
 from hspr.errors import InvariantViolation, SchemaError
 from hspr.scene import (
+    geodesic_distances,
     load_scene,
     region_adjacency,
     save_scene,
     segment_regions,
 )
+
+from hspr.synth import GeneratorConfig, generate_scene
 
 from conftest import make_scene
 from oracles import connected_components_union_find
@@ -200,3 +208,74 @@ class TestRegionAdjacency:
             for ra, rb in got:
                 assert ra != rb
                 assert ra < rb
+
+
+def scipy_geodesics(scene, source):
+    """Reference distances from scipy's csgraph Dijkstra, inf if unreachable."""
+    order = scene.node_ids()
+    idx = {nid: i for i, nid in enumerate(order)}
+    rows, cols, vals = [], [], []
+    for a, b, length in scene.edges:
+        rows += [idx[a], idx[b]]
+        cols += [idx[b], idx[a]]
+        vals += [length, length]
+    graph = csr_matrix((vals, (rows, cols)), shape=(len(order), len(order)))
+    dist = csgraph_dijkstra(graph, directed=False, indices=idx[source])
+    return {nid: float(dist[i]) for i, nid in enumerate(order)}
+
+
+# lengths whose sums tie or miss a tie by one rounding
+TIE_PRONE_LENGTHS = [0.1, 0.2, 0.3, 1 / 3, 2 / 3, 0.7, 1.0, 0.1 + 0.2, np.nextafter(0.3, 1.0)]
+
+
+class TestGeodesicDistances:
+    def test_matches_scipy_on_tie_prone_random_graphs(self, rng):
+        for trial in range(200):
+            n = int(rng.integers(2, 14))
+            ids = [f"n{i}" for i in range(n)]
+            pairs = {(int(rng.integers(i)), i) for i in range(1, n)}  # random spanning tree
+            for _ in range(int(rng.integers(0, 2 * n))):
+                i, j = sorted(int(k) for k in rng.choice(n, 2, replace=False))
+                pairs.add((i, j))
+            edges = [
+                (ids[i], ids[j], float(rng.choice(TIE_PRONE_LENGTHS)))
+                for i, j in sorted(pairs, key=lambda _: rng.random())
+            ]
+            scene = make_scene([(nid, "r0", 0) for nid in ids], edges)
+            for source in ids:
+                assert geodesic_distances(scene, source) == scipy_geodesics(scene, source)
+
+    def test_matches_scipy_on_large_generated_scenes(self):
+        kb, object_weights = house_generator_kb()
+        for seed in (1, 2):
+            scene = generate_scene(
+                GeneratorConfig(
+                    seed=seed, generator_kb=kb, region_count=60, nodes_per_region=(4, 5),
+                    extra_region_links=1, objects_per_node=(1, 2),
+                    unique_region_types=False, unique_objects_per_region=True,
+                    object_weights=object_weights,
+                ),
+                scene_id=f"large{seed}",
+            )
+            assert len(scene.nodes) >= 240
+            for source in scene.node_ids()[::7]:
+                got = geodesic_distances(scene, source)
+                assert list(got) == scene.node_ids()
+                assert got == scipy_geodesics(scene, source)
+
+    def test_unreachable_node_is_inf(self):
+        scene = make_scene(
+            [("a", "r0", 0), ("b", "r0", 0), ("c", "r0", 0), ("z", "r1", 1)],
+            [("a", "b", 0.1), ("b", "c", 0.2), ("a", "c", 0.3)],
+            validate=False,
+        )
+        got = geodesic_distances(scene, "a")
+        assert got == scipy_geodesics(scene, "a")
+        assert got["z"] == math.inf
+        assert geodesic_distances(scene, "z") == {
+            "a": math.inf, "b": math.inf, "c": math.inf, "z": 0.0
+        }
+
+    def test_unknown_source_rejected(self, two_node_scene):
+        with pytest.raises(ValueError, match="unknown node 'ghost'"):
+            geodesic_distances(two_node_scene, "ghost")
