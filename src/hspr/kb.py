@@ -22,6 +22,7 @@ from .scene import SceneGraph, region_adjacency, segment_regions
 KB_SCHEMA_VERSION = 1
 PROB_CEILING = 0.95
 DEFAULT_TOP_K = 10
+OBJECT_SPARSE_THRESHOLD = 0.25  # save_kb writes P_o as triples below this nonzero share
 
 
 @dataclass
@@ -217,14 +218,14 @@ def _matrix_from_payload(payload) -> np.ndarray:
     return np.array(payload, dtype=np.float64)
 
 
-def save_kb(kb: ProximityKB, path, object_sparse_threshold: float = 0.25) -> None:
+def save_kb(kb: ProximityKB, path) -> None:
     """Serialize a KB; P_o switches to [row, col, value] triples when sparse."""
     payload = {
         "schema_version": KB_SCHEMA_VERSION,
         "type_vocabulary": kb.type_vocabulary,
         "object_vocabulary": kb.object_vocabulary,
         "P_r": _matrix_to_payload(kb.P_r, None),
-        "P_o": _matrix_to_payload(kb.P_o, object_sparse_threshold),
+        "P_o": _matrix_to_payload(kb.P_o, OBJECT_SPARSE_THRESHOLD),
         "top_objects": kb.top_objects,
         "provenance": kb.provenance,
     }

@@ -16,6 +16,7 @@ and each distinct present-type set is searched once per episode.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
@@ -142,6 +143,13 @@ def _check_compatible(scene: SceneGraph, episode: Episode, kb: ProximityKB, agen
             f"episode {episode.episode_id} belongs to scene {episode.scene_id!r}, "
             f"got {scene.scene_id!r}"
         )
+    for name in ("start_node", "target_node"):
+        node_id = getattr(episode, name)
+        if not scene.has_node(node_id):
+            raise ValueError(
+                f"episode {episode.episode_id} {name} {node_id!r} "
+                f"is not a node of scene {scene.scene_id!r}"
+            )
     check_vocabularies(scene, kb)
     if agent.confusion.n_types != kb.P_r.shape[0]:
         raise ValueError(
@@ -418,9 +426,14 @@ class BatchResult:
     failures: dict[str, str]
 
 
-def _run_one(args):
-    scene, episode, kb, agent, policy, trace = args
-    return run_episode(scene, episode, kb, agent, policy, trace)
+def _run_one(job) -> tuple[Trajectory | None, str | None]:
+    """Run one job: (trajectory, None), or (None, message) on an input error."""
+    try:
+        return run_episode(*job), None
+    except InternalError:
+        raise
+    except Exception as exc:
+        return None, str(exc)
 
 
 def run_batch(
@@ -435,10 +448,9 @@ def run_batch(
     """Run many episodes; results are sorted by episode id and independent
     of the worker count.  Per-episode input errors are captured, not
     raised; an InternalError (an engine bug) propagates."""
-    ordered = sorted(episodes, key=lambda e: e.episode_id)
     jobs = []
     failures: dict[str, str] = {}
-    for episode in ordered:
+    for episode in sorted(episodes, key=lambda e: e.episode_id):
         scene = scenes.get(episode.scene_id)
         if scene is None:
             failures[episode.episode_id] = f"unknown scene {episode.scene_id!r}"
@@ -446,28 +458,21 @@ def run_batch(
         jobs.append((scene, episode, kb, agent, policy, trace))
 
     trajectories: list[Trajectory] = []
-    if parallelism <= 1:
-        for job in jobs:
-            try:
-                trajectories.append(_run_one(job))
-            except InternalError:
-                raise
-            except Exception as exc:
-                failures[job[1].episode_id] = str(exc)
-                log.warning("episode %s failed: %s", job[1].episode_id, exc)
-    else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            futures = [(job[1].episode_id, pool.submit(_run_one, job)) for job in jobs]
-            for episode_id, future in futures:
-                try:
-                    trajectories.append(future.result())
-                except InternalError:
-                    pool.shutdown(cancel_futures=True)
-                    raise
-                except Exception as exc:
-                    failures[episode_id] = str(exc)
-                    log.warning("episode %s failed: %s", episode_id, exc)
-    trajectories.sort(key=lambda t: t.episode_id)
+    with contextlib.ExitStack() as stack:
+        if parallelism <= 1:
+            results = map(_run_one, jobs)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=parallelism))
+            # ~4 chunks per worker, each pickled as one message: the KB, the agent
+            # and each scene (ids sort by scene) travel once per chunk, not per job
+            chunksize = max(1, math.ceil(len(jobs) / (4 * parallelism)))
+            results = pool.map(_run_one, jobs, chunksize=chunksize)
+        for job, (traj, error) in zip(jobs, results):
+            if error is None:
+                trajectories.append(traj)
+            else:
+                failures[job[1].episode_id] = error
+                log.warning("episode %s failed: %s", job[1].episode_id, error)
     log.info("batch complete: %d ok, %d failed", len(trajectories), len(failures))
     return BatchResult(trajectories=trajectories, failures=failures)
 

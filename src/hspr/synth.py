@@ -40,7 +40,6 @@ class GeneratorConfig:
     extra_region_links: int = 1
     objects_per_node: tuple[int, int] = (1, 3)
     region_extent: float = 2.0
-    cell_pitch: float | None = None
     unique_region_types: bool = True
     unique_objects_per_region: bool = False
     object_weights: np.ndarray | None = None
@@ -135,7 +134,7 @@ def generate_scene(config: GeneratorConfig, scene_id: str | None = None) -> Scen
     region_types, region_links = _sample_region_types(config, rng)
 
     cols = math.ceil(math.sqrt(len(region_types)))
-    pitch = config.cell_pitch if config.cell_pitch is not None else 3.0 * config.region_extent
+    pitch = 3.0 * config.region_extent
 
     nodes: list[NodeRecord] = []
     edges: list[tuple[str, str, float]] = []

@@ -318,6 +318,24 @@ def test_invalid_manifest_record_is_3(violation, command, pipeline_dir, tmp_path
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("field, value", [("start_node", None), ("target_node", "no-such-node")])
+def test_episode_node_missing_from_scene_is_3(field, value, pipeline_dir, tmp_path, capsys):
+    records = json.loads((pipeline_dir / "episodes.json").read_text())
+    records[0][field] = value
+    bad = tmp_path / "episodes.json"
+    bad.write_text(json.dumps(records))
+    code = dispatch(["run", "--scenes", str(pipeline_dir / "scenes"),
+                     "--kb", str(pipeline_dir / "kb.json"), "--episodes", str(bad),
+                     "--seed", "1", "--out", str(tmp_path / "t.jsonl")])
+    stderr = capsys.readouterr().err
+    assert code == 3
+    assert stderr.startswith(f"error: episode {records[0]['episode_id']} failed:")
+    assert f"{field} {str(value)!r} is not a node of scene {records[0]['scene_id']!r}" in stderr
+    assert "Traceback" not in stderr
+    written = [json.loads(line)["episode_id"] for line in (tmp_path / "t.jsonl").open()]
+    assert written == sorted(r["episode_id"] for r in records[1:])
+
+
 def test_kb_vocabulary_mismatch_fails_before_any_episode(pipeline_dir, tmp_path):
     payload = json.loads((pipeline_dir / "kb.json").read_text())
     vocabulary = payload["type_vocabulary"]

@@ -207,9 +207,9 @@ class TestTopKObjects:
 
 
 class TestKBRoundTrip:
-    def roundtrip(self, kb, tmp_path, **kwargs):
+    def roundtrip(self, kb, tmp_path):
         path = tmp_path / "kb.json"
-        save_kb(kb, path, **kwargs)
+        save_kb(kb, path)
         return load_kb(path)
 
     def test_small_kb(self, tmp_path):
@@ -247,7 +247,7 @@ class TestKBRoundTrip:
             type_vocabulary=[f"t{i}" for i in range(31)],
             object_vocabulary=[f"o{i}" for i in range(1600)],
         )
-        loaded = self.roundtrip(kb, tmp_path, object_sparse_threshold=0.25)
+        loaded = self.roundtrip(kb, tmp_path)
         assert loaded == kb
 
     def test_dense_object_matrix_roundtrip(self, tmp_path, rng):

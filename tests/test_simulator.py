@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -254,6 +255,36 @@ class TestRunBatch:
         batch = run_batch(scenes, [episodes[0], orphan], kb, bench_agent(), "hspr")
         assert len(batch.trajectories) == 1
         assert "orphan" in batch.failures
+
+    def test_failures_do_not_depend_on_parallelism(self, small_bench):
+        scenes, episodes, kb = small_bench
+        mixed = list(episodes)
+        mixed[1] = dataclasses.replace(mixed[1], scene_id="nowhere")
+        mixed[4] = dataclasses.replace(mixed[4], start_node="None")
+        scene = scenes[mixed[7].scene_id]
+        mixed[7] = dataclasses.replace(mixed[7], target_object=next(
+            o.object_id
+            for node_id in scene.node_ids() if node_id != mixed[7].target_node
+            for o in scene.node(node_id).objects
+        ))
+        agent = bench_agent(confusion=ConfusionModel.eps_uniform(10, 0.2),
+                            visual=VisualWeights(noise_sd=0.15))
+        runs = {
+            n: run_batch(scenes, mixed, kb, agent, "hspr", parallelism=n) for n in (1, 2, 4)
+        }
+        failures = runs[1].failures
+        assert sorted(failures) == sorted(mixed[i].episode_id for i in (1, 4, 7))
+        assert "unknown scene 'nowhere'" in failures[mixed[1].episode_id]
+        assert "start_node 'None'" in failures[mixed[4].episode_id]
+        assert "target object" in failures[mixed[7].episode_id]
+        payloads = {
+            n: [json.dumps(trajectory_to_payload(t), sort_keys=True) for t in batch.trajectories]
+            for n, batch in runs.items()
+        }
+        assert len(payloads[1]) == len(mixed) - 3
+        for n in (2, 4):
+            assert runs[n].failures == failures
+            assert payloads[n] == payloads[1]
 
     def test_jsonl_round_trip(self, small_bench, tmp_path):
         scenes, episodes, kb = small_bench
