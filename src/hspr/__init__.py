@@ -14,7 +14,6 @@ from .kb import (
     CountMatrices,
     ProximityKB,
     accumulate_scene,
-    merge_counts,
     normalize_counts,
     top_k_objects,
     build_kb,
@@ -44,9 +43,7 @@ from .reasoner import (
 from .fusion import (
     STOP,
     ActionScoreTable,
-    compose_scores,
     balance_factor,
-    fuse_final,
     fuse_variant_table,
     FixedBeta,
     VisitedFractionBeta,

@@ -19,47 +19,11 @@ FUSION_MODES = ("residual", "average", "dynamic")
 
 @dataclass
 class ActionScoreTable:
-    """Per-step fusion state kept for traces."""
+    """One decision's global, local and fused action tables."""
 
-    eta_c: dict[str, float] = field(default_factory=dict)
-    eta_f: dict[str, float] = field(default_factory=dict)
-    epsilon_c: dict[str, float] = field(default_factory=dict)
-    epsilon_f: dict[str, float] = field(default_factory=dict)
     l_c: dict[str, float] = field(default_factory=dict)
     l_f: dict[str, float] = field(default_factory=dict)
     l_final: dict[str, float] = field(default_factory=dict)
-    beta: float = 0.5
-
-
-def compose_scores(
-    eta_c: dict[str, float],
-    eta_f: dict[str, float],
-    epsilon_c: dict[str, float],
-    epsilon_f: dict[str, float],
-    F: set[str],
-    C: set[str],
-    eq11_literal: bool = False,
-) -> tuple[dict[str, float], dict[str, float]]:
-    """Build the global and local action tables.
-
-    Global: l_c[i] = eta_c[i] + epsilon_c[i] over all of C.  Local: for
-    adjacent nodes the local proximity and visual scores combine (with
-    eq11_literal the local entry is the proximity score alone); non-local
-    nodes receive the residual assignment eta_c + epsilon_c.
-    """
-    if not F <= C:
-        raise ValueError("local set F must be a subset of global set C")
-    missing = [i for i in F if i not in eta_f or i not in epsilon_f]
-    if missing:
-        raise ValueError(f"nodes in F missing local scores: {sorted(missing)}")
-    l_c = {i: eta_c[i] + epsilon_c[i] for i in C}
-    l_f = {}
-    for i in C:
-        if i in F:
-            l_f[i] = eta_f[i] if eq11_literal else eta_f[i] + epsilon_f[i]
-        else:
-            l_f[i] = eta_c[i] + epsilon_c[i]
-    return l_c, l_f
 
 
 @dataclass(frozen=True)
@@ -120,8 +84,11 @@ def balance_features(topo_map: SemanticTopoMap) -> dict[str, float]:
 
 
 def balance_factor(policy: BetaPolicy, state: dict[str, float] | SemanticTopoMap) -> float:
-    """Evaluate a balance policy; the result is clamped to [0, 1]."""
-    if isinstance(state, SemanticTopoMap):
+    """Evaluate a balance policy; the result is clamped to [0, 1].
+
+    Map features are built only for the policies that read them.
+    """
+    if isinstance(state, SemanticTopoMap) and not isinstance(policy, FixedBeta):
         state = balance_features(state)
     if isinstance(policy, FixedBeta):
         beta = policy.value
@@ -139,15 +106,6 @@ def balance_factor(policy: BetaPolicy, state: dict[str, float] | SemanticTopoMap
     return min(1.0, max(0.0, beta))
 
 
-def fuse_final(
-    l_c: dict[str, float], l_f: dict[str, float], beta: float
-) -> dict[str, float]:
-    """Weighted sum of the global and local tables over one action set."""
-    if set(l_c) != set(l_f):
-        raise ValueError("global and local tables cover different action sets")
-    return {i: beta * l_c[i] + (1.0 - beta) * l_f[i] for i in l_c}
-
-
 def fuse_variant_table(
     mode: str,
     eta_c: dict[str, float],
@@ -162,31 +120,41 @@ def fuse_variant_table(
     visited_scores: dict[str, float] | None = None,
     eq11_literal: bool = False,
 ) -> ActionScoreTable:
-    """Fuse with one of the ablation variants, keeping all intermediates.
+    """Fuse the global and local action tables in one pass over C.
 
-    residual: the standard pipeline.  average: beta pinned at 0.5 and
-    non-local local entries zeroed.  dynamic: non-local local entries are
-    the summed scores of visited nodes along the known shortest route.
+    Global: l_c[i] = eta_c[i] + epsilon_c[i].  Local: on F the local
+    proximity and visual scores combine (with eq11_literal the local entry
+    is the proximity score alone).  Off F the local entry depends on the
+    mode -- residual: the global entry l_c[i]; average: 0.0, with beta
+    pinned at 0.5; dynamic: the summed visited_scores along the known route
+    to i, where visited_scores holds exactly the map's visited ids (the
+    simulator builds it that way).  Fused: beta * l_c + (1 - beta) * l_f.
     """
     if mode not in FUSION_MODES:
         raise ValueError(f"unknown fusion mode {mode!r}")
-    l_c, l_f = compose_scores(eta_c, eta_f, epsilon_c, epsilon_f, F, C, eq11_literal)
+    if not F <= C:
+        raise ValueError("local set F must be a subset of global set C")
+    missing = [i for i in F if i not in eta_f or i not in epsilon_f]
+    if missing:
+        raise ValueError(f"nodes in F missing local scores: {sorted(missing)}")
     if mode == "average":
         beta = 0.5
-        for i in C - F:
-            l_f[i] = 0.0
     elif mode == "dynamic":
         if topo_map is None or table is None or visited_scores is None:
             raise ValueError("dynamic fusion needs the map, routing table, and visited scores")
-        visited = {v: visited_scores[v] for v in topo_map.visited_ids()}
-        l_f.update(topo_map.route_sums(table, visited, C - F))
-    return ActionScoreTable(
-        eta_c=dict(eta_c),
-        eta_f=dict(eta_f),
-        epsilon_c=dict(epsilon_c),
-        epsilon_f=dict(epsilon_f),
-        l_c=l_c,
-        l_f=l_f,
-        l_final=fuse_final(l_c, l_f, beta),
-        beta=beta,
-    )
+        route = topo_map.route_sums(table, visited_scores, C - F)
+    scores = ActionScoreTable()
+    l_c, l_f, l_final = scores.l_c, scores.l_f, scores.l_final
+    for i in C:
+        g = l_c[i] = eta_c[i] + epsilon_c[i]
+        if i in F:
+            local = eta_f[i] if eq11_literal else eta_f[i] + epsilon_f[i]
+        elif mode == "residual":
+            local = g
+        elif mode == "average":
+            local = 0.0
+        else:
+            local = route[i]
+        l_f[i] = local
+        l_final[i] = beta * g + (1.0 - beta) * local
+    return scores

@@ -107,18 +107,6 @@ def accumulate_scene(counts: CountMatrices, scene: SceneGraph) -> CountMatrices:
     return counts
 
 
-def merge_counts(a: CountMatrices, b: CountMatrices) -> CountMatrices:
-    """Elementwise merge of independently accumulated counts."""
-    if a.C_r.shape != b.C_r.shape or a.C_o.shape != b.C_o.shape:
-        raise ValueError("count matrices have mismatched dimensions")
-    return CountMatrices(
-        C_r=a.C_r + b.C_r,
-        C_o=a.C_o + b.C_o,
-        C_ro=a.C_ro + b.C_ro,
-        scene_count=a.scene_count + b.scene_count,
-    )
-
-
 def normalize_counts(C: np.ndarray) -> np.ndarray:
     """Turn a non-negative count matrix into per-row probabilities in [0, 0.95].
 

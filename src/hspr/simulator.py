@@ -352,9 +352,6 @@ def _scored_action(
                 by_row = row_scores.multi_step(reps, selected_path[0])
         eta_all = {i: by_row[row] for i, row in row_of.items()}
 
-    eta_c = {i: eta_all[i] for i in C}
-    eta_f = {i: eta_all[i] for i in F}
-
     current_belief = nodes[current].belief
     alignment = row_scores.alignment({**reps, current_belief.row: current_belief})
     global_view = [(i, table.distance(i), alignment[row_of[i]]) for i in candidates]
@@ -376,8 +373,9 @@ def _scored_action(
         visited_scores = {i: eta_all[i] + eps_v[i] for i in visited}
 
     beta = balance_factor(agent.beta_policy, topo)
+    # one proximity score per node serves as both eta_c and eta_f
     scores = fuse_variant_table(
-        agent.fusion_mode, eta_c, eta_f, eps_c, eps_f, F, C, beta,
+        agent.fusion_mode, eta_all, eta_all, eps_c, eps_f, F, C, beta,
         topo_map=topo, table=table, visited_scores=visited_scores,
         eq11_literal=agent.eq11_literal,
     )
@@ -406,10 +404,10 @@ def _scored_action(
             "selected_path": list(selected_path[0].types) if selected_path else None,
             "path_confidence": selected_path[0].confidence if selected_path else None,
             "scores": {
-                "eta_c": dict(sorted(scores.eta_c.items())),
-                "eta_f": dict(sorted(scores.eta_f.items())),
-                "epsilon_c": dict(sorted(scores.epsilon_c.items())),
-                "epsilon_f": dict(sorted(scores.epsilon_f.items())),
+                "eta_c": {i: eta_all[i] for i in candidates},
+                "eta_f": {i: eta_all[i] for i in sorted(F)},
+                "epsilon_c": dict(sorted(eps_c.items())),
+                "epsilon_f": dict(sorted(eps_f.items())),
                 "l_c": dict(sorted(scores.l_c.items())),
                 "l_f": dict(sorted(scores.l_f.items())),
             },
@@ -453,7 +451,8 @@ def run_batch(
     for episode in sorted(episodes, key=lambda e: e.episode_id):
         scene = scenes.get(episode.scene_id)
         if scene is None:
-            failures[episode.episode_id] = f"unknown scene {episode.scene_id!r}"
+            error = failures[episode.episode_id] = f"unknown scene {episode.scene_id!r}"
+            log.warning("episode %s failed: %s", episode.episode_id, error)
             continue
         jobs.append((scene, episode, kb, agent, policy, trace))
 

@@ -122,3 +122,43 @@ def route_visited_sum(prev, source, goal, visited_scores):
         route.append(prev[route[-1]])
     route.reverse()
     return sum(visited_scores[v] for v in route if v in visited_scores)
+
+
+def compose_scores(
+    eta_c: dict[str, float],
+    eta_f: dict[str, float],
+    epsilon_c: dict[str, float],
+    epsilon_f: dict[str, float],
+    F: set[str],
+    C: set[str],
+    eq11_literal: bool = False,
+) -> tuple[dict[str, float], dict[str, float]]:
+    """Build the global and local action tables.
+
+    Global: l_c[i] = eta_c[i] + epsilon_c[i] over all of C.  Local: for
+    adjacent nodes the local proximity and visual scores combine (with
+    eq11_literal the local entry is the proximity score alone); non-local
+    nodes receive the residual assignment eta_c + epsilon_c.
+    """
+    if not F <= C:
+        raise ValueError("local set F must be a subset of global set C")
+    missing = [i for i in F if i not in eta_f or i not in epsilon_f]
+    if missing:
+        raise ValueError(f"nodes in F missing local scores: {sorted(missing)}")
+    l_c = {i: eta_c[i] + epsilon_c[i] for i in C}
+    l_f = {}
+    for i in C:
+        if i in F:
+            l_f[i] = eta_f[i] if eq11_literal else eta_f[i] + epsilon_f[i]
+        else:
+            l_f[i] = eta_c[i] + epsilon_c[i]
+    return l_c, l_f
+
+
+def fuse_final(
+    l_c: dict[str, float], l_f: dict[str, float], beta: float
+) -> dict[str, float]:
+    """Weighted sum of the global and local tables over one action set."""
+    if set(l_c) != set(l_f):
+        raise ValueError("global and local tables cover different action sets")
+    return {i: beta * l_c[i] + (1.0 - beta) * l_f[i] for i in l_c}

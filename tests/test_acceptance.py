@@ -16,7 +16,7 @@ import pytest
 from scipy import stats
 
 from hspr.bench import recovery_generator_kb, standard_benchmark
-from hspr.fusion import compose_scores, fuse_final, fuse_variant_table
+from hspr.fusion import fuse_variant_table
 from hspr.kb import CountMatrices, accumulate_scene, normalize_counts
 from hspr.metrics import aggregate_report, episode_metrics
 from hspr.perception import ConfusionModel, TypeBelief, VisualWeights
@@ -29,6 +29,7 @@ from hspr.seeding import stable_digest
 from oracles import (
     dijkstra_single_source,
     enumerate_paths_exhaustive,
+    fuse_final,
     percentile_minmax_row,
 )
 
@@ -240,8 +241,8 @@ def test_criterion_6_fusion_properties(rng):
         eta_f = {i: float(rng.normal()) for i in F}
         eps_f = {i: float(rng.normal()) for i in F}
         beta = float(rng.uniform())
-        l_c, l_f = compose_scores(eta_c, eta_f, eps_c, eps_f, F, C)
-        fused = fuse_final(l_c, l_f, beta)
+        scores = fuse_variant_table("residual", eta_c, eta_f, eps_c, eps_f, F, C, beta)
+        l_c, l_f, fused = scores.l_c, scores.l_f, scores.l_final
         shift = float(rng.normal())
         fused_shift = fuse_final(
             {i: v + shift for i, v in l_c.items()},

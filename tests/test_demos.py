@@ -21,3 +21,10 @@ def run_demo(name, hash_seed):
 
 def test_scene_generation_demo_independent_of_hash_seed():
     assert run_demo("02_scene_generation.py", 1) == run_demo("02_scene_generation.py", 2)
+
+
+def test_single_episode_demo_runs():
+    lines = run_demo("03_single_episode.py", 0).splitlines()
+    steps = [line for line in lines if line.startswith("step ")]
+    assert steps
+    assert len(steps) == sum(line.strip().startswith("top action scores:") for line in lines)

@@ -9,7 +9,6 @@ from hspr.kb import (
     accumulate_scene,
     build_kb,
     load_kb,
-    merge_counts,
     normalize_counts,
     save_kb,
     top_k_objects,
@@ -109,9 +108,12 @@ class TestAccumulateScene:
         partials = []
         for s in scenes:
             partials.append(accumulate_scene(CountMatrices.zeros(4, 4), s))
-        merged = partials[0]
-        for p in partials[1:]:
-            merged = merge_counts(merged, p)
+        merged = CountMatrices(
+            C_r=sum(p.C_r for p in partials),
+            C_o=sum(p.C_o for p in partials),
+            C_ro=sum(p.C_ro for p in partials),
+            scene_count=sum(p.scene_count for p in partials),
+        )
         for result in (backward, merged):
             assert np.array_equal(forward.C_r, result.C_r)
             assert np.array_equal(forward.C_o, result.C_o)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import math
 from collections import Counter
 
@@ -256,7 +257,7 @@ class TestRunBatch:
         assert len(batch.trajectories) == 1
         assert "orphan" in batch.failures
 
-    def test_failures_do_not_depend_on_parallelism(self, small_bench):
+    def test_failures_do_not_depend_on_parallelism(self, small_bench, caplog):
         scenes, episodes, kb = small_bench
         mixed = list(episodes)
         mixed[1] = dataclasses.replace(mixed[1], scene_id="nowhere")
@@ -269,9 +270,16 @@ class TestRunBatch:
         ))
         agent = bench_agent(confusion=ConfusionModel.eps_uniform(10, 0.2),
                             visual=VisualWeights(noise_sd=0.15))
-        runs = {
-            n: run_batch(scenes, mixed, kb, agent, "hspr", parallelism=n) for n in (1, 2, 4)
-        }
+        runs = {}
+        for n in (1, 2, 4):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="hspr"):
+                runs[n] = run_batch(scenes, mixed, kb, agent, "hspr", parallelism=n)
+            # one warning per failed episode, naming it
+            warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+            assert sorted(warned) == sorted(
+                f"episode {ep} failed: {error}" for ep, error in runs[n].failures.items()
+            )
         failures = runs[1].failures
         assert sorted(failures) == sorted(mixed[i].episode_id for i in (1, 4, 7))
         assert "unknown scene 'nowhere'" in failures[mixed[1].episode_id]
@@ -327,21 +335,26 @@ class TestRandomStreams:
     # traced runs in distribution mode, the benchmark's configuration,
     # recorded before scores were read from per-row tables: the steps carry
     # every score, so these pin the scores bit for bit, not just the moves
+    # (average and residual-eq11_literal recorded before fusion became one pass)
     DISTRIBUTION_TRACED = {
+        "average": "5f55472e6392541620e1c5a23fabe24aa4f250cee6260afd5331b3b07751f96a",
         "dynamic": "1f5e8ecf315d8680ddd4b0718af7714f4aa55037452dd2c7273519ced07f3f82",
         "residual": "e466e96430f13f0c271df9cc0dde233e51b13818e2ff172f6fcbc9ea0940fc9c",
+        "residual-eq11_literal": "2dc25c06aac72f89e60194b3dfec226f7ac1672b75de805b472dadf5a935d040",
     }
 
-    @pytest.mark.parametrize("fusion_mode", sorted(DISTRIBUTION_TRACED))
-    def test_distribution_mode_scores_pinned(self, small_bench, fusion_mode):
+    @pytest.mark.parametrize("case", sorted(DISTRIBUTION_TRACED))
+    def test_distribution_mode_scores_pinned(self, small_bench, case):
         scenes, episodes, kb = small_bench
+        fusion_mode, _, flag = case.partition("-")
         agent = AgentConfig(
             confusion=ConfusionModel.eps_uniform(10, 0.2),
             visual=VisualWeights(noise_sd=0.1), fusion_mode=fusion_mode, seed=4,
+            eq11_literal=flag == "eq11_literal",
         )
         batch = run_batch(scenes, episodes, kb, agent, "hspr", trace=True)
         assert not batch.failures
-        assert trajectory_digest(batch.trajectories) == self.DISTRIBUTION_TRACED[fusion_mode]
+        assert trajectory_digest(batch.trajectories) == self.DISTRIBUTION_TRACED[case]
 
     def test_sampled_mode_streams_pinned(self, small_bench):
         scenes, episodes, kb = small_bench
