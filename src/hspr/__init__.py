@@ -37,7 +37,6 @@ from .reasoner import (
     proximity_scores,
     object_proximity_scores,
     enumerate_type_paths,
-    select_path,
     multi_step_scores,
 )
 from .fusion import (

@@ -68,8 +68,11 @@ def _parse_pair(text: str, name: str) -> tuple[float, float]:
 
 
 def _parse_int_pair(text: str, name: str) -> tuple[int, int]:
-    lo, hi = _parse_pair(text, name)
-    return int(lo), int(hi)
+    try:
+        lo, hi = (int(part) for part in text.split(","))  # a wrong count raises ValueError too
+    except ValueError:
+        raise SchemaError(f"{name} expects two comma-separated integers, got {text!r}") from None
+    return lo, hi
 
 
 def _load_scenes_dir(path: str) -> dict:
@@ -155,6 +158,8 @@ def cmd_gen_scenes(args) -> int:
         kb, object_weights = house_generator_kb()
     else:
         kb, object_weights = load_kb(args.kb), None
+    nodes_per_region = _parse_int_pair(args.nodes_per_region, "--nodes-per-region")
+    objects_per_node = _parse_int_pair(args.objects_per_node, "--objects-per-node")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     from .seeding import stable_digest
@@ -164,9 +169,9 @@ def cmd_gen_scenes(args) -> int:
             seed=stable_digest(args.seed, "scene", i),
             generator_kb=kb,
             region_count=args.regions,
-            nodes_per_region=_parse_int_pair(args.nodes_per_region, "--nodes-per-region"),
+            nodes_per_region=nodes_per_region,
             extra_region_links=args.extra_links,
-            objects_per_node=_parse_int_pair(args.objects_per_node, "--objects-per-node"),
+            objects_per_node=objects_per_node,
             region_extent=args.extent,
             unique_region_types=not args.repeat_types,
             unique_objects_per_region=args.kb == "house",

@@ -15,6 +15,7 @@ belief the agent holds is one of only n_types rows.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -227,8 +228,12 @@ class VisualWeights:
     noise_sd: float = 0.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.w_d, self.w_t, self.decay, self.noise_sd)):
+            raise ValueError("visual weights must be finite")
         if self.decay <= 0:
             raise ValueError("decay length must be positive")
+        if self.noise_sd < 0:
+            raise ValueError("noise_sd must be >= 0")
 
 
 def visual_score_table(

@@ -1,9 +1,10 @@
 """Proximity reasoning over node types.
 
-Scores navigable nodes by how close their believed type is to the target
-type through the proximity matrix, finds the top-K multi-hop type paths
-toward the target, and turns the selected path into discounted multi-step
-node scores.
+Scores type distributions by how close they are to the target type through
+the proximity matrix, finds the top-K multi-hop type paths toward the
+target, and turns a path into discounted multi-step scores.  The search
+starts every path at a present type, one that some distribution holds with
+mass >= tau, so its start set is the feasibility check.
 
 The top-K search is an exact best-first search: proximity entries lie in
 [0, 1], so a path's confidence never rises as it grows, and the search can
@@ -16,12 +17,11 @@ searches of an episode share that work.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Collection
+import math
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-
-from .perception import TypeBelief
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,17 @@ class ReasonerConfig:
             raise ValueError("max_steps must be >= 1")
         if self.beam < 1:
             raise ValueError("beam must be >= 1")
+        if not math.isfinite(self.feasibility_tau):
+            raise ValueError("feasibility_tau must be finite")
+        if self.omega is not None and not (
+            len(self.omega) >= self.max_steps and all(math.isfinite(w) for w in self.omega)
+        ):
+            raise ValueError("omega must supply a finite weight per reasoning step")
 
     def weights(self) -> tuple[float, ...]:
         """Per-step weight coefficients, defaulting to all ones."""
         if self.omega is None:
             return (1.0,) * self.max_steps
-        if len(self.omega) < self.max_steps:
-            raise ValueError("omega must supply a weight per reasoning step")
         return tuple(self.omega)
 
 
@@ -66,11 +70,11 @@ class TypePath:
 
 
 def proximity_scores(
-    beliefs: list[TypeBelief], P_r: np.ndarray, Y_r: np.ndarray
-) -> dict[str, float]:
-    """Bilinear proximity of each node's believed type to the target type.
+    distributions: Sequence[np.ndarray], P_r: np.ndarray, Y_r: np.ndarray
+) -> list[float]:
+    """Bilinear proximity of each type distribution to the target type.
 
-    score_i = R_i . P_r . Y_r
+    score_i = R_i . P_r . Y_r, one per distribution, in input order.
     """
     Y_r = np.asarray(Y_r, dtype=np.float64)
     if P_r.shape[1] != Y_r.shape[0]:
@@ -78,13 +82,13 @@ def proximity_scores(
             f"proximity matrix columns ({P_r.shape[1]}) do not match target vector ({Y_r.shape[0]})"
         )
     pulled = P_r @ Y_r
-    out = {}
-    for belief in beliefs:
-        if belief.R.shape[0] != P_r.shape[0]:
+    out = []
+    for R in distributions:
+        if R.shape[0] != P_r.shape[0]:
             raise ValueError(
-                f"belief for {belief.node_id} has {belief.R.shape[0]} types, matrix has {P_r.shape[0]}"
+                f"type distribution has {R.shape[0]} types, matrix has {P_r.shape[0]}"
             )
-        out[belief.node_id] = float(belief.R @ pulled)
+        out.append(float(R @ pulled))
     return out
 
 
@@ -109,12 +113,12 @@ def object_proximity_scores(
 
 
 def present_types_from_beliefs(
-    beliefs: list[TypeBelief], tau: float
+    distributions: Sequence[np.ndarray], tau: float
 ) -> set[int]:
-    """Types some navigable node believes in with mass >= tau."""
+    """Types some distribution holds with mass >= tau."""
     present = set()
-    for belief in beliefs:
-        present.update(int(t) for t in np.nonzero(belief.R >= tau)[0])
+    for R in distributions:
+        present.update(int(t) for t in np.nonzero(R >= tau)[0])
     return present
 
 
@@ -223,36 +227,17 @@ def enumerate_type_paths(
     return found
 
 
-def select_path(
-    paths: list[TypePath],
-    beliefs: list[TypeBelief],
-    tau: float,
-) -> tuple[TypePath, int] | None:
-    """First feasible path in confidence order, with its sub-goal type.
-
-    A path is feasible when some navigable node holds belief mass >= tau at
-    the path's first type.  Returns None when no path is feasible (the
-    caller falls back to direct proximity scores).  Re-invoked every step so
-    the chosen path tracks the growing map.
-    """
-    for path in paths:
-        s1 = path.first_type
-        if any(float(b.R[s1]) >= tau for b in beliefs):
-            return path, s1
-    return None
-
-
 def multi_step_scores(
-    beliefs: list[TypeBelief],
+    distributions: Sequence[np.ndarray],
     path: TypePath,
     P_r: np.ndarray,
     config: ReasonerConfig,
-) -> dict[str, float]:
+) -> list[float]:
     """Discounted sum of proximity scores toward each sub-goal on the path.
 
-    score_i = sum_j gamma^(j-1) * omega_j * (R_i . P_r . onehot(s_j)).
-    For a single-type path this reduces exactly to the direct proximity
-    score against a one-hot target.
+    score_i = sum_j gamma^(j-1) * omega_j * (R_i . P_r . onehot(s_j)), one
+    per distribution, in input order.  For a single-type path this reduces
+    exactly to the direct proximity score against a one-hot target.
     """
     if not path.types:
         raise ValueError("selected path is empty")
@@ -260,12 +245,12 @@ def multi_step_scores(
     if len(path.types) > len(omega):
         raise ValueError("path longer than configured weight list")
     n = P_r.shape[1]
-    totals = {b.node_id: 0.0 for b in beliefs}
+    totals = [0.0] * len(distributions)
     for j, sub_goal in enumerate(path.types):
         onehot = np.zeros(n)
         onehot[sub_goal] = 1.0
-        term = proximity_scores(beliefs, P_r, onehot)
+        term = proximity_scores(distributions, P_r, onehot)
         factor = config.gamma**j * omega[j]
-        for node_id, value in term.items():
-            totals[node_id] += factor * value
+        for k, value in enumerate(term):
+            totals[k] += factor * value
     return totals

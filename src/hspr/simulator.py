@@ -38,7 +38,6 @@ from .perception import (
     ConfusionModel,
     ObjectBelief,
     TargetSpec,
-    TypeBelief,
     VisualWeights,
     object_beliefs,
     target_spec_from_episode,
@@ -53,7 +52,6 @@ from .reasoner import (
     object_proximity_scores,
     present_types_from_beliefs,
     proximity_scores,
-    select_path,
 )
 from .scene import SceneGraph
 from .seeding import LazyRng, derive_rng
@@ -82,6 +80,10 @@ class AgentConfig:
     def __post_init__(self):
         if self.max_actions < 1:
             raise ValueError("max_actions must be >= 1")
+        if not 0.0 <= self.object_noise <= 1.0:
+            raise ValueError("object_noise must be in [0, 1]")
+        if not all(math.isfinite(w) for w in self.stop_weights):
+            raise ValueError("stop_weights must be finite")
 
 
 @dataclass
@@ -161,16 +163,17 @@ def _check_compatible(scene: SceneGraph, episode: Episode, kb: ProximityKB, agen
 class _RowScores:
     """One episode's belief-dependent scores, one entry per confusion row.
 
-    Each table maps a row index to the score of a belief holding that row.
-    A row missing from a table is filled once, by the function that scores
-    any list of beliefs, called on one belief per missing row; every node at
-    that row then reads the same value.
+    Each table maps a row index to the score of the distribution at that
+    row of the confusion model.  Every method takes a set of row indices; a
+    row missing from a table is filled once, together with the other rows
+    the set lacks, and every node at that row then reads the same value.
 
     Top-K type paths are kept per present-type set, as tuples, and searched
     through one successor table built on the episode's first search.
     """
 
-    def __init__(self, kb: ProximityKB, target: TargetSpec, reasoner: ReasonerConfig):
+    def __init__(self, rows: np.ndarray, kb: ProximityKB, target: TargetSpec, reasoner: ReasonerConfig):
+        self.rows = rows
         self.kb = kb
         self.target = target
         self.reasoner = reasoner
@@ -181,30 +184,25 @@ class _RowScores:
         self._successors: SuccessorTable | None = None
         self._paths: dict[frozenset[int], tuple[TypePath, ...]] = {}
 
-    @staticmethod
-    def _fill(table: dict, reps: dict[int, TypeBelief], score) -> dict:
-        missing = [b for row, b in reps.items() if row not in table]
+    def _fill(self, table: dict, rows: set[int], score) -> dict:
+        missing = [row for row in rows if row not in table]
         if missing:
-            values = score(missing)
-            for b in missing:
-                table[b.row] = values[b.node_id]
+            table.update(zip(missing, score([self.rows[row] for row in missing])))
         return table
 
-    def alignment(self, reps: dict[int, TypeBelief]) -> dict[int, float]:
+    def alignment(self, rows: set[int]) -> dict[int, float]:
         Y_r = self.target.Y_r
+        return self._fill(self._alignment, rows, lambda Rs: [float(R @ Y_r) for R in Rs])
+
+    def direct(self, rows: set[int]) -> dict[int, float]:
         return self._fill(
-            self._alignment, reps, lambda bs: {b.node_id: float(b.R @ Y_r) for b in bs}
+            self._direct, rows, lambda Rs: proximity_scores(Rs, self.kb.P_r, self.target.Y_r)
         )
 
-    def direct(self, reps: dict[int, TypeBelief]) -> dict[int, float]:
+    def multi_step(self, rows: set[int], path: TypePath) -> dict[int, float]:
         return self._fill(
-            self._direct, reps, lambda bs: proximity_scores(bs, self.kb.P_r, self.target.Y_r)
-        )
-
-    def multi_step(self, reps: dict[int, TypeBelief], path: TypePath) -> dict[int, float]:
-        return self._fill(
-            self._multi.setdefault(path.types, {}), reps,
-            lambda bs: multi_step_scores(bs, path, self.kb.P_r, self.reasoner),
+            self._multi.setdefault(path.types, {}), rows,
+            lambda Rs: multi_step_scores(Rs, path, self.kb.P_r, self.reasoner),
         )
 
     def paths(self, present: set[int]) -> tuple[TypePath, ...]:
@@ -218,21 +216,12 @@ class _RowScores:
             ))
         return found
 
-    def present(self, reps: dict[int, TypeBelief]) -> set[int]:
+    def present(self, rows: set[int]) -> set[int]:
         tau = self.reasoner.feasibility_tau
         table = self._fill(
-            self._present, reps,
-            lambda bs: {b.node_id: present_types_from_beliefs([b], tau) for b in bs},
+            self._present, rows, lambda Rs: [present_types_from_beliefs([R], tau) for R in Rs]
         )
-        return set().union(*(table[row] for row in reps))
-
-
-def _by_row(beliefs) -> dict[int, TypeBelief]:
-    """The first belief at each confusion row."""
-    reps: dict[int, TypeBelief] = {}
-    for b in beliefs:
-        reps.setdefault(b.row, b)
-    return reps
+        return set().union(*(table[row] for row in rows))
 
 
 def run_episode(
@@ -254,7 +243,7 @@ def run_episode(
         LazyRng(agent.seed, ep, "target"),
     )
 
-    row_scores = _RowScores(kb, target, agent.reasoner)
+    row_scores = _RowScores(agent.confusion.rows, kb, target, agent.reasoner)
     topo = SemanticTopoMap()
     obs_counter = 0
 
@@ -329,31 +318,29 @@ def _scored_action(
     visited = sorted(topo.visited_ids()) if agent.fusion_mode == "dynamic" else []
     score_ids = candidates + visited  # navigable and visited are disjoint
     row_of = {i: nodes[i].belief.row for i in score_ids}
-    reps = _by_row(nodes[i].belief for i in score_ids)
+    rows = set(row_of.values())
 
     selected_path = None
-    paths = []
+    paths = ()
     if policy == "visual_only":
         eta_all = dict.fromkeys(row_of, 0.0)
     else:
         if policy == "greedy_eta":
-            by_row = row_scores.direct(reps)
+            by_row = row_scores.direct(rows)
         else:
-            # feasibility reads only which rows C holds, so one belief per row
-            reps_C = _by_row(nodes[i].belief for i in candidates)
-            present = row_scores.present(reps_C)
-            paths = row_scores.paths(present)
-            selected_path = select_path(
-                paths, list(reps_C.values()), agent.reasoner.feasibility_tau
-            )
-            if selected_path is None:
-                by_row = row_scores.direct(reps)
+            paths = row_scores.paths(row_scores.present({row_of[i] for i in candidates}))
+            # the search starts every path at a type some candidate holds with
+            # mass >= tau, so the first feasible path is always the top one,
+            # and only an empty result falls back to direct scores
+            if paths:
+                selected_path = paths[0]
+                by_row = row_scores.multi_step(rows, selected_path)
             else:
-                by_row = row_scores.multi_step(reps, selected_path[0])
+                by_row = row_scores.direct(rows)
         eta_all = {i: by_row[row] for i, row in row_of.items()}
 
-    current_belief = nodes[current].belief
-    alignment = row_scores.alignment({**reps, current_belief.row: current_belief})
+    current_row = nodes[current].belief.row
+    alignment = row_scores.alignment(rows | {current_row})
     global_view = [(i, table.distance(i), alignment[row_of[i]]) for i in candidates]
     local_view = [(i, topo.adj[current][i], alignment[row_of[i]]) for i in sorted(F)]
     eps_c = visual_score_table(
@@ -380,7 +367,7 @@ def _scored_action(
         eq11_literal=agent.eq11_literal,
     )
     stop = stop_score(
-        alignment[current_belief.row],
+        alignment[current_row],
         object_beliefs(scene.node(current), scene.n_object_types, agent.object_noise),
         target, kb, agent.stop_weights,
     )
@@ -401,8 +388,8 @@ def _scored_action(
             "current": current,
             "beta": beta,
             "candidate_paths": [[list(p.types), p.confidence] for p in paths] if policy == "hspr" else None,
-            "selected_path": list(selected_path[0].types) if selected_path else None,
-            "path_confidence": selected_path[0].confidence if selected_path else None,
+            "selected_path": list(selected_path.types) if selected_path else None,
+            "path_confidence": selected_path.confidence if selected_path else None,
             "scores": {
                 "eta_c": {i: eta_all[i] for i in candidates},
                 "eta_f": {i: eta_all[i] for i in sorted(F)},

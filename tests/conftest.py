@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import sys
 from pathlib import Path
@@ -11,7 +13,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
+from hspr.cli import dispatch
 from hspr.scene import NodeRecord, ObjectInstance, SceneGraph, validate_scene
+
+
+def cli_in_process(*argv):
+    """Run the CLI in this process: (exit code, stderr); stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = dispatch([str(a) for a in argv])
+    return code, err.getvalue()
 
 
 def make_scene(

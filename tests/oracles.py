@@ -162,3 +162,22 @@ def fuse_final(
     if set(l_c) != set(l_f):
         raise ValueError("global and local tables cover different action sets")
     return {i: beta * l_c[i] + (1.0 - beta) * l_f[i] for i in l_c}
+
+
+def select_path(
+    paths: list[TypePath],
+    beliefs: list[TypeBelief],
+    tau: float,
+) -> tuple[TypePath, int] | None:
+    """First feasible path in confidence order, with its sub-goal type.
+
+    A path is feasible when some navigable node holds belief mass >= tau at
+    the path's first type.  Returns None when no path is feasible (the
+    caller falls back to direct proximity scores).  Re-invoked every step so
+    the chosen path tracks the growing map.
+    """
+    for path in paths:
+        s1 = path.first_type
+        if any(float(b.R[s1]) >= tau for b in beliefs):
+            return path, s1
+    return None

@@ -11,6 +11,8 @@ from hspr.kb import load_kb
 from hspr.scene import load_scene
 from hspr.topo import SemanticTopoMap
 
+from conftest import cli_in_process
+
 
 def cli(*args, cwd=None, env=None):
     return subprocess.run(
@@ -73,8 +75,8 @@ class TestSubcommands:
                 ("eval", "--scenes", str(base / "scenes"), "--episodes", str(base / "episodes.json"),
                  "--traj", str(base / "traj.jsonl"), "--out", str(base / "report")),
             ):
-                result = cli(*step)
-                assert result.returncode == 0, result.stderr
+                code, stderr = cli_in_process(*step)
+                assert code == 0, stderr
             outputs.append(
                 (
                     (base / "traj.jsonl").read_bytes(),
@@ -195,6 +197,44 @@ def test_run_argument_fault_is_3(fault, pipeline_dir, tmp_path, capsys):
     assert message in stderr
     assert "Traceback" not in stderr
     assert not (tmp_path / "t.jsonl").exists()
+
+
+AGENT_FAULTS = {
+    "stop_weights_nan": (("--stop-weights", "nan,1"), "stop_weights must be finite"),
+    "stop_weights_infinite": (("--stop-weights", "1,inf"), "stop_weights must be finite"),
+    "tau_nan": (("--tau", "nan"), "feasibility_tau must be finite"),
+    "visual_noise_negative": (("--visual", "0.3,1.5,10,-1"), "noise_sd must be >= 0"),
+    "visual_weight_infinite": (("--visual", "0.3,inf,10,0"), "visual weights must be finite"),
+    "omega_shorter_than_steps": (("--omega", "1,1", "--steps", "3"), "omega must supply"),
+    "omega_nan": (("--omega", "1,nan,1"), "omega must supply"),
+    "object_noise_above_one": (("--object-noise", "2"), "object_noise must be in [0, 1]"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(AGENT_FAULTS))
+def test_bad_agent_setting_fails_before_any_episode(fault, pipeline_dir, tmp_path, capsys):
+    extra, message = AGENT_FAULTS[fault]
+    code = dispatch(["run", "--scenes", str(pipeline_dir / "scenes"),
+                     "--kb", str(pipeline_dir / "kb.json"),
+                     "--episodes", str(pipeline_dir / "episodes.json"),
+                     "--seed", "1", "--out", str(tmp_path / "t.jsonl"), *extra])
+    stderr = capsys.readouterr().err
+    assert code == 3
+    assert stderr.startswith("error:")
+    assert message in stderr
+    assert len(stderr.strip().splitlines()) == 1  # no per-episode failure lines
+    assert not (tmp_path / "t.jsonl").exists()
+
+
+@pytest.mark.parametrize("pair", ["1e400,2", "1.7,2.9"])
+def test_gen_scenes_rejects_non_integer_pair(pair, tmp_path, capsys):
+    code = dispatch(["gen-scenes", "--kb", "house", "--n", "1", "--seed", "1",
+                     "--nodes-per-region", pair, "--out", str(tmp_path / "scenes")])
+    stderr = capsys.readouterr().err
+    assert code == 3
+    assert stderr.startswith(f"error: --nodes-per-region expects two comma-separated integers, got {pair!r}")
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "scenes").exists()
 
 
 def _set_entry(value):

@@ -7,8 +7,6 @@ in-process.  Bad input must come back as an exit code with an `error:` line:
 never an exception, and never exit 4, which is kept for engine bugs.
 """
 
-import contextlib
-import io
 import json
 import shutil
 import tempfile
@@ -18,17 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hspr.cli import EXIT_INTERNAL, dispatch
+from hspr.cli import EXIT_INTERNAL
 from hspr.perception import ConfusionModel, save_confusion
 
+from conftest import cli_in_process
+
 REPLACEMENTS = [None, "x", "nan", [], [1, "a"], {}, {"k": 1}, -1, -2.5, 1e300, -1e300, 10**400]
-
-
-def _cli(*argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = dispatch([str(a) for a in argv])
-    return code, err.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -43,12 +36,12 @@ def world(tmp_path_factory):
         ("build-kb", "--scenes", root / "scenes", "--out", root / "kb.json"),
     ]
     for argv in steps:
-        assert _cli(*argv)[0] == 0
+        assert cli_in_process(*argv)[0] == 0
     n_types = len(json.loads((root / "kb.json").read_text())["type_vocabulary"])
     save_confusion(ConfusionModel.eps_uniform(n_types, 0.2), root / "confusion.json")
-    code, err = _cli("run", "--scenes", root / "scenes", "--kb", root / "kb.json",
-                     "--episodes", root / "episodes.json", "--seed", 1,
-                     "--out", root / "traj.jsonl")
+    code, err = cli_in_process("run", "--scenes", root / "scenes", "--kb", root / "kb.json",
+                               "--episodes", root / "episodes.json", "--seed", 1,
+                               "--out", root / "traj.jsonl")
     assert code == 0, err
     return root
 
@@ -127,7 +120,7 @@ def test_one_mutated_field_exits_cleanly(kind, world, data):
         else:
             file.write_text(json.dumps(payload))
         for argv in _commands(kind, w):
-            code, err = _cli(*argv)
+            code, err = cli_in_process(*argv)
             assert code != EXIT_INTERNAL, (argv[0], err)
             if code != 0:
                 assert any(line.startswith("error:") for line in err.splitlines()), (argv[0], err)

@@ -14,10 +14,9 @@ from hspr.reasoner import (
     object_proximity_scores,
     present_types_from_beliefs,
     proximity_scores,
-    select_path,
 )
 
-from oracles import enumerate_paths_exhaustive
+from oracles import enumerate_paths_exhaustive, select_path
 
 
 def one_hot(n, i):
@@ -33,19 +32,19 @@ def belief(node_id, vec):
 class TestProximityScores:
     def test_one_hots_select_single_entry(self, rng):
         P = rng.uniform(0, 0.95, size=(5, 5))
-        scores = proximity_scores([belief("n", one_hot(5, 2))], P, one_hot(5, 4))
-        assert math.isclose(scores["n"], P[2, 4])
+        scores = proximity_scores([one_hot(5, 2)], P, one_hot(5, 4))
+        assert math.isclose(scores[0], P[2, 4])
 
     def test_uniform_vectors_give_matrix_mean(self, rng):
         P = rng.uniform(0, 0.95, size=(6, 6))
-        scores = proximity_scores([belief("n", np.full(6, 1 / 6))], P, np.full(6, 1 / 6))
-        assert math.isclose(scores["n"], P.mean())
+        scores = proximity_scores([np.full(6, 1 / 6)], P, np.full(6, 1 / 6))
+        assert math.isclose(scores[0], P.mean())
 
     def test_matches_double_loop_oracle(self, rng):
         P = rng.uniform(0, 0.95, size=(5, 5))
         R = rng.dirichlet(np.ones(5))
         Y = rng.dirichlet(np.ones(5))
-        got = proximity_scores([belief("n", R)], P, Y)["n"]
+        got = proximity_scores([R], P, Y)[0]
         want = sum(R[a] * P[a, b] * Y[b] for a in range(5) for b in range(5))
         assert math.isclose(got, want, rel_tol=1e-12)
 
@@ -63,14 +62,14 @@ class TestProximityScores:
         P = rng.uniform(0, 0.95, size=(5, 5))
         R = rng.dirichlet(np.ones(5))
         Y = rng.dirichlet(np.ones(5))
-        score = proximity_scores([belief("n", R)], P, Y)["n"]
+        score = proximity_scores([R], P, Y)[0]
         assert 0.0 <= score <= 0.95
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="types|match"):
-            proximity_scores([belief("n", one_hot(3, 0))], np.zeros((4, 4)), one_hot(4, 0))
+            proximity_scores([one_hot(3, 0)], np.zeros((4, 4)), one_hot(4, 0))
         with pytest.raises(ValueError, match="match"):
-            proximity_scores([belief("n", one_hot(4, 0))], np.zeros((4, 4)), one_hot(3, 0))
+            proximity_scores([one_hot(4, 0)], np.zeros((4, 4)), one_hot(3, 0))
 
 
 class TestObjectProximityScores:
@@ -278,15 +277,42 @@ class TestSelectPath:
         second = select_path(boosted, beliefs, tau=0.5)
         assert first[1] == second[1] == 2
 
+    def test_search_start_set_makes_the_top_path_feasible(self, rng):
+        # every path starts at a present type, so the feasibility check the
+        # engine no longer makes would always pick the first path
+        selected = fallbacks = 0
+        for trial in range(300):
+            n = int(rng.integers(2, 7))
+            P = rng.uniform(0, 0.95, size=(n, n))
+            P[rng.uniform(size=(n, n)) < 0.4] = 0.0
+            M = rng.dirichlet(np.full(n, 0.5), size=n)
+            rows_of_C = [M[r] for r in rng.integers(n, size=int(rng.integers(0, 6)))]
+            tau = float(rng.choice([0.0, 0.2, 0.5, 0.9, 1.0, rng.uniform()]))
+            config = ReasonerConfig(max_steps=int(rng.integers(1, 5)), beam=int(rng.integers(1, 6)))
+            present = present_types_from_beliefs(rows_of_C, tau)
+            paths = enumerate_type_paths(
+                present, int(rng.integers(n)), SuccessorTable(P), config
+            )
+            assert all(p.first_type in present for p in paths)
+            beliefs = [belief(f"c{k}", R) for k, R in enumerate(rows_of_C)]
+            sel = select_path(paths, beliefs, tau)
+            if paths:
+                assert sel == (paths[0], paths[0].first_type)
+                selected += 1
+            else:
+                assert sel is None
+                fallbacks += 1
+        assert selected > 0 and fallbacks > 0
+
 
 class TestMultiStepScores:
     def test_single_type_path_reduces_to_direct_scores(self, rng):
         P = rng.uniform(0, 0.95, size=(5, 5))
-        beliefs = [belief(f"n{i}", rng.dirichlet(np.ones(5))) for i in range(4)]
+        distributions = [rng.dirichlet(np.ones(5)) for _ in range(4)]
         Y = one_hot(5, 3)
         config = ReasonerConfig(max_steps=3)
-        direct = proximity_scores(beliefs, P, Y)
-        multi = multi_step_scores(beliefs, TypePath((3,), 1.0), P, config)
+        direct = proximity_scores(distributions, P, Y)
+        multi = multi_step_scores(distributions, TypePath((3,), 1.0), P, config)
         assert multi == direct
 
     def test_discounted_two_term_arithmetic(self):
@@ -294,31 +320,29 @@ class TestMultiStepScores:
         P = np.zeros((3, 3))
         P[0, 1] = 0.5
         P[0, 2] = 0.4
-        beliefs = [belief("n", one_hot(3, 0))]
         config = ReasonerConfig(gamma=0.9, max_steps=2)
-        scores = multi_step_scores(beliefs, TypePath((1, 2), 1.0), P, config)
-        assert math.isclose(scores["n"], 0.5 + 0.9 * 0.4)
+        scores = multi_step_scores([one_hot(3, 0)], TypePath((1, 2), 1.0), P, config)
+        assert math.isclose(scores[0], 0.5 + 0.9 * 0.4)
 
     def test_matches_term_by_term_oracle(self, rng):
         P = rng.uniform(0, 0.95, size=(4, 4))
-        beliefs = [belief(f"n{i}", rng.dirichlet(np.ones(4))) for i in range(3)]
+        distributions = [rng.dirichlet(np.ones(4)) for _ in range(3)]
         path = TypePath((2, 0, 1), 0.5)
         config = ReasonerConfig(gamma=0.8, max_steps=3)
-        got = multi_step_scores(beliefs, path, P, config)
-        for b in beliefs:
+        got = multi_step_scores(distributions, path, P, config)
+        for k, R in enumerate(distributions):
             want = 0.0
             for j, s in enumerate(path.types):
-                want += 0.8**j * sum(b.R[a] * P[a, s] for a in range(4))
-            assert math.isclose(got[b.node_id], want, rel_tol=1e-12)
+                want += 0.8**j * sum(R[a] * P[a, s] for a in range(4))
+            assert math.isclose(got[k], want, rel_tol=1e-12)
 
     def test_omega_weights_apply(self):
         P = np.zeros((3, 3))
         P[0, 1] = 1.0 * 0.5
         P[0, 2] = 0.4
-        beliefs = [belief("n", one_hot(3, 0))]
         config = ReasonerConfig(gamma=1.0, max_steps=2, omega=(2.0, 3.0))
-        scores = multi_step_scores(beliefs, TypePath((1, 2), 1.0), P, config)
-        assert math.isclose(scores["n"], 2.0 * 0.5 + 3.0 * 0.4)
+        scores = multi_step_scores([one_hot(3, 0)], TypePath((1, 2), 1.0), P, config)
+        assert math.isclose(scores[0], 2.0 * 0.5 + 3.0 * 0.4)
 
     def test_defaults_match_stated_values(self):
         config = ReasonerConfig()
@@ -331,9 +355,9 @@ class TestMultiStepScores:
 
 class TestPresentTypes:
     def test_threshold_gates_membership(self):
-        beliefs = [
-            belief("a", [0.6, 0.4, 0.0]),
-            belief("b", [0.2, 0.3, 0.5]),
+        distributions = [
+            np.array([0.6, 0.4, 0.0]),
+            np.array([0.2, 0.3, 0.5]),
         ]
-        assert present_types_from_beliefs(beliefs, tau=0.5) == {0, 2}
-        assert present_types_from_beliefs(beliefs, tau=0.3) == {0, 1, 2}
+        assert present_types_from_beliefs(distributions, tau=0.5) == {0, 2}
+        assert present_types_from_beliefs(distributions, tau=0.3) == {0, 1, 2}

@@ -18,9 +18,6 @@ from hspr.reasoner import (
     SuccessorTable,
     TypePath,
     enumerate_type_paths,
-    multi_step_scores,
-    present_types_from_beliefs,
-    proximity_scores,
 )
 from hspr.simulator import (
     AgentConfig,
@@ -429,7 +426,7 @@ def all_type_paths(n_types, max_steps):
 
 
 class TestRowScores:
-    """Per-row tables against the per-node functions they stand in for."""
+    """Per-row tables against per-node values computed without them."""
 
     @pytest.mark.parametrize("mode", ["distribution", "sampled"])
     def test_match_per_node_scores_bit_for_bit(self, mode):
@@ -457,23 +454,28 @@ class TestRowScores:
                 confusion.belief(f"n{i}", confusion.perceive(int(rng.integers(n)), rng))
                 for i in range(int(rng.integers(1, 15)))
             ]
-            table = simulator._RowScores(kb, target, config)
+            table = simulator._RowScores(confusion.rows, kb, target, config)
             # fill from a prefix first, so later reads mix old and new rows
             for view in (beliefs[: len(beliefs) // 2], beliefs):
-                reps = simulator._by_row(view)
-                direct = table.direct(reps)
-                alignment = table.alignment(reps)
-                per_node = proximity_scores(view, P_r, target.Y_r)
+                rows = {b.row for b in view}
+                direct = table.direct(rows)
+                alignment = table.alignment(rows)
                 for b in view:
-                    assert same_float(direct[b.row], per_node[b.node_id])
+                    assert same_float(direct[b.row], float(b.R @ (P_r @ target.Y_r)))
                     assert same_float(alignment[b.row], float(b.R @ target.Y_r))
-                assert table.present(reps) == present_types_from_beliefs(view, config.feasibility_tau)
+                tau = config.feasibility_tau
+                assert table.present(rows) == {
+                    t for b in view for t in range(n) if b.R[t] >= tau
+                }
             for types in all_type_paths(n, 4):
-                path = TypePath(types, 1.0)
-                got = table.multi_step(simulator._by_row(beliefs), path)
-                want = multi_step_scores(beliefs, path, P_r, config)
+                got = table.multi_step({b.row for b in beliefs}, TypePath(types, 1.0))
                 for b in beliefs:
-                    assert same_float(got[b.row], want[b.node_id])
+                    want = 0.0
+                    for j, sub_goal in enumerate(types):
+                        onehot = np.zeros(n)
+                        onehot[sub_goal] = 1.0
+                        want += config.gamma**j * config.omega[j] * float(b.R @ (P_r @ onehot))
+                    assert same_float(got[b.row], want)
 
     def test_distribution_mode_builds_one_belief_per_known_node(self, small_bench, monkeypatch):
         scenes, episodes, kb = small_bench
@@ -537,8 +539,8 @@ class TestPathMemo:
             searched.append(frozenset(present))
             return enumerate_type_paths(present, *args)
 
-        def recording(self, reps):
-            present = original_present(self, reps)
+        def recording(self, rows):
+            present = original_present(self, rows)
             presents.append(frozenset(present))
             return present
 
@@ -560,7 +562,7 @@ class TestPathMemo:
         kb = mini_kb()
         target = TargetSpec(Y_r=np.eye(4)[3], Y_o=np.ones(4) / 4)
         config = ReasonerConfig(beam=4)
-        scores = simulator._RowScores(kb, target, config)
+        scores = simulator._RowScores(np.eye(4), kb, target, config)
         table = SuccessorTable(kb.P_r)
         first = scores.paths({0, 1})
         assert isinstance(first, tuple)
