@@ -353,6 +353,35 @@ class TestRandomStreams:
         assert not batch.failures
         assert trajectory_digest(batch.trajectories) == self.DISTRIBUTION_TRACED[case]
 
+    # the same traced runs with noisy object perception, which moves every
+    # stop score and so the stopping decisions, recorded while each instance
+    # still held its own object-type mixture
+    OBJECT_NOISE_TRACED = {
+        "dynamic-0.3": "e898fd43bff691c2a6c179344a8d59b4c900049c8d6ad04d819b661a119d83b4",
+        "dynamic-1.0": "c6d61b9f929ebbff30e91dd8d604e7d207ea7aaaeb2864b84c990b85ca4a68a3",
+        "residual-0.3": "d2bc009b4f7875c3db43d2a5e13f9cfb0d8f2562793f59a08917270b6d3f9ad2",
+        "residual-1.0": "5d07d56771d69693ff66b83a8b701b75aeef2ae4bc4fea91bbaf15e3584e8373",
+    }
+
+    @pytest.mark.parametrize("case", sorted(OBJECT_NOISE_TRACED))
+    def test_object_noise_scores_pinned(self, small_bench, case):
+        scenes, episodes, kb = small_bench
+        fusion_mode, _, noise = case.partition("-")
+        agent = AgentConfig(
+            confusion=ConfusionModel.eps_uniform(10, 0.2),
+            visual=VisualWeights(noise_sd=0.1), fusion_mode=fusion_mode, seed=4,
+            object_noise=float(noise),
+        )
+        batch = run_batch(scenes, episodes, kb, agent, "hspr", trace=True)
+        assert not batch.failures
+        assert trajectory_digest(batch.trajectories) == self.OBJECT_NOISE_TRACED[case]
+        if noise == "1.0":
+            # every instance is perceived as uniform, so all of them tie and
+            # grounding falls back to the ascending object id
+            for traj, episode in zip(batch.trajectories, episodes):
+                objects = scenes[episode.scene_id].node(traj.stop_node).objects
+                assert traj.selected_object == min((o.object_id for o in objects), default=None)
+
     def test_sampled_mode_streams_pinned(self, small_bench):
         scenes, episodes, kb = small_bench
         agent = AgentConfig(
