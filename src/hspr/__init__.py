@@ -25,7 +25,6 @@ from .perception import (
     ConfusionModel,
     TargetSpec,
     TypeBelief,
-    ObjectBelief,
     VisualWeights,
     target_spec_from_episode,
 )
@@ -35,7 +34,6 @@ from .reasoner import (
     SuccessorTable,
     TypePath,
     proximity_scores,
-    object_proximity_scores,
     enumerate_type_paths,
     multi_step_scores,
 )

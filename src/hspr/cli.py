@@ -85,6 +85,8 @@ def _load_scenes_dir(path: str) -> dict:
         raise SchemaError(f"no *.json scene files under {path!r}")
     for file in files:
         scene = load_scene(file)
+        if scene.scene_id in scenes:
+            raise SchemaError(f"scene file {file} repeats scene id {scene.scene_id!r}")
         scenes[scene.scene_id] = scene
     return scenes
 
@@ -140,7 +142,14 @@ def cmd_build_kb(args) -> int:
     first = next(iter(scenes.values()))
     counts = CountMatrices.zeros(first.n_types, first.n_object_types)
     for scene_id in sorted(scenes):
-        accumulate_scene(counts, scenes[scene_id])
+        scene = scenes[scene_id]
+        if (scene.type_vocabulary, scene.object_vocabulary) != (
+            first.type_vocabulary, first.object_vocabulary
+        ):
+            raise SchemaError(
+                f"scene {scene_id!r} has vocabularies different from scene {first.scene_id!r}"
+            )
+        accumulate_scene(counts, scene)
     kb = build_kb(
         counts,
         first.type_vocabulary,
@@ -393,10 +402,7 @@ def dispatch(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         return args.func(args)
-    except (SchemaError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:  # SchemaError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InternalError as exc:

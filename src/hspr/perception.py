@@ -1,9 +1,10 @@
 """Pluggable perception stand-ins.
 
 Neural predictors are replaced by distributions with controllable fidelity:
-a row-stochastic confusion model for node types, a noise-mixture for target
-specs and object types, and a heuristic visual scorer.  Identity confusion
-with zero noise reproduces ground truth exactly (the oracle configuration).
+a row-stochastic confusion model for node types, an eps-uniform confusion
+model at level object_noise for object types (the target's and every
+instance's), and a heuristic visual scorer.  Identity confusion with zero
+noise reproduces ground truth exactly (the oracle configuration).
 
 The confusion matrix is validated once, when the model is built, and then
 frozen.  Perceiving a node yields a row index; the belief for row k shares
@@ -14,6 +15,7 @@ belief the agent holds is one of only n_types rows.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import InitVar, dataclass, field
@@ -66,14 +68,6 @@ class TypeBelief:
         if not _checked:
             self.R = np.asarray(self.R, dtype=np.float64)
             _check_distribution(self.R, f"type belief for {self.node_id}")
-
-
-@dataclass(eq=False)
-class ObjectBelief:
-    """Per object instance at a node, a distribution over object types."""
-
-    node_id: str
-    probs: dict[str, np.ndarray]
 
 
 @dataclass(eq=False)
@@ -178,15 +172,24 @@ def load_confusion(path) -> ConfusionModel:
         raise SchemaError(f"malformed confusion file: {exc}") from exc
 
 
+@functools.lru_cache
+def object_rows(n_object_types: int, object_noise: float) -> np.ndarray:
+    """Perceived object-type distributions, read-only, one row per true type.
+
+    Object perception is eps-uniform confusion at level object_noise in
+    distribution mode; the rows are built once per (n_object_types,
+    object_noise) and shared by every episode.
+    """
+    return ConfusionModel.eps_uniform(n_object_types, object_noise).rows
+
+
 def target_spec_from_episode(episode, scene, model: ConfusionModel, object_noise: float, seed) -> TargetSpec:
     """Build the believed target spec for an episode.
 
     The node-type side passes the target's true type through the confusion
-    model; the object-type side mixes a one-hot of the true object type with
-    the uniform distribution at level object_noise.
+    model; the object-type side is the object-perception row of the true
+    object type.
     """
-    if not 0.0 <= object_noise <= 1.0:
-        raise ValueError("object_noise must be in [0, 1]")
     target = scene.node(episode.target_node)
     objects = {o.object_id: o for o in target.objects}
     if episode.target_object not in objects:
@@ -196,26 +199,8 @@ def target_spec_from_episode(episode, scene, model: ConfusionModel, object_noise
         )
     rng = seed if isinstance(seed, (np.random.Generator, LazyRng)) else np.random.default_rng(seed)
     Y_r = model.row(target.node_type, rng)
-    n_o = scene.n_object_types
-    one_hot = np.zeros(n_o)
-    one_hot[objects[episode.target_object].object_type] = 1.0
-    Y_o = (1.0 - object_noise) * one_hot + object_noise * np.full(n_o, 1.0 / n_o)
+    Y_o = object_rows(scene.n_object_types, object_noise)[objects[episode.target_object].object_type]
     return TargetSpec(Y_r=Y_r, Y_o=Y_o)
-
-
-def object_beliefs(node, n_object_types: int, object_noise: float) -> ObjectBelief:
-    """Object-type distributions for each instance at a node.
-
-    Same mixture scheme as the target spec: one-hot truth blended with
-    uniform at level object_noise.
-    """
-    uniform = np.full(n_object_types, 1.0 / n_object_types)
-    probs = {}
-    for obj in node.objects:
-        one_hot = np.zeros(n_object_types)
-        one_hot[obj.object_type] = 1.0
-        probs[obj.object_id] = (1.0 - object_noise) * one_hot + object_noise * uniform
-    return ObjectBelief(node_id=node.node_id, probs=probs)
 
 
 @dataclass(frozen=True)

@@ -64,17 +64,14 @@ class TypePath:
     types: tuple[int, ...]
     confidence: float
 
-    @property
-    def first_type(self) -> int:
-        return self.types[0]
-
 
 def proximity_scores(
     distributions: Sequence[np.ndarray], P_r: np.ndarray, Y_r: np.ndarray
 ) -> list[float]:
     """Bilinear proximity of each type distribution to the target type.
 
-    score_i = R_i . P_r . Y_r, one per distribution, in input order.
+    score_i = R_i . P_r . Y_r, one per distribution, in input order.  Object
+    types are scored the same way, with P_o and the target's Y_o.
     """
     Y_r = np.asarray(Y_r, dtype=np.float64)
     if P_r.shape[1] != Y_r.shape[0]:
@@ -89,26 +86,6 @@ def proximity_scores(
                 f"type distribution has {R.shape[0]} types, matrix has {P_r.shape[0]}"
             )
         out.append(float(R @ pulled))
-    return out
-
-
-def object_proximity_scores(
-    obj_belief, P_o: np.ndarray, Y_o: np.ndarray
-) -> dict[str, float]:
-    """Same bilinear form over object types, one score per object instance."""
-    Y_o = np.asarray(Y_o, dtype=np.float64)
-    if P_o.shape[1] != Y_o.shape[0]:
-        raise ValueError(
-            f"object matrix columns ({P_o.shape[1]}) do not match target vector ({Y_o.shape[0]})"
-        )
-    pulled = P_o @ Y_o
-    out = {}
-    for object_id, O in obj_belief.probs.items():
-        if O.shape[0] != P_o.shape[0]:
-            raise ValueError(
-                f"object belief {object_id} has {O.shape[0]} types, matrix has {P_o.shape[0]}"
-            )
-        out[object_id] = float(O @ pulled)
     return out
 
 

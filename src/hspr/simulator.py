@@ -10,8 +10,11 @@ generator is derived only when it first draws.
 Every belief on the map is one of the confusion model's rows, so each
 belief-dependent score (proximity, multi-step, present types, visual type
 alignment) is computed once per row per episode and read for every node
-at that row.  Type-path searches share one successor table per episode,
-and each distinct present-type set is searched once per episode.
+at that row.  Object instances are perceived as rows too, one per object
+type, so the object proximity that drives stopping and grounding is
+computed once per object type per episode.  Type-path searches share one
+successor table per episode, and each distinct present-type set is
+searched once per episode.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import contextlib
 import json
 import logging
 import math
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -36,10 +40,9 @@ from .fusion import (
 from .kb import ProximityKB
 from .perception import (
     ConfusionModel,
-    ObjectBelief,
     TargetSpec,
     VisualWeights,
-    object_beliefs,
+    object_rows,
     target_spec_from_episode,
     visual_score_table,
 )
@@ -49,7 +52,6 @@ from .reasoner import (
     TypePath,
     enumerate_type_paths,
     multi_step_scores,
-    object_proximity_scores,
     present_types_from_beliefs,
     proximity_scores,
 )
@@ -100,34 +102,31 @@ class Trajectory:
 
 def stop_score(
     type_alignment: float,
-    objects: ObjectBelief,
-    target: TargetSpec,
-    kb: ProximityKB,
+    object_scores: Sequence[float],
     stop_weights: tuple[float, float],
 ) -> float:
     """Evidence that the agent is standing at the target.
 
     Type match of the current node (type_alignment, its R . Y_r) plus the
-    best object-proximity score over the node's instances; a node with no
-    objects contributes zero there.
+    best object-proximity score (O . P_o . Y_o) over the node's instances; a
+    node with no objects contributes zero there.
     """
     w_type, w_obj = stop_weights
     score = w_type * type_alignment
-    if objects.probs:
-        mu = object_proximity_scores(objects, kb.P_o, target.Y_o)
-        score += w_obj * max(mu.values())
+    if object_scores:
+        score += w_obj * max(object_scores)
     return score
 
 
-def ground_object(node_record, objects: ObjectBelief, P_o: np.ndarray, Y_o: np.ndarray) -> str | None:
+def ground_object(node_record, by_type: dict[int, float]) -> str | None:
     """Pick the object instance at the stop node with the highest proximity.
 
-    Ties break toward the ascending object id; None when the node is bare.
+    by_type maps an object type to its O . P_o . Y_o.  Ties break toward the
+    ascending object id; None when the node is bare.
     """
     if not node_record.objects:
         return None
-    mu = object_proximity_scores(objects, P_o, Y_o)
-    return min(mu, key=lambda oid: (-mu[oid], oid))
+    return min(node_record.objects, key=lambda o: (-by_type[o.object_type], o.object_id)).object_id
 
 
 def check_vocabularies(scene: SceneGraph, kb: ProximityKB) -> None:
@@ -164,30 +163,38 @@ class _RowScores:
     """One episode's belief-dependent scores, one entry per confusion row.
 
     Each table maps a row index to the score of the distribution at that
-    row of the confusion model.  Every method takes a set of row indices; a
-    row missing from a table is filled once, together with the other rows
-    the set lacks, and every node at that row then reads the same value.
+    row of the confusion model, or, for objects, an object type to the score
+    of its object-perception row.  Every method takes a set of row indices
+    (`objects` takes a node and reads its instances' types); a row missing
+    from a table is filled once, together with the other rows the set
+    lacks, and every node or instance at that row then reads the same value.
 
     Top-K type paths are kept per present-type set, as tuples, and searched
     through one successor table built on the episode's first search.
     """
 
-    def __init__(self, rows: np.ndarray, kb: ProximityKB, target: TargetSpec, reasoner: ReasonerConfig):
+    def __init__(
+        self, rows: np.ndarray, object_rows: np.ndarray, kb: ProximityKB, target: TargetSpec,
+        reasoner: ReasonerConfig,
+    ):
         self.rows = rows
+        self.object_rows = object_rows
         self.kb = kb
         self.target = target
         self.reasoner = reasoner
         self._alignment: dict[int, float] = {}  # R . Y_r
         self._direct: dict[int, float] = {}  # R . P_r . Y_r
         self._present: dict[int, set[int]] = {}  # types held with mass >= tau
+        self._objects: dict[int, float] = {}  # O . P_o . Y_o, by object type
         self._multi: dict[tuple[int, ...], dict[int, float]] = {}  # by path types
         self._successors: SuccessorTable | None = None
         self._paths: dict[frozenset[int], tuple[TypePath, ...]] = {}
 
-    def _fill(self, table: dict, rows: set[int], score) -> dict:
-        missing = [row for row in rows if row not in table]
+    def _fill(self, table: dict, keys: set[int], score, rows: np.ndarray | None = None) -> dict:
+        rows = self.rows if rows is None else rows
+        missing = [key for key in keys if key not in table]
         if missing:
-            table.update(zip(missing, score([self.rows[row] for row in missing])))
+            table.update(zip(missing, score([rows[key] for key in missing])))
         return table
 
     def alignment(self, rows: set[int]) -> dict[int, float]:
@@ -203,6 +210,13 @@ class _RowScores:
         return self._fill(
             self._multi.setdefault(path.types, {}), rows,
             lambda Rs: multi_step_scores(Rs, path, self.kb.P_r, self.reasoner),
+        )
+
+    def objects(self, node_record) -> dict[int, float]:
+        """O . P_o . Y_o by object type, filled for the node's instances."""
+        return self._fill(
+            self._objects, {o.object_type for o in node_record.objects},
+            lambda Os: proximity_scores(Os, self.kb.P_o, self.target.Y_o), self.object_rows,
         )
 
     def paths(self, present: set[int]) -> tuple[TypePath, ...]:
@@ -243,7 +257,10 @@ def run_episode(
         LazyRng(agent.seed, ep, "target"),
     )
 
-    row_scores = _RowScores(agent.confusion.rows, kb, target, agent.reasoner)
+    row_scores = _RowScores(
+        agent.confusion.rows, object_rows(scene.n_object_types, agent.object_noise),
+        kb, target, agent.reasoner,
+    )
     topo = SemanticTopoMap()
     obs_counter = 0
 
@@ -270,8 +287,7 @@ def run_episode(
             step_trace = {"chosen": chosen} if trace else None
         else:
             chosen, step_trace = _scored_action(
-                scene, kb, agent, policy, target, row_scores, topo, table, F, C,
-                decision_step, ep, trace,
+                scene, agent, policy, row_scores, topo, table, F, C, decision_step, ep, trace,
             )
         if trace:
             traces.append(step_trace)
@@ -289,8 +305,7 @@ def run_episode(
         action_sequence.append(chosen)
 
     stop_node = topo.current
-    objects = object_beliefs(scene.node(stop_node), scene.n_object_types, agent.object_noise)
-    selected = ground_object(scene.node(stop_node), objects, kb.P_o, target.Y_o)
+    selected = ground_object(scene.node(stop_node), row_scores.objects(scene.node(stop_node)))
     log.debug(
         "episode %s policy %s: stop=%s actions=%d voluntary=%s",
         ep, policy, stop_node, len(action_sequence), stopped,
@@ -308,8 +323,7 @@ def run_episode(
 
 
 def _scored_action(
-    scene, kb, agent, policy, target, row_scores, topo, table, F, C,
-    decision_step, ep, trace,
+    scene, agent, policy, row_scores, topo, table, F, C, decision_step, ep, trace,
 ):
     """One fused scoring round; returns (chosen action, optional trace)."""
     current = topo.current
@@ -366,10 +380,10 @@ def _scored_action(
         topo_map=topo, table=table, visited_scores=visited_scores,
         eq11_literal=agent.eq11_literal,
     )
+    record = scene.node(current)
+    by_type = row_scores.objects(record)
     stop = stop_score(
-        alignment[current_row],
-        object_beliefs(scene.node(current), scene.n_object_types, agent.object_noise),
-        target, kb, agent.stop_weights,
+        alignment[current_row], [by_type[o.object_type] for o in record.objects], agent.stop_weights
     )
     scores.l_c[STOP] = scores.l_f[STOP] = scores.l_final[STOP] = stop
     l_final = scores.l_final
@@ -519,7 +533,9 @@ def save_trajectories(trajectories: list[Trajectory], path) -> None:
 
 
 def load_trajectories(path) -> list[Trajectory]:
+    """Read a JSON-lines trajectory file; an episode id may appear only once."""
     out = []
+    seen = set()
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
@@ -529,5 +545,9 @@ def load_trajectories(path) -> list[Trajectory]:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"{path}:{line_no} is not valid JSON: {exc}") from exc
-            out.append(trajectory_from_payload(payload))
+            traj = trajectory_from_payload(payload)
+            if traj.episode_id in seen:
+                raise SchemaError(f"{path}:{line_no} repeats episode id {traj.episode_id!r}")
+            seen.add(traj.episode_id)
+            out.append(traj)
     return out

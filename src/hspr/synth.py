@@ -316,6 +316,7 @@ def load_episodes(path) -> list[Episode]:
     if not isinstance(payload, list):
         raise SchemaError("episode manifest must be a JSON array of episode records")
     episodes = []
+    seen = set()
     for index, e in enumerate(payload):
         if not isinstance(e, dict):
             raise SchemaError(f"episode manifest record {index} is not a JSON object")
@@ -337,5 +338,8 @@ def load_episodes(path) -> list[Episode]:
                 f"episode {episode.episode_id}: shortest_length must be finite and > 0, "
                 f"got {e['shortest_length']!r}"
             )
+        if episode.episode_id in seen:
+            raise SchemaError(f"episode manifest repeats episode id {episode.episode_id!r}")
+        seen.add(episode.episode_id)
         episodes.append(episode)
     return episodes

@@ -31,7 +31,6 @@ NAVIGABLE = "navigable"
 class MapNode:
     node_id: str
     status: str
-    position: tuple[float, float, float]
     belief: TypeBelief
 
 
@@ -67,13 +66,11 @@ class SemanticTopoMap:
         self.adj.setdefault(a, {})[b] = length
         self.adj.setdefault(b, {})[a] = length
 
-    def add_node(
-        self, node_id: str, status: str, position: tuple[float, float, float], belief: TypeBelief
-    ) -> MapNode:
+    def add_node(self, node_id: str, status: str, belief: TypeBelief) -> MapNode:
         """Add a node with its status; observe adds every node it reveals this way."""
         if node_id in self.nodes:
             raise ValueError(f"node {node_id!r} is already on the map")
-        node = self.nodes[node_id] = MapNode(node_id, status, position, belief)
+        node = self.nodes[node_id] = MapNode(node_id, status, belief)
         self._set_status(node, status)
         return node
 
@@ -142,7 +139,7 @@ class SemanticTopoMap:
         known = self.nodes.get(record.node_id)
         if known is None:
             belief = confusion.belief(record.node_id, row)
-            self.add_node(record.node_id, new_status, record.position, belief)
+            self.add_node(record.node_id, new_status, belief)
             return
         if known.belief.row != row:
             known.belief = confusion.belief(record.node_id, row)

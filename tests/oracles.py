@@ -3,12 +3,20 @@
 Everything here is written with plain loops and stdlib containers so it
 shares no code path with the package.  Expected values in the test suite
 are frozen from these oracles, not from the implementation under test.
+
+`compose_scores`, `fuse_final`, `select_path` and the per-instance object
+code (`ObjectBelief`, `object_beliefs`, `object_proximity_scores`,
+`ground_object`) are the package's former implementations, kept verbatim
+as slow references for the code that replaced them.
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from itertools import permutations
+
+import numpy as np
 
 
 def percentile_minmax_row(row):
@@ -177,7 +185,61 @@ def select_path(
     the chosen path tracks the growing map.
     """
     for path in paths:
-        s1 = path.first_type
+        s1 = path.types[0]
         if any(float(b.R[s1]) >= tau for b in beliefs):
             return path, s1
     return None
+
+
+@dataclass(eq=False)
+class ObjectBelief:
+    """Per object instance at a node, a distribution over object types."""
+
+    node_id: str
+    probs: dict[str, np.ndarray]
+
+
+def object_beliefs(node, n_object_types: int, object_noise: float) -> ObjectBelief:
+    """Object-type distributions for each instance at a node.
+
+    Same mixture scheme as the target spec: one-hot truth blended with
+    uniform at level object_noise.
+    """
+    uniform = np.full(n_object_types, 1.0 / n_object_types)
+    probs = {}
+    for obj in node.objects:
+        one_hot = np.zeros(n_object_types)
+        one_hot[obj.object_type] = 1.0
+        probs[obj.object_id] = (1.0 - object_noise) * one_hot + object_noise * uniform
+    return ObjectBelief(node_id=node.node_id, probs=probs)
+
+
+def object_proximity_scores(
+    obj_belief, P_o: np.ndarray, Y_o: np.ndarray
+) -> dict[str, float]:
+    """Same bilinear form over object types, one score per object instance."""
+    Y_o = np.asarray(Y_o, dtype=np.float64)
+    if P_o.shape[1] != Y_o.shape[0]:
+        raise ValueError(
+            f"object matrix columns ({P_o.shape[1]}) do not match target vector ({Y_o.shape[0]})"
+        )
+    pulled = P_o @ Y_o
+    out = {}
+    for object_id, O in obj_belief.probs.items():
+        if O.shape[0] != P_o.shape[0]:
+            raise ValueError(
+                f"object belief {object_id} has {O.shape[0]} types, matrix has {P_o.shape[0]}"
+            )
+        out[object_id] = float(O @ pulled)
+    return out
+
+
+def ground_object(node_record, objects: ObjectBelief, P_o: np.ndarray, Y_o: np.ndarray) -> str | None:
+    """Pick the object instance at the stop node with the highest proximity.
+
+    Ties break toward the ascending object id; None when the node is bare.
+    """
+    if not node_record.objects:
+        return None
+    mu = object_proximity_scores(objects, P_o, Y_o)
+    return min(mu, key=lambda oid: (-mu[oid], oid))

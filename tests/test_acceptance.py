@@ -151,7 +151,7 @@ def test_criterion_3_shortest_path_equivalence(rng):
         ids = [f"n{i}" for i in range(n)]
         for i, nid in enumerate(ids):
             status = CURRENT if i == 0 else (VISITED if i % 3 else NAVIGABLE)
-            topo.add_node(nid, status, (0.0, 0.0, 0.0), TypeBelief(nid, np.array([1.0])))
+            topo.add_node(nid, status, TypeBelief(nid, np.array([1.0])))
         topo.current = ids[0]
         for i in range(1, n):
             j = int(rng.integers(i))
@@ -259,7 +259,7 @@ def test_criterion_6_fusion_properties(rng):
     def fixture_map(edges, statuses):
         topo = SemanticTopoMap()
         for nid, status in statuses.items():
-            topo.add_node(nid, status, (0.0, 0.0, 0.0), TypeBelief(nid, np.array([1.0])))
+            topo.add_node(nid, status, TypeBelief(nid, np.array([1.0])))
             if status == CURRENT:
                 topo.current = nid
         for (a, b), length in edges.items():

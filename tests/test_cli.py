@@ -1,5 +1,7 @@
 import json
 import multiprocessing
+import os
+import shutil
 import subprocess
 import sys
 
@@ -447,3 +449,88 @@ def test_invalid_trajectory_record_is_3(violation, pipeline_dir, trajectory_line
     assert field in result.stderr
     assert "Traceback" not in result.stderr
     assert not (tmp_path / "report").exists()
+
+
+def _copy_scenes(pipeline_dir, tmp_path):
+    scenes = tmp_path / "scenes"
+    shutil.copytree(pipeline_dir / "scenes", scenes)
+    return scenes
+
+
+def _assert_input_error(code, stderr, *names):
+    assert code == 3
+    assert stderr.startswith("error:")
+    assert all(name in stderr for name in names)
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("command", ["gen-episodes", "build-kb"])
+def test_repeated_scene_id_is_3(command, pipeline_dir, tmp_path):
+    scenes = _copy_scenes(pipeline_dir, tmp_path)
+    shutil.copy(scenes / "scene0000.json", scenes / "scene0000-copy.json")
+    if command == "gen-episodes":
+        argv = ("--per-scene", 1, "--seed", 3)
+    else:
+        argv = ()
+    code, err = cli_in_process(command, "--scenes", scenes, *argv, "--out", tmp_path / "out.json")
+    _assert_input_error(code, err, "repeats scene id 'scene0000'")
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_repeated_episode_id_is_3(command, pipeline_dir, trajectory_lines, tmp_path):
+    records = json.loads((pipeline_dir / "episodes.json").read_text())
+    records.append(dict(records[0], start_node=records[1]["start_node"]))
+    bad = tmp_path / "episodes.json"
+    bad.write_text(json.dumps(records))
+    traj = tmp_path / "t.jsonl"
+    if command == "run":
+        argv = ("--kb", pipeline_dir / "kb.json", "--seed", 1, "--out", traj)
+        written = traj
+    else:
+        traj.write_text("".join(line + "\n" for line in trajectory_lines))
+        argv = ("--traj", traj, "--out", tmp_path / "report")
+        written = tmp_path / "report"
+    code, err = cli_in_process(command, "--scenes", pipeline_dir / "scenes", "--episodes", bad, *argv)
+    _assert_input_error(code, err, f"repeats episode id {records[0]['episode_id']!r}")
+    assert not written.exists()
+
+
+def test_eval_rejects_repeated_trajectory_id(pipeline_dir, trajectory_lines, tmp_path):
+    traj = tmp_path / "t.jsonl"
+    traj.write_text("".join(line + "\n" for line in trajectory_lines + trajectory_lines[:1]))
+    code, err = cli_in_process("eval", "--scenes", pipeline_dir / "scenes",
+                               "--episodes", pipeline_dir / "episodes.json",
+                               "--traj", traj, "--out", tmp_path / "report")
+    repeated = json.loads(trajectory_lines[0])["episode_id"]
+    _assert_input_error(code, err, f"repeats episode id {repeated!r}")
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("vocabulary", ["type_vocabulary", "object_vocabulary"])
+def test_build_kb_rejects_mismatched_vocabulary(vocabulary, pipeline_dir, tmp_path):
+    # same length, different order: the counts would merge under wrong names
+    scenes = _copy_scenes(pipeline_dir, tmp_path)
+    path = scenes / "scene0003.json"
+    payload = json.loads(path.read_text())
+    payload[vocabulary].reverse()
+    path.write_text(json.dumps(payload))
+    code, err = cli_in_process("build-kb", "--scenes", scenes, "--out", tmp_path / "kb.json")
+    _assert_input_error(code, err, "scene 'scene0003'", "vocabularies")
+    assert not (tmp_path / "kb.json").exists()
+
+
+def test_traced_run_is_independent_of_hash_seed(pipeline_dir, tmp_path):
+    # F and C are sets of node ids, whose order follows the hash seed
+    outputs = []
+    for hash_seed in (1, 2):
+        out = tmp_path / f"t{hash_seed}.jsonl"
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        result = cli("run", "--scenes", str(pipeline_dir / "scenes"),
+                     "--kb", str(pipeline_dir / "kb.json"),
+                     "--episodes", str(pipeline_dir / "episodes.json"),
+                     "--fusion", "dynamic", "--confusion", "eps:0.2", "--visual", "0.3,1.5,10,0.1",
+                     "--trace", "--seed", "5", "--out", str(out), env=env)
+        assert result.returncode == 0, result.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -104,7 +104,7 @@ class TestBalanceFactor:
         belief = TypeBelief("x", np.array([1.0]))
         statuses = [CURRENT] + [VISITED] * 2 + [NAVIGABLE] * 7
         for i, status in enumerate(statuses):
-            topo.add_node(f"n{i}", status, (0.0, 0.0, 0.0), belief)
+            topo.add_node(f"n{i}", status, belief)
         topo.current = "n0"
         assert balance_factor(VisitedFractionBeta(), topo) == 0.3
 
@@ -167,7 +167,7 @@ def hand_map():
     topo = SemanticTopoMap()
     belief = TypeBelief("x", np.array([1.0]))
     for nid, status in [("a", CURRENT), ("b", VISITED), ("c", NAVIGABLE), ("d", NAVIGABLE)]:
-        topo.add_node(nid, status, (0.0, 0.0, 0.0), belief)
+        topo.add_node(nid, status, belief)
     topo.current = "a"
     topo.add_edge("a", "b", 1.0)
     topo.add_edge("a", "c", 1.0)
@@ -181,12 +181,12 @@ def random_map(rng):
     belief = TypeBelief("x", np.array([1.0]))
     visited = [f"v{k}" for k in range(int(rng.integers(1, 4)))]
     for nid in visited:
-        topo.add_node(nid, CURRENT if nid == "v0" else VISITED, (0.0, 0.0, 0.0), belief)
+        topo.add_node(nid, CURRENT if nid == "v0" else VISITED, belief)
     topo.current = "v0"
     for k in range(1, len(visited)):
         topo.add_edge(visited[k], visited[int(rng.integers(k))], float(rng.uniform(0.5, 2.0)))
     for k in range(int(rng.integers(1, 7))):
-        topo.add_node(f"n{k}", NAVIGABLE, (0.0, 0.0, 0.0), belief)
+        topo.add_node(f"n{k}", NAVIGABLE, belief)
         topo.add_edge(f"n{k}", visited[int(rng.integers(len(visited)))], float(rng.uniform(0.5, 2.0)))
     return topo
 

@@ -11,7 +11,6 @@ from hspr.reasoner import (
     TypePath,
     enumerate_type_paths,
     multi_step_scores,
-    object_proximity_scores,
     present_types_from_beliefs,
     proximity_scores,
 )
@@ -73,22 +72,19 @@ class TestProximityScores:
 
 
 class TestObjectProximityScores:
-    def test_one_hot_selects_entry(self, rng):
-        from hspr.perception import ObjectBelief
+    """Object instances are scored by proximity_scores with P_o and Y_o."""
 
+    def test_one_hot_selects_entry(self, rng):
         P_o = rng.uniform(0, 0.95, size=(6, 6))
-        ob = ObjectBelief("n", {"o1": one_hot(6, 1), "o2": one_hot(6, 3)})
-        mu = object_proximity_scores(ob, P_o, one_hot(6, 5))
-        assert math.isclose(mu["o1"], P_o[1, 5])
-        assert math.isclose(mu["o2"], P_o[3, 5])
+        mu = proximity_scores([one_hot(6, 1), one_hot(6, 3)], P_o, one_hot(6, 5))
+        assert math.isclose(mu[0], P_o[1, 5])
+        assert math.isclose(mu[1], P_o[3, 5])
 
     def test_matches_loop_oracle(self, rng):
-        from hspr.perception import ObjectBelief
-
         P_o = rng.uniform(0, 0.95, size=(4, 4))
         O = rng.dirichlet(np.ones(4))
         Y = rng.dirichlet(np.ones(4))
-        mu = object_proximity_scores(ObjectBelief("n", {"o": O}), P_o, Y)["o"]
+        mu = proximity_scores([O], P_o, Y)[0]
         want = sum(O[a] * P_o[a, b] * Y[b] for a in range(4) for b in range(4))
         assert math.isclose(mu, want, rel_tol=1e-12)
 
@@ -293,11 +289,11 @@ class TestSelectPath:
             paths = enumerate_type_paths(
                 present, int(rng.integers(n)), SuccessorTable(P), config
             )
-            assert all(p.first_type in present for p in paths)
+            assert all(p.types[0] in present for p in paths)
             beliefs = [belief(f"c{k}", R) for k, R in enumerate(rows_of_C)]
             sel = select_path(paths, beliefs, tau)
             if paths:
-                assert sel == (paths[0], paths[0].first_type)
+                assert sel == (paths[0], paths[0].types[0])
                 selected += 1
             else:
                 assert sel is None

@@ -12,12 +12,13 @@ from hspr import seeding, simulator
 from hspr.bench import standard_benchmark
 from hspr.fusion import STOP
 from hspr.kb import ProximityKB
-from hspr.perception import ConfusionModel, ObjectBelief, TargetSpec, TypeBelief, VisualWeights
+from hspr.perception import ConfusionModel, TargetSpec, TypeBelief, VisualWeights, object_rows
 from hspr.reasoner import (
     ReasonerConfig,
     SuccessorTable,
     TypePath,
     enumerate_type_paths,
+    proximity_scores,
 )
 from hspr.simulator import (
     AgentConfig,
@@ -31,6 +32,7 @@ from hspr.simulator import (
 )
 from hspr.synth import Episode
 
+import oracles
 from conftest import make_scene
 
 
@@ -187,44 +189,46 @@ class TestRunEpisode:
         assert {"step", "beta", "l_final", "chosen"} <= set(step)
 
 
+def object_scores(instances, target, kb):
+    """O . P_o . Y_o for each instance's object-type distribution."""
+    return proximity_scores(instances, kb.P_o, target.Y_o)
+
+
 class TestStopScore:
     def test_zero_weights_zero_score(self):
         belief = TypeBelief("n", np.array([1.0, 0.0]))
-        objects = ObjectBelief("n", {"o": np.array([1.0, 0.0])})
         target = TargetSpec(Y_r=np.array([1.0, 0.0]), Y_o=np.array([1.0, 0.0]))
         kb = mini_kb(2, 2)
-        assert stop_score(float(belief.R @ target.Y_r), objects, target, kb, (0.0, 0.0)) == 0.0
+        objects = object_scores([np.array([1.0, 0.0])], target, kb)
+        assert stop_score(float(belief.R @ target.Y_r), objects, (0.0, 0.0)) == 0.0
 
     def test_bare_node_has_no_object_term(self):
         belief = TypeBelief("n", np.array([1.0, 0.0]))
         target = TargetSpec(Y_r=np.array([1.0, 0.0]), Y_o=np.array([1.0, 0.0]))
         kb = mini_kb(2, 2)
-        got = stop_score(float(belief.R @ target.Y_r), ObjectBelief("n", {}), target, kb, (2.0, 5.0))
+        got = stop_score(float(belief.R @ target.Y_r), object_scores([], target, kb), (2.0, 5.0))
         assert got == 2.0
 
     def test_object_term_takes_best_instance(self):
         belief = TypeBelief("n", np.array([0.0, 1.0]))
-        objects = ObjectBelief("n", {
-            "weak": np.array([0.0, 1.0]),
-            "strong": np.array([1.0, 0.0]),
-        })
         target = TargetSpec(Y_r=np.array([1.0, 0.0]), Y_o=np.array([1.0, 0.0]))
         kb = mini_kb(2, 2)
-        got = stop_score(float(belief.R @ target.Y_r), objects, target, kb, (1.0, 2.0))
+        weak, strong = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+        got = stop_score(float(belief.R @ target.Y_r), object_scores([weak, strong], target, kb), (1.0, 2.0))
         assert math.isclose(got, 0.0 + 2.0 * 0.95)
 
 
 class TestGroundObject:
     def test_single_object_selected(self, two_node_scene):
-        node = two_node_scene.node("b")
-        objects = ObjectBelief("b", {"b-obj": np.array([0.0, 0.0, 1.0, 0.0])})
+        node = two_node_scene.node("b")  # holds "b-obj", of object type 2
         kb = mini_kb()
-        got = ground_object(node, objects, kb.P_o, np.array([0.0, 0.0, 1.0, 0.0]))
-        assert got == "b-obj"
+        O = np.array([0.0, 0.0, 1.0, 0.0])
+        by_type = {2: proximity_scores([O], kb.P_o, np.array([0.0, 0.0, 1.0, 0.0]))[0]}
+        assert ground_object(node, by_type) == "b-obj"
 
     def test_bare_node_returns_none(self, two_node_scene):
         node = two_node_scene.node("a")
-        assert ground_object(node, ObjectBelief("a", {}), mini_kb().P_o, np.zeros(4)) is None
+        assert ground_object(node, {}) is None
 
 
 class TestRunBatch:
@@ -483,7 +487,7 @@ class TestRowScores:
                 confusion.belief(f"n{i}", confusion.perceive(int(rng.integers(n)), rng))
                 for i in range(int(rng.integers(1, 15)))
             ]
-            table = simulator._RowScores(confusion.rows, kb, target, config)
+            table = simulator._RowScores(confusion.rows, np.eye(1), kb, target, config)
             # fill from a prefix first, so later reads mix old and new rows
             for view in (beliefs[: len(beliefs) // 2], beliefs):
                 rows = {b.row for b in view}
@@ -556,6 +560,54 @@ class TestRowScores:
             assert dict(draws) == want
 
 
+class TestObjectScores:
+    """Per-type object scores against the per-instance oracle."""
+
+    def test_match_per_instance_oracle_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        ties = learned = 0
+        for trial in range(300):
+            n = int(rng.integers(1, 7))
+            noise = (0.0, 0.3, 1.0)[trial % 3]
+            P_o = rng.uniform(0.0, 0.95, (n, n))
+            P_o[rng.random((n, n)) < 0.3] = 0.0
+            if rng.random() < 0.5:
+                np.fill_diagonal(P_o, 0.0)  # as build-kb makes it
+                learned += 1
+            if rng.random() < 0.5:
+                Y_o = rng.dirichlet(np.ones(n))
+            else:
+                Y_o = object_rows(n, noise)[int(rng.integers(n))]
+            kb = ProximityKB(
+                P_r=np.zeros((1, 1)), P_o=P_o, top_objects=[[0]], type_vocabulary=["t"],
+                object_vocabulary=[f"o{t}" for t in range(n)],
+            )
+            target = TargetSpec(Y_r=np.ones(1), Y_o=Y_o)
+            table = simulator._RowScores(np.eye(1), object_rows(n, noise), kb, target, ReasonerConfig())
+            # few types and shuffled ids, so instances tie and the id decides
+            count = int(rng.integers(0, 7))
+            ids = [f"obj{k}" for k in rng.permutation(count)]
+            objects = [(oid, int(rng.integers(n)), 0) for oid in ids]
+            # fill from a prefix first, so later reads mix old and new types
+            for view in (objects[: count // 2], objects):
+                node = make_scene([("a", "r0", 0, (0.0, 0.0, 0.0), view)], [], 1, n).node("a")
+                by_type = table.objects(node)
+                beliefs = oracles.object_beliefs(node, n, noise)
+                mu = oracles.object_proximity_scores(beliefs, P_o, Y_o)
+                scores = [by_type[o.object_type] for o in node.objects]
+                for o, score in zip(node.objects, scores):
+                    assert same_float(score, mu[o.object_id])
+                weights = tuple(float(w) for w in rng.uniform(-1.0, 2.0, 2))
+                alignment = float(rng.uniform())
+                want = weights[0] * alignment
+                if mu:
+                    want += weights[1] * max(mu.values())
+                assert same_float(stop_score(alignment, scores, weights), want)
+                assert ground_object(node, by_type) == oracles.ground_object(node, beliefs, P_o, Y_o)
+                ties += len(set(mu.values())) < len(mu)
+        assert ties > 0 and learned > 0
+
+
 class TestPathMemo:
     """Each episode searches each distinct present-type set once."""
 
@@ -591,7 +643,7 @@ class TestPathMemo:
         kb = mini_kb()
         target = TargetSpec(Y_r=np.eye(4)[3], Y_o=np.ones(4) / 4)
         config = ReasonerConfig(beam=4)
-        scores = simulator._RowScores(np.eye(4), kb, target, config)
+        scores = simulator._RowScores(np.eye(4), np.eye(4), kb, target, config)
         table = SuccessorTable(kb.P_r)
         first = scores.paths({0, 1})
         assert isinstance(first, tuple)

@@ -29,7 +29,7 @@ def random_map(rng, n_nodes):
     ids = [f"n{i}" for i in range(n_nodes)]
     for i, nid in enumerate(ids):
         status = CURRENT if i == 0 else (VISITED if i % 2 else NAVIGABLE)
-        topo.add_node(nid, status, (0.0, 0.0, 0.0), TypeBelief(nid, np.array([1.0])))
+        topo.add_node(nid, status, TypeBelief(nid, np.array([1.0])))
     topo.current = ids[0]
     for i in range(1, n_nodes):
         j = int(rng.integers(i))
@@ -47,7 +47,7 @@ def diamond_map(edge_order):
     topo = SemanticTopoMap()
     for nid in "abcd":
         status = CURRENT if nid == "a" else NAVIGABLE
-        topo.add_node(nid, status, (0.0, 0.0, 0.0), TypeBelief(nid, np.array([1.0])))
+        topo.add_node(nid, status, TypeBelief(nid, np.array([1.0])))
     topo.current = "a"
     for a, b in edge_order:
         topo.add_edge(a, b, 1.0)
@@ -248,9 +248,7 @@ class TestShortestPaths:
 
     def test_disconnected_fragment_is_infinite(self):
         topo = random_map(np.random.default_rng(0), 4)
-        topo.add_node(
-            "island", NAVIGABLE, (0.0, 0.0, 0.0), TypeBelief("island", np.array([1.0]))
-        )
+        topo.add_node("island", NAVIGABLE, TypeBelief("island", np.array([1.0])))
         table = topo.shortest_paths()
         assert math.isinf(table.distance("island"))
         assert "island" not in table.prev
