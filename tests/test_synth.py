@@ -1,11 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from hspr.bench import house_generator_kb, recovery_generator_kb
-from hspr.scene import scene_to_payload, segment_regions, region_adjacency
+from hspr.bench import benchmark_scene_config, house_generator_kb, recovery_generator_kb
+from hspr.scene import region_adjacency, save_scene, scene_to_payload, segment_regions
 from hspr.synth import (
     GeneratorConfig,
     generate_scene,
@@ -152,3 +153,59 @@ class TestSampleEpisode:
         path = tmp_path / "episodes.json"
         save_episodes(episodes, path)
         assert load_episodes(path) == episodes
+
+
+def _pinned_configs():
+    house, weights = house_generator_kb()
+    recovery = recovery_generator_kb(20)
+    common = dict(nodes_per_region=(1, 2), extra_region_links=1, objects_per_node=(1, 2))
+    return {
+        "house": lambda seed: benchmark_scene_config(house, weights, seed),
+        "recovery_unique": lambda seed: GeneratorConfig(
+            seed=seed, generator_kb=recovery, region_count=16, unique_region_types=True, **common
+        ),
+        "repeated_types": lambda seed: GeneratorConfig(
+            seed=seed, generator_kb=house, region_count=60, nodes_per_region=(4, 5),
+            extra_region_links=1, objects_per_node=(1, 2), unique_region_types=False,
+            unique_objects_per_region=True, object_weights=weights,
+        ),
+        "no_object_weights": lambda seed: GeneratorConfig(
+            seed=seed, generator_kb=house, region_count=10, nodes_per_region=(1, 3),
+            extra_region_links=2, objects_per_node=(1, 3), unique_objects_per_region=True,
+        ),
+    }
+
+
+# sha256 over the saved scene files and episode manifests of seeds 0-2; any
+# change to a random draw, its order or its arguments changes these bytes
+PINNED_DIGESTS = {
+    "house": (
+        "d1d948d4b2e85352521e2c22b50e74d540decf0e006924aece0430de1201a509",
+        "6d73bad3fb9615df12223febf48176f50b9c9be366b3e3db0be2d7c884b46f25",
+    ),
+    "recovery_unique": (
+        "29328ee2db8d76797358027a434e232d4c418eb8d79ee1485dd291b9c05056ef",
+        "01819af0dd8b8138fc2879799f06f0c71751568c4f79751f982a406737b9469f",
+    ),
+    "repeated_types": (
+        "548c204407cdfc650ef54d5c10e526a621495180641150e8de0f2caed848eaca",
+        "7bf0e3f473116b38c48da515e681c4dc572e335730b3466ae68b54fd459fe1f7",
+    ),
+    "no_object_weights": (
+        "430a4234885d584393d8c38a4728eb0fdb016eab577fad5285a1de4efe22e23d",
+        "307bf01f9a23d61b57046381ddd48ee5f53e6711ecaf6c744b9b7446010e7108",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_generator_output_is_pinned(name, tmp_path):
+    make = _pinned_configs()[name]
+    scenes, manifests = hashlib.sha256(), hashlib.sha256()
+    for seed in (0, 1, 2):
+        scene = generate_scene(make(seed), scene_id=f"{name}{seed}")
+        save_scene(scene, tmp_path / "scene.json")
+        scenes.update((tmp_path / "scene.json").read_bytes())
+        save_episodes(sample_episodes(scene, 5, (seed, name)), tmp_path / "episodes.json")
+        manifests.update((tmp_path / "episodes.json").read_bytes())
+    assert (scenes.hexdigest(), manifests.hexdigest()) == PINNED_DIGESTS[name]
