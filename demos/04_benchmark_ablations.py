@@ -12,7 +12,7 @@ from hspr.reasoner import ReasonerConfig
 from hspr.simulator import AgentConfig, run_batch
 
 scenes, episodes, kb = standard_benchmark(n_scenes=30, episodes_per_scene=5)
-ordered = sorted(episodes, key=lambda e: e.episode_id)
+by_id = {e.episode_id: e for e in episodes}
 n_types = len(kb.type_vocabulary)
 
 
@@ -25,7 +25,12 @@ def evaluate(policy, steps=3, fusion="residual"):
         seed=42,
     )
     batch = run_batch(scenes, episodes, kb, agent, policy, parallelism=4)
-    metrics = [episode_metrics(t, e, scenes[e.scene_id]) for t, e in zip(batch.trajectories, ordered)]
+    if batch.failures:
+        raise SystemExit(f"{policy}: episodes failed: {sorted(batch.failures)}")
+    metrics = []
+    for traj in batch.trajectories:
+        episode = by_id[traj.episode_id]
+        metrics.append(episode_metrics(traj, episode, scenes[episode.scene_id]))
     return aggregate_report(metrics).aggregates
 
 

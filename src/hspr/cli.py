@@ -13,6 +13,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bench import house_generator_kb, standard_benchmark
@@ -34,6 +35,7 @@ from .metrics import (
 from .perception import ConfusionModel, VisualWeights, load_confusion
 from .reasoner import ReasonerConfig
 from .scene import load_scene, save_scene
+from .seeding import stable_digest
 from .simulator import (
     POLICIES,
     AgentConfig,
@@ -163,30 +165,30 @@ def cmd_build_kb(args) -> int:
 
 
 def cmd_gen_scenes(args) -> int:
+    if args.n < 1:
+        raise SchemaError(f"--n must be >= 1, got {args.n}")
     if args.kb == "house":
         kb, object_weights = house_generator_kb()
     else:
         kb, object_weights = load_kb(args.kb), None
-    nodes_per_region = _parse_int_pair(args.nodes_per_region, "--nodes-per-region")
-    objects_per_node = _parse_int_pair(args.objects_per_node, "--objects-per-node")
+    # built once so bad settings fail before any file is written
+    config = GeneratorConfig(
+        seed=args.seed,
+        generator_kb=kb,
+        region_count=args.regions,
+        nodes_per_region=_parse_int_pair(args.nodes_per_region, "--nodes-per-region"),
+        extra_region_links=args.extra_links,
+        objects_per_node=_parse_int_pair(args.objects_per_node, "--objects-per-node"),
+        region_extent=args.extent,
+        unique_region_types=not args.repeat_types,
+        unique_objects_per_region=args.kb == "house",
+        object_weights=object_weights,
+    )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    from .seeding import stable_digest
-
     for i in range(args.n):
-        config = GeneratorConfig(
-            seed=stable_digest(args.seed, "scene", i),
-            generator_kb=kb,
-            region_count=args.regions,
-            nodes_per_region=nodes_per_region,
-            extra_region_links=args.extra_links,
-            objects_per_node=objects_per_node,
-            region_extent=args.extent,
-            unique_region_types=not args.repeat_types,
-            unique_objects_per_region=args.kb == "house",
-            object_weights=object_weights,
-        )
-        scene = generate_scene(config, scene_id=f"scene{i:04d}")
+        scene_config = replace(config, seed=stable_digest(args.seed, "scene", i))
+        scene = generate_scene(scene_config, scene_id=f"scene{i:04d}")
         save_scene(scene, out_dir / f"{scene.scene_id}.json")
     print(f"generated {args.n} scenes -> {out_dir}")
     return EXIT_OK
@@ -235,10 +237,22 @@ def cmd_run(args) -> int:
     return EXIT_OK if not result.failures else EXIT_INPUT
 
 
+def _uncovered(episode_ids, trajectories) -> list[str]:
+    """Sorted ids of the episodes with no trajectory; scoring without them
+    would drop them from every rate's denominator."""
+    return sorted(set(episode_ids) - {t.episode_id for t in trajectories})
+
+
 def cmd_eval(args) -> int:
     scenes = _load_scenes_dir(args.scenes)
     episodes = {e.episode_id: e for e in load_episodes(args.episodes)}
     trajectories = load_trajectories(args.traj)
+    missing = _uncovered(episodes, trajectories)
+    if missing:
+        raise SchemaError(
+            f"{len(missing)} of {len(episodes)} manifest episodes have no trajectory "
+            f"in {args.traj} (first: {missing[0]!r})"
+        )
     metrics = []
     for traj in sorted(trajectories, key=lambda t: t.episode_id):
         episode = episodes.get(traj.episode_id)
@@ -283,7 +297,7 @@ def cmd_ablate(args) -> int:
         n_scenes=args.scenes_n, episodes_per_scene=args.episodes_per, seed=args.seed
     )
     n_types = len(kb.type_vocabulary)
-    by_id = sorted(episodes, key=lambda e: e.episode_id)
+    by_id = {e.episode_id: e for e in episodes}
     rows = []
     results = {}
     for value in values:
@@ -295,10 +309,16 @@ def cmd_ablate(args) -> int:
             seed=args.seed,
         )
         batch = run_batch(scenes, episodes, kb, agent, "hspr", parallelism=args.parallel)
-        metrics = [
-            episode_metrics(t, e, scenes[e.scene_id])
-            for t, e in zip(batch.trajectories, by_id)
-        ]
+        # the benchmark is generated in-process, so a failed episode is an engine fault
+        failed = _uncovered(by_id, batch.trajectories)
+        if failed:
+            raise InternalError(
+                f"ablation {key}={value}: {len(failed)} episodes failed: {', '.join(failed)}"
+            )
+        metrics = []
+        for traj in batch.trajectories:
+            episode = by_id[traj.episode_id]
+            metrics.append(episode_metrics(traj, episode, scenes[episode.scene_id]))
         aggregates = aggregate_report(metrics).aggregates
         rows.append((f"{key}={value}", aggregates))
         results[str(value)] = aggregates

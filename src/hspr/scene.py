@@ -311,7 +311,7 @@ def region_adjacency(scene: SceneGraph, regions: list[Region]) -> set[tuple[str,
 
 
 def dijkstra(
-    adj: Mapping[str, Mapping[str, float]], source: str
+    adj: Mapping[str, Mapping[str, float]], source: str, target: str | None = None
 ) -> tuple[dict[str, float], dict[str, str]]:
     """Exact shortest distances and route predecessors from source.
 
@@ -319,15 +319,19 @@ def dijkstra(
     the returned dist are unreachable.  Among equal-length routes the heap
     order (distance, node_id) decides: a node's predecessor is its tied
     neighbor settled first, and a later relaxation replaces it only when
-    strictly shorter.
+    strictly shorter.  With a target, the search stops once the target is
+    settled: dist[target] is final (lengths are >= 0), other entries may not be.
     """
     dist = {source: 0.0}
     prev: dict[str, str] = {}
     heap = [(0.0, source)]
+    stop = target is not None  # a bool test per pop; comparing a str to None costs more
     while heap:
         d, node = heapq.heappop(heap)
         if d > dist[node]:
             continue
+        if stop and node == target:
+            break
         for nbr, length in adj.get(node, {}).items():
             nd = d + length
             if nd < dist.get(nbr, math.inf):

@@ -22,7 +22,7 @@ from .scene import (
     NodeRecord,
     ObjectInstance,
     SceneGraph,
-    geodesic_distances,
+    dijkstra,
     hop_distances,
     validate_scene,
 )
@@ -47,11 +47,16 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.region_count < 2:
             raise ValueError("region_count must be >= 2")
-        for lo, hi in (self.nodes_per_region, self.objects_per_node):
+        for name in ("nodes_per_region", "objects_per_node"):
+            lo, hi = getattr(self, name)
             if lo > hi or lo < 0:
-                raise ValueError("range fields must satisfy 0 <= min <= max")
+                raise ValueError(f"{name} must satisfy 0 <= min <= max, got {(lo, hi)}")
         if self.nodes_per_region[0] < 1:
-            raise ValueError("each region needs at least one node")
+            raise ValueError("nodes_per_region: each region needs at least one node")
+        if not (math.isfinite(self.region_extent) and self.region_extent > 0):
+            raise ValueError(f"region_extent must be finite and > 0, got {self.region_extent}")
+        if self.extra_region_links < 0:
+            raise ValueError(f"extra_region_links must be >= 0, got {self.extra_region_links}")
 
 
 @dataclass(frozen=True)
@@ -66,27 +71,36 @@ class Episode:
 
 
 def _sample_region_types(config: GeneratorConfig, rng: np.random.Generator) -> tuple[list[int], list[tuple[int, int]]]:
-    """Grow the region tree; returns per-region types and tree links."""
-    P_r = config.generator_kb.P_r
-    n_types = P_r.shape[0]
-    if config.unique_region_types and config.region_count > n_types:
+    """Grow the region tree; returns per-region types and tree links.
+
+    The (region, type) candidates stay in region-then-type order: each new
+    region appends its own row and, with unique types, removes its type from
+    the earlier rows, so every draw sees the list a full rebuild would give.
+    """
+    rows = config.generator_kb.P_r.tolist()
+    n_types = len(rows)
+    unique = config.unique_region_types
+    if unique and config.region_count > n_types:
         raise ValueError(
             f"config infeasible: {config.region_count} unique regions exceed "
             f"{n_types} region types"
         )
     types = [int(rng.integers(n_types))]
     links: list[tuple[int, int]] = []
-    while len(types) < config.region_count:
-        candidates = []
-        weights = []
-        for ri, rt in enumerate(types):
-            for t in range(n_types):
-                if config.unique_region_types and t in types:
-                    continue
-                w = float(P_r[rt, t])
-                if w > 0:
-                    candidates.append((ri, t))
-                    weights.append(w)
+    candidates: list[tuple[int, int]] = []
+    weights: list[float] = []
+    while True:
+        region, rt = len(types) - 1, types[-1]
+        if unique:
+            kept = [k for k, (_, t) in enumerate(candidates) if t != rt]
+            candidates = [candidates[k] for k in kept]
+            weights = [weights[k] for k in kept]
+        for t, w in enumerate(rows[rt]):
+            if w > 0 and not (unique and t in types):
+                candidates.append((region, t))
+                weights.append(w)
+        if len(types) == config.region_count:
+            break
         if not candidates:
             raise ValueError(
                 "config infeasible: no positive-probability region type can extend the tree"
@@ -105,7 +119,7 @@ def _sample_region_types(config: GeneratorConfig, rng: np.random.Generator) -> t
         for b in range(a + 1, len(types)):
             if (a, b) in linked:
                 continue
-            w = float(P_r[types[a], types[b]])
+            w = rows[types[a]][types[b]]
             if w > 0:
                 extra_candidates.append((a, b))
                 extra_weights.append(w)
@@ -132,6 +146,7 @@ def generate_scene(config: GeneratorConfig, scene_id: str | None = None) -> Scen
     kb = config.generator_kb
     n_objects = len(kb.object_vocabulary)
     region_types, region_links = _sample_region_types(config, rng)
+    type_weights = {t: _object_type_weights(config, t, n_objects) for t in set(region_types)}
 
     cols = math.ceil(math.sqrt(len(region_types)))
     pitch = 3.0 * config.region_extent
@@ -158,7 +173,7 @@ def generate_scene(config: GeneratorConfig, scene_id: str | None = None) -> Scen
             ids.append(node_id)
 
             obj_count = int(rng.integers(config.objects_per_node[0], config.objects_per_node[1] + 1))
-            weights = _object_type_weights(config, rtype, n_objects)
+            weights = type_weights[rtype]
             if config.unique_objects_per_region and used_in_region:
                 weights = weights.copy()
                 weights[list(used_in_region)] = 0.0
@@ -269,7 +284,7 @@ def sample_episode(scene: SceneGraph, seed, episode_id: str | None = None) -> Ep
     target = eligible[int(rng.integers(len(eligible)))]
     target_record = scene.node(target)
     obj = target_record.objects[int(rng.integers(len(target_record.objects)))]
-    shortest = geodesic_distances(scene, start)[target]
+    shortest = dijkstra(scene._adjacency, start, target)[0][target]
     return Episode(
         episode_id=episode_id or f"{scene.scene_id}-ep{seed}",
         scene_id=scene.scene_id,

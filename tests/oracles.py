@@ -4,10 +4,12 @@ Everything here is written with plain loops and stdlib containers so it
 shares no code path with the package.  Expected values in the test suite
 are frozen from these oracles, not from the implementation under test.
 
-`compose_scores`, `fuse_final`, `select_path` and the per-instance object
+`compose_scores`, `fuse_final`, `select_path`, the per-instance object
 code (`ObjectBelief`, `object_beliefs`, `object_proximity_scores`,
-`ground_object`) are the package's former implementations, kept verbatim
-as slow references for the code that replaced them.
+`ground_object`) and `sample_region_types` (formerly
+`synth._sample_region_types`, which rebuilt its candidate list for every
+new region) are the package's former implementations, kept verbatim as
+slow references for the code that replaced them.
 """
 
 from __future__ import annotations
@@ -243,3 +245,56 @@ def ground_object(node_record, objects: ObjectBelief, P_o: np.ndarray, Y_o: np.n
         return None
     mu = object_proximity_scores(objects, P_o, Y_o)
     return min(mu, key=lambda oid: (-mu[oid], oid))
+
+
+def sample_region_types(config: GeneratorConfig, rng: np.random.Generator) -> tuple[list[int], list[tuple[int, int]]]:
+    """Grow the region tree; returns per-region types and tree links."""
+    P_r = config.generator_kb.P_r
+    n_types = P_r.shape[0]
+    if config.unique_region_types and config.region_count > n_types:
+        raise ValueError(
+            f"config infeasible: {config.region_count} unique regions exceed "
+            f"{n_types} region types"
+        )
+    types = [int(rng.integers(n_types))]
+    links: list[tuple[int, int]] = []
+    while len(types) < config.region_count:
+        candidates = []
+        weights = []
+        for ri, rt in enumerate(types):
+            for t in range(n_types):
+                if config.unique_region_types and t in types:
+                    continue
+                w = float(P_r[rt, t])
+                if w > 0:
+                    candidates.append((ri, t))
+                    weights.append(w)
+        if not candidates:
+            raise ValueError(
+                "config infeasible: no positive-probability region type can extend the tree"
+            )
+        probs = np.array(weights) / sum(weights)
+        pick = int(rng.choice(len(candidates), p=probs))
+        parent, new_type = candidates[pick]
+        links.append((parent, len(types)))
+        types.append(new_type)
+
+    # optional extra links between already-placed regions
+    linked = {tuple(sorted(l)) for l in links}
+    extra_candidates = []
+    extra_weights = []
+    for a in range(len(types)):
+        for b in range(a + 1, len(types)):
+            if (a, b) in linked:
+                continue
+            w = float(P_r[types[a], types[b]])
+            if w > 0:
+                extra_candidates.append((a, b))
+                extra_weights.append(w)
+    for _ in range(min(config.extra_region_links, len(extra_candidates))):
+        probs = np.array(extra_weights) / sum(extra_weights)
+        pick = int(rng.choice(len(extra_candidates), p=probs))
+        links.append(extra_candidates[pick])
+        del extra_candidates[pick]
+        del extra_weights[pick]
+    return types, links

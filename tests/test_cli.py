@@ -11,6 +11,7 @@ from hspr.cli import dispatch
 from hspr.errors import InternalError
 from hspr.kb import load_kb
 from hspr.scene import load_scene
+from hspr.simulator import BatchResult, run_batch
 from hspr.topo import SemanticTopoMap
 
 from conftest import cli_in_process
@@ -236,6 +237,23 @@ def test_gen_scenes_rejects_non_integer_pair(pair, tmp_path, capsys):
     assert code == 3
     assert stderr.startswith(f"error: --nodes-per-region expects two comma-separated integers, got {pair!r}")
     assert "Traceback" not in stderr
+    assert not (tmp_path / "scenes").exists()
+
+
+@pytest.mark.parametrize("flag,value,field", [
+    ("--extent", "nan", "region_extent"),
+    ("--extent", "inf", "region_extent"),
+    ("--extent", "-1", "region_extent"),
+    ("--extent", "0", "region_extent"),
+    ("--extra-links", "-3", "extra_region_links"),
+    ("--n", "-2", "--n"),
+    ("--n", "0", "--n"),
+])
+def test_gen_scenes_rejects_bad_setting(flag, value, field, tmp_path):
+    argv = {"--kb": "house", "--n": "1", "--seed": "1", "--out": tmp_path / "scenes", flag: value}
+    code, err = cli_in_process("gen-scenes", *(item for pair in argv.items() for item in pair))
+    _assert_input_error(code, err, field)
+    assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "scenes").exists()
 
 
@@ -505,6 +523,42 @@ def test_eval_rejects_repeated_trajectory_id(pipeline_dir, trajectory_lines, tmp
     repeated = json.loads(trajectory_lines[0])["episode_id"]
     _assert_input_error(code, err, f"repeats episode id {repeated!r}")
     assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("keep", [slice(0, 1), slice(1, None)])
+def test_eval_rejects_episodes_without_trajectory(keep, pipeline_dir, trajectory_lines, tmp_path):
+    traj = tmp_path / "t.jsonl"
+    traj.write_text("".join(line + "\n" for line in trajectory_lines[keep]))
+    code, err = cli_in_process("eval", "--scenes", pipeline_dir / "scenes",
+                               "--episodes", pipeline_dir / "episodes.json",
+                               "--traj", traj, "--out", tmp_path / "report")
+    ids = sorted(json.loads(line)["episode_id"] for line in trajectory_lines)
+    missing = sorted(set(ids) - {json.loads(line)["episode_id"] for line in trajectory_lines[keep]})
+    _assert_input_error(
+        code, err, f"{len(missing)} of {len(ids)} manifest episodes have no trajectory",
+        f"(first: {missing[0]!r})",
+    )
+    assert not (tmp_path / "report").exists()
+
+
+def test_ablate_refuses_a_batch_with_a_failed_episode(monkeypatch, tmp_path, capsys):
+    dropped = []
+
+    def drop_second(*args, **kwargs):
+        batch = run_batch(*args, **kwargs)
+        traj = batch.trajectories.pop(1)
+        dropped.append(traj.episode_id)
+        return BatchResult(batch.trajectories, {traj.episode_id: "dropped by the test"})
+
+    monkeypatch.setattr("hspr.cli.run_batch", drop_second)
+    code = dispatch(["ablate", "--sweep", "fusion=residual", "--scenes-n", "2",
+                     "--episodes-per", "2", "--out", str(tmp_path / "ab")])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err.startswith("internal error: ablation fusion=residual: 1 episodes failed")
+    assert dropped[0] in captured.err
+    assert captured.out == ""  # no table
+    assert not (tmp_path / "ab").exists()
 
 
 @pytest.mark.parametrize("vocabulary", ["type_vocabulary", "object_vocabulary"])

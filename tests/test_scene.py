@@ -9,6 +9,7 @@ from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 from hspr.bench import house_generator_kb
 from hspr.errors import InvariantViolation, SchemaError
 from hspr.scene import (
+    dijkstra,
     geodesic_distances,
     load_scene,
     region_adjacency,
@@ -19,7 +20,7 @@ from hspr.scene import (
 from hspr.synth import GeneratorConfig, generate_scene
 
 from conftest import make_scene
-from oracles import connected_components_union_find
+from oracles import connected_components_union_find, dijkstra_single_source
 
 
 def write_scene(scene, tmp_path, name="scene.json"):
@@ -279,3 +280,52 @@ class TestGeodesicDistances:
     def test_unknown_source_rejected(self, two_node_scene):
         with pytest.raises(ValueError, match="unknown node 'ghost'"):
             geodesic_distances(two_node_scene, "ghost")
+
+
+def _random_integer_graph(rng, n):
+    """Adjacency of a random graph with lengths 1-3, so equal routes tie."""
+    adj = {f"n{i}": {} for i in range(n)}
+    for _ in range(int(rng.integers(n - 1, 3 * n))):
+        i, j = (int(k) for k in rng.choice(n, 2, replace=False))
+        length = float(rng.integers(1, 4))
+        adj[f"n{i}"][f"n{j}"] = adj[f"n{j}"][f"n{i}"] = length
+    return adj
+
+
+def _route(prev, source, node):
+    route = [node]
+    while route[-1] != source:
+        route.append(prev[route[-1]])
+    return route
+
+
+class TestDijkstraEarlyStop:
+    def test_target_distance_and_route_match_the_full_search(self, rng):
+        for _ in range(150):
+            adj = _random_integer_graph(rng, int(rng.integers(2, 12)))
+            for source in adj:
+                dist, prev = dijkstra(adj, source)
+                for target in adj:
+                    got_dist, got_prev = dijkstra(adj, source, target)
+                    if target not in dist:  # unreachable: the search runs out
+                        assert (got_dist, got_prev) == (dist, prev)
+                        continue
+                    assert got_dist[target] == dist[target]
+                    assert _route(got_prev, source, target) == _route(prev, source, target)
+
+    def test_full_search_keeps_distances_and_tie_broken_predecessors(self, rng):
+        for _ in range(150):
+            adj = _random_integer_graph(rng, int(rng.integers(2, 12)))
+            ids = list(adj)
+            edges = [(a, b, w) for a in adj for b, w in adj[a].items() if a < b]
+            for source in ids:
+                dist, prev = dijkstra(adj, source, target=None)
+                want = dijkstra_single_source(ids, edges, source)
+                assert dist == {nid: d for nid, d in want.items() if d < math.inf}
+                # a predecessor is the tied neighbour settled first, in (distance, id) order
+                for node, d in dist.items():
+                    if node == source:
+                        assert node not in prev
+                        continue
+                    tied = [(dist[u], u) for u, w in adj[node].items() if dist.get(u, math.inf) + w == d]
+                    assert prev[node] == min(tied)[1]

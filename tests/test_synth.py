@@ -6,9 +6,11 @@ import pytest
 from scipy import stats
 
 from hspr.bench import benchmark_scene_config, house_generator_kb, recovery_generator_kb
+from hspr.kb import ProximityKB
 from hspr.scene import region_adjacency, save_scene, scene_to_payload, segment_regions
 from hspr.synth import (
     GeneratorConfig,
+    _sample_region_types,
     generate_scene,
     load_episodes,
     sample_episode,
@@ -17,7 +19,7 @@ from hspr.synth import (
 )
 
 from conftest import make_scene
-from oracles import dijkstra_single_source
+from oracles import dijkstra_single_source, sample_region_types
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +98,17 @@ class TestGenerateScene:
         with pytest.raises(ValueError, match="infeasible"):
             generate_scene(config_for(gen_kb, 1, region_count=7))
 
+    @pytest.mark.parametrize("field,value", [
+        ("region_extent", math.nan),
+        ("region_extent", math.inf),
+        ("region_extent", -1.0),
+        ("region_extent", 0.0),
+        ("extra_region_links", -1),
+    ])
+    def test_config_rejects_bad_setting(self, gen_kb, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            config_for(gen_kb, 1, **{field: value})
+
     def test_objects_respect_weights(self, gen_kb):
         n_o = len(gen_kb.object_vocabulary)
         weights = np.zeros((len(gen_kb.type_vocabulary), n_o))
@@ -114,6 +127,53 @@ class TestGenerateScene:
             for nid in region.member_nodes:
                 seen.extend(o.object_type for o in scene.node(nid).objects)
             assert len(seen) == len(set(seen))
+
+
+def _random_sparse_kb(rng, n):
+    """A KB whose P_r is sparse and asymmetric, sometimes with a zero diagonal
+    or zero rows, so growth can stall."""
+    P_r = rng.uniform(0.05, 1.0, size=(n, n)) * (rng.uniform(size=(n, n)) < rng.uniform(0.2, 0.8))
+    if rng.uniform() < 0.5:
+        np.fill_diagonal(P_r, 0.0)
+    for _ in range(int(rng.integers(0, 3))):
+        P_r[int(rng.integers(n))] = 0.0
+    return ProximityKB(
+        P_r=P_r,
+        P_o=np.eye(2),
+        top_objects=[[] for _ in range(n)],
+        type_vocabulary=[f"t{i}" for i in range(n)],
+        object_vocabulary=["o0", "o1"],
+    )
+
+
+class TestRegionTreeOracle:
+    def test_matches_full_rebuild_on_random_sparse_kbs(self):
+        rng = np.random.default_rng(12)
+        outcomes = {"grown": 0, "infeasible": 0}
+        for trial in range(600):
+            n = int(rng.integers(2, 8))
+            unique = bool(trial % 2)
+            config = GeneratorConfig(
+                seed=trial,
+                generator_kb=_random_sparse_kb(rng, n),
+                # n + 1 unique regions are infeasible; repeated types may grow long lists
+                region_count=int(rng.integers(2, n + 2 if unique else 3 * n + 1)),
+                extra_region_links=int(rng.integers(0, 4)),
+                unique_region_types=unique,
+            )
+            fast, slow = np.random.default_rng(trial), np.random.default_rng(trial)
+            try:
+                want = sample_region_types(config, slow)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    _sample_region_types(config, fast)
+                assert str(got.value) == str(exc)
+                outcomes["infeasible"] += 1
+            else:
+                assert _sample_region_types(config, fast) == want
+                outcomes["grown"] += 1
+            assert fast.bit_generator.state == slow.bit_generator.state
+        assert min(outcomes.values()) >= 100
 
 
 class TestSampleEpisode:
