@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import os
@@ -22,6 +23,10 @@ def cli(*args, cwd=None, env=None):
         [sys.executable, "-m", "hspr.cli", *args],
         capture_output=True, text=True, cwd=cwd, env=env,
     )
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +65,13 @@ class TestSubcommands:
         assert (pipeline_dir / "report" / "report.txt").exists()
         header = ev.stdout.splitlines()[0].split()
         assert header[1:] == ["TL", "NE", "OSR", "SR", "SPL", "RGS", "RGSPL"]
+        # recorded before the report writer moved to hspr.errors
+        assert _sha256(pipeline_dir / "report" / "report.json") == (
+            "21f7213359b3e8bc07d84c053a767107059f42b1c34b19b6dc30c06d2645ded9"
+        )
+        assert _sha256(pipeline_dir / "report" / "report.txt") == (
+            "2ac3e6957ad8b1f5cea2733fa94b84b03ed13d3b856991eda54db3baf23470e8"
+        )
 
     def test_pipeline_reproducible_and_parallel_invariant(self, tmp_path):
         outputs = []
@@ -100,6 +112,10 @@ class TestSubcommands:
         assert lines[3].startswith("steps=2")
         payload = json.loads((tmp_path / "ab" / "ablation.json").read_text())
         assert set(payload["results"]) == {"1", "2"}
+        # recorded before the ablation writer moved to hspr.errors
+        assert _sha256(tmp_path / "ab" / "ablation.json") == (
+            "696b98dfa636c786ee435ecf03455ca330fbed3833b1fe1295ba4c48882fed4c"
+        )
 
     def test_ablate_fusion_sweep(self, tmp_path):
         result = cli("ablate", "--sweep", "fusion=average,residual", "--scenes-n", "3",

@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hspr.bench import house_generator_kb
 from hspr.kb import (
     CountMatrices,
     ProximityKB,
@@ -261,6 +264,13 @@ class TestKBRoundTrip:
             object_vocabulary=[f"o{i}" for i in range(5)],
         )
         assert self.roundtrip(kb, tmp_path) == kb
+
+    def test_house_kb_bytes_are_pinned(self, tmp_path):
+        # sha256 of save_kb's output, recorded before the KB writer moved to hspr.errors
+        path = tmp_path / "kb.json"
+        save_kb(house_generator_kb()[0], path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "a9c07ed38362af3e9a1b22759b71e26a6317e2c997878bc145428081eee743ca"
 
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "kb.json"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pickle
 
@@ -81,6 +82,13 @@ class TestConfusionModel:
         loaded = load_confusion(path)
         assert np.array_equal(loaded.M, model.M)
         assert loaded.mode == "sampled"
+
+    def test_file_bytes_are_pinned(self, tmp_path):
+        # sha256 of save_confusion's output, recorded before its writer moved to hspr.errors
+        path = tmp_path / "confusion.json"
+        save_confusion(ConfusionModel.eps_uniform(10, 0.2), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "81a20a856bfdc2dc7231122a179a57f19e7f982be229a1ec1d474009c514e8b4"
 
 
 class TestReadOnlyRows:
