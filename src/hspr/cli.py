@@ -9,7 +9,6 @@ logging.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -17,7 +16,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .bench import house_generator_kb, standard_benchmark
-from .errors import InternalError, SchemaError
+from .errors import InternalError, SchemaError, write_json
 from .fusion import FUSION_MODES, parse_beta_policy
 from .kb import (
     CountMatrices,
@@ -62,29 +61,32 @@ def _setup_logging() -> None:
     logging.basicConfig(level=levels[level], format="%(levelname)s %(name)s: %(message)s")
 
 
-def _parse_pair(text: str, name: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise SchemaError(f"{name} expects two comma-separated values, got {text!r}")
-    return float(parts[0]), float(parts[1])
+# what a flag expects, by the count of numbers it takes
+_EXPECTED = {
+    None: "comma-separated {}s",
+    1: "a {}",
+    2: "two comma-separated {}s",
+    4: "four comma-separated {}s",
+}
 
 
-def _parse_int_pair(text: str, name: str) -> tuple[int, int]:
+def _parse_numbers(text: str, flag: str, count: int | None = None, kind: type = float) -> tuple:
+    """The comma-separated numbers given to a flag, exactly `count` of them when set."""
     try:
-        lo, hi = (int(part) for part in text.split(","))  # a wrong count raises ValueError too
+        values = tuple(kind(part) for part in text.split(","))
     except ValueError:
-        raise SchemaError(f"{name} expects two comma-separated integers, got {text!r}") from None
-    return lo, hi
+        values = ()
+    if not values or count not in (None, len(values)):
+        noun = "integer" if kind is int else "number"
+        raise SchemaError(f"{flag} expects {_EXPECTED[count].format(noun)}, got {text!r}")
+    return values
 
 
 def _load_scenes_dir(path: str) -> dict:
-    scene_dir = Path(path)
-    if not scene_dir.is_dir():
-        raise SchemaError(f"scene directory {path!r} does not exist")
-    scenes = {}
-    files = sorted(scene_dir.glob("*.json"))
+    files = sorted(Path(path).glob("*.json"))
     if not files:
-        raise SchemaError(f"no *.json scene files under {path!r}")
+        raise SchemaError(f"scene directory {path!r} is missing or holds no *.json scene files")
+    scenes = {}
     for file in files:
         scene = load_scene(file)
         if scene.scene_id in scenes:
@@ -97,7 +99,8 @@ def _confusion_from_spec(spec: str, n_types: int) -> ConfusionModel:
     if spec == "identity":
         return ConfusionModel.identity(n_types)
     if spec.startswith("eps:"):
-        return ConfusionModel.eps_uniform(n_types, float(spec[4:]))
+        (eps,) = _parse_numbers(spec[4:], "--confusion eps:<f>", 1)
+        return ConfusionModel.eps_uniform(n_types, eps)
     model = load_confusion(spec)
     if model.n_types != n_types:
         raise SchemaError(
@@ -107,9 +110,6 @@ def _confusion_from_spec(spec: str, n_types: int) -> ConfusionModel:
 
 
 def _agent_from_args(args, n_types: int) -> AgentConfig:
-    omega = None
-    if args.omega:
-        omega = tuple(float(w) for w in args.omega.split(","))
     return AgentConfig(
         confusion=_confusion_from_spec(args.confusion, n_types),
         reasoner=ReasonerConfig(
@@ -117,26 +117,17 @@ def _agent_from_args(args, n_types: int) -> AgentConfig:
             max_steps=args.steps,
             beam=args.beam,
             feasibility_tau=args.tau,
-            omega=omega,
+            omega=_parse_numbers(args.omega, "--omega") if args.omega else None,
         ),
         fusion_mode=args.fusion,
         beta_policy=parse_beta_policy(args.beta),
         object_noise=args.object_noise,
-        visual=VisualWeights(*_parse_visual(args.visual)),
+        visual=VisualWeights(*_parse_numbers(args.visual, "--visual", 4)),
         max_actions=args.max_actions,
-        stop_weights=_parse_pair(args.stop_weights, "--stop-weights"),
+        stop_weights=_parse_numbers(args.stop_weights, "--stop-weights", 2),
         seed=args.seed,
         eq11_literal=args.eq11_literal,
     )
-
-
-def _parse_visual(text: str) -> tuple[float, float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise SchemaError(
-            f"--visual expects w_d,w_t,decay,noise_sd; got {text!r}"
-        )
-    return tuple(float(p) for p in parts)
 
 
 def cmd_build_kb(args) -> int:
@@ -176,19 +167,19 @@ def cmd_gen_scenes(args) -> int:
         seed=args.seed,
         generator_kb=kb,
         region_count=args.regions,
-        nodes_per_region=_parse_int_pair(args.nodes_per_region, "--nodes-per-region"),
+        nodes_per_region=_parse_numbers(args.nodes_per_region, "--nodes-per-region", 2, int),
         extra_region_links=args.extra_links,
-        objects_per_node=_parse_int_pair(args.objects_per_node, "--objects-per-node"),
+        objects_per_node=_parse_numbers(args.objects_per_node, "--objects-per-node", 2, int),
         region_extent=args.extent,
         unique_region_types=not args.repeat_types,
         unique_objects_per_region=args.kb == "house",
         object_weights=object_weights,
     )
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for i in range(args.n):
         scene_config = replace(config, seed=stable_digest(args.seed, "scene", i))
         scene = generate_scene(scene_config, scene_id=f"scene{i:04d}")
+        out_dir.mkdir(parents=True, exist_ok=True)  # only once a scene exists to save
         save_scene(scene, out_dir / f"{scene.scene_id}.json")
     print(f"generated {args.n} scenes -> {out_dir}")
     return EXIT_OK
@@ -207,21 +198,13 @@ def cmd_gen_episodes(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if not Path(args.scenes).is_dir():
-        raise SchemaError(f"scene directory {args.scenes!r} does not exist")
-    for label, path in (("KB", args.kb), ("episode manifest", args.episodes)):
-        if not Path(path).is_file():
-            raise SchemaError(f"{label} file {path!r} does not exist")
     if args.parallel < 1:
         raise SchemaError("--parallel must be >= 1")
-    scenes = _load_scenes_dir(args.scenes)
     kb = load_kb(args.kb)
-    for scene_id in sorted(scenes):
-        try:
-            check_vocabularies(scenes[scene_id], kb)
-        except ValueError as exc:
-            raise SchemaError(str(exc)) from exc
     episodes = load_episodes(args.episodes)
+    scenes = _load_scenes_dir(args.scenes)
+    for scene_id in sorted(scenes):
+        check_vocabularies(scenes[scene_id], kb)
     first = next(iter(scenes.values()))
     agent = _agent_from_args(args, first.n_types)
     result = run_batch(
@@ -328,9 +311,7 @@ def cmd_ablate(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "ablation.json", "w", encoding="utf-8") as fh:
-            json.dump({"sweep": args.sweep, "results": results}, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        write_json(out / "ablation.json", {"sweep": args.sweep, "results": results}, indent=1)
         with open(out / "ablation.txt", "w", encoding="utf-8") as fh:
             fh.write(table)
     return EXIT_OK
@@ -422,7 +403,7 @@ def dispatch(argv=None) -> int:
         parser = build_parser()
         args = parser.parse_args(argv)
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:  # SchemaError is a ValueError
+    except (OSError, ValueError) as exc:  # SchemaError is a ValueError; a bad --out, an OSError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InternalError as exc:

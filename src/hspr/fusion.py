@@ -47,14 +47,28 @@ class LogisticBeta:
 BetaPolicy = FixedBeta | VisitedFractionBeta | LogisticBeta
 
 
+# the state features a logistic balance policy can weight, in balance_features' order
+BALANCE_FEATURES = ("visited_fraction", "frontier_fraction", "local_fraction", "step")
+
+
+def _finite(raw: str, spec: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"beta policy {spec!r}: {raw!r} is not a finite number")
+    return value
+
+
 def parse_beta_policy(spec: str) -> BetaPolicy:
-    """Parse CLI-style policy specs: fixed:0.5 | visited_fraction | logistic:f=w,...,bias=b."""
+    """Parse CLI-style policy specs: fixed:0.5 | visited_fraction | logistic:f=w,...,bias=b.
+
+    Every number must be finite and every logistic feature one of BALANCE_FEATURES.
+    """
     name, _, args = spec.partition(":")
     if name == "fixed":
-        try:
-            return FixedBeta(float(args))
-        except ValueError as exc:
-            raise ValueError(f"bad fixed beta value {args!r}") from exc
+        return FixedBeta(_finite(args, spec))
     if name == "visited_fraction":
         return VisitedFractionBeta()
     if name == "logistic":
@@ -62,12 +76,15 @@ def parse_beta_policy(spec: str) -> BetaPolicy:
         bias = 0.0
         for item in filter(None, args.split(",")):
             key, _, raw = item.partition("=")
-            if not raw:
-                raise ValueError(f"bad logistic term {item!r}")
             if key == "bias":
-                bias = float(raw)
+                bias = _finite(raw, spec)
+            elif key in BALANCE_FEATURES:
+                weights.append((key, _finite(raw, spec)))
             else:
-                weights.append((key, float(raw)))
+                raise ValueError(
+                    f"beta policy {spec!r}: unknown balance feature {key!r}; "
+                    f"expected bias or one of {', '.join(BALANCE_FEATURES)}"
+                )
         return LogisticBeta(weights=tuple(weights), bias=bias)
     raise ValueError(f"unknown beta policy {spec!r}")
 
@@ -75,12 +92,13 @@ def parse_beta_policy(spec: str) -> BetaPolicy:
 def balance_features(topo_map: SemanticTopoMap) -> dict[str, float]:
     known = max(len(topo_map.nodes), 1)
     F, C = topo_map.navigable_sets() if topo_map.nodes else (set(), set())
-    return {
-        "visited_fraction": len(topo_map.visited_ids()) / known,
-        "frontier_fraction": len(C) / known,
-        "local_fraction": len(F) / max(len(C), 1),
-        "step": float(topo_map.step),
-    }
+    values = (
+        len(topo_map.visited_ids()) / known,
+        len(C) / known,
+        len(F) / max(len(C), 1),
+        float(topo_map.step),
+    )
+    return dict(zip(BALANCE_FEATURES, values))
 
 
 def balance_factor(policy: BetaPolicy, state: dict[str, float] | SemanticTopoMap) -> float:

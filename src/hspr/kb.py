@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, malformed, read_json, write_json
 from .scene import SceneGraph, region_adjacency, segment_regions
 
 KB_SCHEMA_VERSION = 1
@@ -217,24 +217,12 @@ def save_kb(kb: ProximityKB, path) -> None:
         "top_objects": kb.top_objects,
         "provenance": kb.provenance,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_kb(path) -> ProximityKB:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"KB file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise SchemaError(f"KB file {path} must contain a JSON object")
-    if payload.get("schema_version") != KB_SCHEMA_VERSION:
-        raise SchemaError(
-            f"unsupported KB schema_version {payload.get('schema_version')!r}"
-        )
-    try:
+    payload = read_json(path, "KB", KB_SCHEMA_VERSION)
+    with malformed(f"KB file {path}"):
         kb = ProximityKB(
             P_r=_matrix_from_payload(payload["P_r"]),
             P_o=_matrix_from_payload(payload["P_o"]),
@@ -243,8 +231,6 @@ def load_kb(path) -> ProximityKB:
             object_vocabulary=[str(t) for t in payload["object_vocabulary"]],
             provenance=payload.get("provenance", {}),
         )
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed KB file: {exc}") from exc
     _check_kb(kb, path)
     return kb
 

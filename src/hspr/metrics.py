@@ -7,11 +7,10 @@ NE < threshold.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
-from .errors import InternalError
+from .errors import InternalError, write_json
 from .scene import SceneGraph, geodesic_distances
 from .simulator import Trajectory
 from .synth import Episode
@@ -161,9 +160,7 @@ def format_report_table(rows: list[tuple[str, dict]], label: str = "config") -> 
 
 
 def save_report(report: EvalReport, json_path, text_path=None, name: str = "run") -> None:
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_payload(report), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(json_path, report_to_payload(report), indent=1)
     if text_path is not None:
         with open(text_path, "w", encoding="utf-8") as fh:
             fh.write(format_report_table([(name, report.aggregates)]))

@@ -16,13 +16,12 @@ belief the agent holds is one of only n_types rows.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import malformed, read_json, write_json
 from .seeding import LazyRng
 
 CONFUSION_SCHEMA_VERSION = 1
@@ -146,30 +145,16 @@ def save_confusion(model: ConfusionModel, path) -> None:
         "mode": model.mode,
         "matrix": [[float(v) for v in row] for row in model.M],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_confusion(path) -> ConfusionModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"confusion file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise SchemaError(f"confusion file {path} must contain a JSON object")
-    if payload.get("schema_version") != CONFUSION_SCHEMA_VERSION:
-        raise SchemaError(
-            f"unsupported confusion schema_version {payload.get('schema_version')!r}"
-        )
-    try:
+    payload = read_json(path, "confusion", CONFUSION_SCHEMA_VERSION)
+    with malformed(f"confusion file {path}"):
         return ConfusionModel(
             np.array(payload["matrix"], dtype=np.float64),
             mode=payload.get("mode", "distribution"),
         )
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed confusion file: {exc}") from exc
 
 
 @functools.lru_cache

@@ -9,12 +9,11 @@ workers.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 
-from .errors import InvariantViolation, SchemaError
+from .errors import InvariantViolation, SchemaError, malformed, read_json, write_json
 
 SCENE_SCHEMA_VERSION = 1
 N_VIEWS = 36
@@ -140,13 +139,10 @@ def _is_connected(scene: SceneGraph) -> bool:
     return len(hop_distances(scene, scene.nodes[0].node_id)) == len(scene.nodes)
 
 
-def _scene_from_payload(payload: dict) -> SceneGraph:
-    if not isinstance(payload, dict):
-        raise SchemaError("scene file must contain a JSON object")
-    version = payload.get("schema_version")
-    if version != SCENE_SCHEMA_VERSION:
-        raise SchemaError(f"unsupported scene schema_version {version!r}")
-    try:
+def load_scene(path) -> SceneGraph:
+    """Load and validate a scene file."""
+    payload = read_json(path, "scene", SCENE_SCHEMA_VERSION)
+    with malformed(f"scene file {path}"):
         nodes = []
         for raw in payload["nodes"]:
             objects = tuple(
@@ -176,23 +172,11 @@ def _scene_from_payload(payload: dict) -> SceneGraph:
             type_vocabulary=[str(t) for t in payload["type_vocabulary"]],
             object_vocabulary=[str(t) for t in payload["object_vocabulary"]],
         )
-    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed scene file: {exc}") from exc
     for node in scene.nodes:
         if len(node.position) != 3:
             raise SchemaError(f"node {node.node_id!r} position must have 3 coordinates")
     validate_scene(scene)
     return scene
-
-
-def load_scene(path) -> SceneGraph:
-    """Load and validate a scene file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"scene file {path} is not valid JSON: {exc}") from exc
-    return _scene_from_payload(payload)
 
 
 def _round9(x: float) -> float:
@@ -231,9 +215,7 @@ def scene_to_payload(scene: SceneGraph) -> dict:
 
 def save_scene(scene: SceneGraph, path) -> None:
     """Write a scene in canonical form: sorted keys, arrays in input order."""
-    text = json.dumps(scene_to_payload(scene), sort_keys=True, indent=1)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    write_json(path, scene_to_payload(scene), indent=1)
 
 
 def segment_regions(scene: SceneGraph) -> list[Region]:

@@ -20,7 +20,6 @@ searched once per episode.
 from __future__ import annotations
 
 import contextlib
-import json
 import logging
 import math
 from collections.abc import Sequence
@@ -29,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InternalError, SchemaError
+from .errors import InternalError, SchemaError, malformed, read_json_lines, write_json
 from .fusion import (
     STOP,
     BetaPolicy,
@@ -500,54 +499,35 @@ def _string_list(payload: dict, name: str) -> list[str]:
     return [str(item) for item in value]
 
 
-def trajectory_from_payload(payload: dict) -> Trajectory:
-    try:
-        traj = Trajectory(
-            episode_id=str(payload["episode_id"]),
-            policy=str(payload.get("policy", "hspr")),
-            node_sequence=_string_list(payload, "node_sequence"),
-            action_sequence=_string_list(payload, "action_sequence"),
-            stop_node=str(payload["stop_node"]),
-            selected_object=(
-                None if payload["selected_object"] is None else str(payload["selected_object"])
-            ),
-            total_length=float(payload["total_length"]),
-            steps=payload.get("steps"),
-        )
-    except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise SchemaError(f"malformed trajectory record: {exc}") from exc
-    if not (math.isfinite(traj.total_length) and traj.total_length >= 0):
-        raise SchemaError(
-            f"trajectory {traj.episode_id}: total_length must be finite and >= 0, "
-            f"got {payload['total_length']!r}"
-        )
-    return traj
-
-
 def save_trajectories(trajectories: list[Trajectory], path) -> None:
     """JSON-lines, one trajectory per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for traj in trajectories:
-            fh.write(json.dumps(trajectory_to_payload(traj), sort_keys=True))
-            fh.write("\n")
+    write_json(path, (trajectory_to_payload(traj) for traj in trajectories), lines=True)
 
 
 def load_trajectories(path) -> list[Trajectory]:
     """Read a JSON-lines trajectory file; an episode id may appear only once."""
     out = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{line_no} is not valid JSON: {exc}") from exc
-            traj = trajectory_from_payload(payload)
-            if traj.episode_id in seen:
-                raise SchemaError(f"{path}:{line_no} repeats episode id {traj.episode_id!r}")
-            seen.add(traj.episode_id)
-            out.append(traj)
+    for label, payload in read_json_lines(path, "trajectory", TRAJECTORY_SCHEMA_VERSION):
+        with malformed(label):
+            traj = Trajectory(
+                episode_id=str(payload["episode_id"]),
+                policy=str(payload.get("policy", "hspr")),
+                node_sequence=_string_list(payload, "node_sequence"),
+                action_sequence=_string_list(payload, "action_sequence"),
+                stop_node=str(payload["stop_node"]),
+                selected_object=(
+                    None if payload["selected_object"] is None else str(payload["selected_object"])
+                ),
+                total_length=float(payload["total_length"]),
+                steps=payload.get("steps"),
+            )
+        if not (math.isfinite(traj.total_length) and traj.total_length >= 0):
+            raise SchemaError(
+                f"{label}: total_length must be finite and >= 0, got {payload['total_length']!r}"
+            )
+        if traj.episode_id in seen:
+            raise SchemaError(f"{label} repeats episode id {traj.episode_id!r}")
+        seen.add(traj.episode_id)
+        out.append(traj)
     return out

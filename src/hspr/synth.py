@@ -10,13 +10,12 @@ KB builder be validated closed-loop.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, malformed, read_json, write_json
 from .kb import ProximityKB
 from .scene import (
     NodeRecord,
@@ -317,25 +316,17 @@ def episode_to_payload(episode: Episode) -> dict:
 
 def save_episodes(episodes: list[Episode], path) -> None:
     """Manifest format: a JSON array of episode records."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([episode_to_payload(e) for e in episodes], fh, sort_keys=True)
-        fh.write("\n")
+    write_json(path, [episode_to_payload(e) for e in episodes])
 
 
 def load_episodes(path) -> list[Episode]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"episode manifest {path} is not valid JSON: {exc}") from exc
-    if not isinstance(payload, list):
-        raise SchemaError("episode manifest must be a JSON array of episode records")
     episodes = []
     seen = set()
-    for index, e in enumerate(payload):
+    for index, e in enumerate(read_json(path, "episode manifest", top=list)):
+        label = f"episode manifest {path} record {index}"
         if not isinstance(e, dict):
-            raise SchemaError(f"episode manifest record {index} is not a JSON object")
-        try:
+            raise SchemaError(f"{label} is not a JSON object")
+        with malformed(label):
             episode = Episode(
                 episode_id=str(e["episode_id"]),
                 scene_id=str(e["scene_id"]),
@@ -345,8 +336,6 @@ def load_episodes(path) -> list[Episode]:
                 shortest_length=float(e["shortest_length"]),
                 target_type=int(e["target_type"]),
             )
-        except (KeyError, OverflowError, TypeError, ValueError) as exc:
-            raise SchemaError(f"malformed episode manifest: {exc}") from exc
         # metrics divide by it: SPL is undefined unless it is finite and > 0
         if not (math.isfinite(episode.shortest_length) and episode.shortest_length > 0):
             raise SchemaError(

@@ -135,6 +135,10 @@ class TestExitCodes:
         assert result.returncode == 3
         assert "error" in result.stderr.lower()
 
+    def test_unwritable_out_is_3(self, pipeline_dir, tmp_path):
+        code, err = cli_in_process("build-kb", "--scenes", pipeline_dir / "scenes", "--out", tmp_path)
+        _assert_input_error(code, err, "Is a directory")
+
     def test_schema_error_is_3(self, pipeline_dir, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"schema_version": 42}')
@@ -227,6 +231,13 @@ AGENT_FAULTS = {
     "omega_shorter_than_steps": (("--omega", "1,1", "--steps", "3"), "omega must supply"),
     "omega_nan": (("--omega", "1,nan,1"), "omega must supply"),
     "object_noise_above_one": (("--object-noise", "2"), "object_noise must be in [0, 1]"),
+    "stop_weights_not_a_number": (("--stop-weights", "1,abc"), "--stop-weights expects two"),
+    "visual_not_a_number": (("--visual", "1,2,3,x"), "--visual expects four"),
+    "omega_not_a_number": (("--omega", "1,x,3"), "--omega expects comma-separated numbers"),
+    "eps_not_a_number": (("--confusion", "eps:abc"), "--confusion eps:<f> expects a number"),
+    "beta_fixed_nan": (("--beta", "fixed:nan"), "'nan' is not a finite number"),
+    "beta_bias_nan": (("--beta", "logistic:bias=nan"), "'nan' is not a finite number"),
+    "beta_unknown_feature": (("--beta", "logistic:foo=1"), "unknown balance feature 'foo'"),
 }
 
 
@@ -264,6 +275,7 @@ def test_gen_scenes_rejects_non_integer_pair(pair, tmp_path, capsys):
     ("--extra-links", "-3", "extra_region_links"),
     ("--n", "-2", "--n"),
     ("--n", "0", "--n"),
+    ("--regions", "12", "infeasible"),
 ])
 def test_gen_scenes_rejects_bad_setting(flag, value, field, tmp_path):
     argv = {"--kb": "house", "--n": "1", "--seed": "1", "--out": tmp_path / "scenes", flag: value}
@@ -465,6 +477,10 @@ TRAJECTORY_VIOLATIONS = {
     "node_sequence_string": (_set_field("node_sequence", "r0_n0"), "node_sequence"),
     "action_sequence_string": (_set_field("action_sequence", "STOP"), "action_sequence"),
     "selected_object_elsewhere": (_object_elsewhere, "selected_object"),
+    "schema_version_99": (_set_field("schema_version", 99), "t.jsonl:2 has schema_version 99"),
+    "schema_version_missing": (
+        lambda record, scenes_dir: record.pop("schema_version"), "t.jsonl:2 has schema_version None"
+    ),
 }
 
 
@@ -480,6 +496,7 @@ def test_invalid_trajectory_record_is_3(violation, pipeline_dir, trajectory_line
                  "--traj", str(bad), "--out", str(tmp_path / "report"))
     assert result.returncode == 3
     assert result.stderr.startswith("error:")
+    assert len(result.stderr.strip().splitlines()) == 1
     assert field in result.stderr
     assert "Traceback" not in result.stderr
     assert not (tmp_path / "report").exists()

@@ -5,11 +5,13 @@ import pytest
 
 from hspr import fusion
 from hspr.fusion import (
+    BALANCE_FEATURES,
     FUSION_MODES,
     FixedBeta,
     LogisticBeta,
     VisitedFractionBeta,
     balance_factor,
+    balance_features,
     fuse_variant_table,
     parse_beta_policy,
 )
@@ -115,6 +117,14 @@ class TestBalanceFactor:
         assert policy == LogisticBeta(weights=(("step", 0.1),), bias=-2.0)
         with pytest.raises(ValueError):
             parse_beta_policy("nonsense:1")
+        for spec in ("fixed:nan", "fixed:inf", "logistic:bias=nan", "logistic:step=-inf"):
+            with pytest.raises(ValueError, match="not a finite number"):
+                parse_beta_policy(spec)
+        with pytest.raises(ValueError, match="unknown balance feature 'foo'"):
+            parse_beta_policy("logistic:foo=1")
+
+    def test_features_are_the_parseable_names(self):
+        assert tuple(balance_features(hand_map())) == BALANCE_FEATURES
 
 
 def blend(l_c, l_f, beta):

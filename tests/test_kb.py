@@ -272,12 +272,6 @@ class TestKBRoundTrip:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "a9c07ed38362af3e9a1b22759b71e26a6317e2c997878bc145428081eee743ca"
 
-    def test_schema_version_checked(self, tmp_path):
-        path = tmp_path / "kb.json"
-        path.write_text('{"schema_version": 5}')
-        with pytest.raises(Exception, match="schema_version"):
-            load_kb(path)
-
 
 class TestBuildKB:
     def test_build_produces_normalized_matrices(self, rng):

@@ -66,14 +66,6 @@ class TestLoadScene:
         with pytest.raises(SchemaError):
             load_scene(path)
 
-    def test_wrong_schema_version(self, two_node_scene, tmp_path):
-        path = write_scene(two_node_scene, tmp_path)
-        payload = json.loads(path.read_text())
-        payload["schema_version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(SchemaError, match="schema_version"):
-            load_scene(path)
-
     @pytest.mark.parametrize(
         "mutate,message",
         [
