@@ -9,6 +9,7 @@ logging.
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
 import os
 import sys
@@ -38,6 +39,7 @@ from .seeding import stable_digest
 from .simulator import (
     POLICIES,
     AgentConfig,
+    check_episode,
     check_vocabularies,
     load_trajectories,
     run_batch,
@@ -80,6 +82,14 @@ def _parse_numbers(text: str, flag: str, count: int | None = None, kind: type = 
         noun = "integer" if kind is int else "number"
         raise SchemaError(f"{flag} expects {_EXPECTED[count].format(noun)}, got {text!r}")
     return values
+
+
+def _check_out(path: str) -> None:
+    """Refuse an --out file that cannot be created, before any work is done."""
+    out = Path(path)
+    if out.is_dir() or not out.parent.is_dir():
+        reason = errno.EISDIR if out.is_dir() else errno.ENOENT
+        raise SchemaError(f"--out {path}: {os.strerror(reason)}")
 
 
 def _load_scenes_dir(path: str) -> dict:
@@ -131,6 +141,7 @@ def _agent_from_args(args, n_types: int) -> AgentConfig:
 
 
 def cmd_build_kb(args) -> int:
+    _check_out(args.out)
     scenes = _load_scenes_dir(args.scenes)
     first = next(iter(scenes.values()))
     counts = CountMatrices.zeros(first.n_types, first.n_object_types)
@@ -186,6 +197,7 @@ def cmd_gen_scenes(args) -> int:
 
 
 def cmd_gen_episodes(args) -> int:
+    _check_out(args.out)
     scenes = _load_scenes_dir(args.scenes)
     episodes = []
     for scene_id in sorted(scenes):
@@ -200,6 +212,7 @@ def cmd_gen_episodes(args) -> int:
 def cmd_run(args) -> int:
     if args.parallel < 1:
         raise SchemaError("--parallel must be >= 1")
+    _check_out(args.out)
     kb = load_kb(args.kb)
     episodes = load_episodes(args.episodes)
     scenes = _load_scenes_dir(args.scenes)
@@ -244,6 +257,7 @@ def cmd_eval(args) -> int:
         scene = scenes.get(episode.scene_id)
         if scene is None:
             raise SchemaError(f"episode {episode.episode_id!r} names unknown scene {episode.scene_id!r}")
+        check_episode(scene, episode)
         metrics.append(
             episode_metrics(traj, episode, scene, threshold=args.threshold, ne_mode=args.ne)
         )

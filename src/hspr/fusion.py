@@ -91,7 +91,7 @@ def parse_beta_policy(spec: str) -> BetaPolicy:
 
 def balance_features(topo_map: SemanticTopoMap) -> dict[str, float]:
     known = max(len(topo_map.nodes), 1)
-    F, C = topo_map.navigable_sets() if topo_map.nodes else (set(), set())
+    F, C = topo_map.navigable_sets()
     values = (
         len(topo_map.visited_ids()) / known,
         len(C) / known,

@@ -137,20 +137,7 @@ def report_to_payload(report: EvalReport) -> dict:
 def format_report_table(rows: list[tuple[str, dict]], label: str = "config") -> str:
     """Aligned text table; one row per (name, aggregates) pair."""
     header = [label, *REPORT_COLUMNS]
-    body = []
-    for name, agg in rows:
-        body.append(
-            [
-                name,
-                f"{agg['TL']:.2f}",
-                f"{agg['NE']:.2f}",
-                f"{agg['OSR']:.2f}",
-                f"{agg['SR']:.2f}",
-                f"{agg['SPL']:.2f}",
-                f"{agg['RGS']:.2f}",
-                f"{agg['RGSPL']:.2f}",
-            ]
-        )
+    body = [[name, *(f"{agg[column]:.2f}" for column in REPORT_COLUMNS)] for name, agg in rows]
     widths = [max(len(r[i]) for r in [header, *body]) for i in range(len(header))]
     lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
     lines.append("  ".join("-" * w for w in widths))

@@ -137,7 +137,8 @@ def check_vocabularies(scene: SceneGraph, kb: ProximityKB) -> None:
         raise ValueError(f"KB vocabularies do not match scene {scene.scene_id!r}")
 
 
-def _check_compatible(scene: SceneGraph, episode: Episode, kb: ProximityKB, agent: AgentConfig) -> None:
+def check_episode(scene: SceneGraph, episode: Episode) -> None:
+    """Raise ValueError unless the episode's nodes and target type are its scene's."""
     if episode.scene_id != scene.scene_id:
         raise ValueError(
             f"episode {episode.episode_id} belongs to scene {episode.scene_id!r}, "
@@ -150,6 +151,16 @@ def _check_compatible(scene: SceneGraph, episode: Episode, kb: ProximityKB, agen
                 f"episode {episode.episode_id} {name} {node_id!r} "
                 f"is not a node of scene {scene.scene_id!r}"
             )
+    node_type = scene.node(episode.target_node).node_type
+    if episode.target_type != node_type:
+        raise ValueError(
+            f"episode {episode.episode_id} target_type {episode.target_type} does not match "
+            f"target node {episode.target_node!r} of type {node_type}"
+        )
+
+
+def _check_compatible(scene: SceneGraph, episode: Episode, kb: ProximityKB, agent: AgentConfig) -> None:
+    check_episode(scene, episode)
     check_vocabularies(scene, kb)
     if agent.confusion.n_types != kb.P_r.shape[0]:
         raise ValueError(
@@ -261,12 +272,9 @@ def run_episode(
         kb, target, agent.reasoner,
     )
     topo = SemanticTopoMap()
-    obs_counter = 0
 
-    def arrive(node_id: str) -> None:
-        nonlocal obs_counter
-        topo.observe(scene, node_id, agent.confusion, LazyRng(agent.seed, ep, "perceive", obs_counter))
-        obs_counter += 1
+    def arrive(node_id: str) -> None:  # topo.step counts arrivals
+        topo.observe(scene, node_id, agent.confusion, LazyRng(agent.seed, ep, "perceive", topo.step))
 
     arrive(episode.start_node)
     node_sequence = [episode.start_node]
@@ -330,7 +338,7 @@ def _scored_action(
     candidates = sorted(C)
     visited = sorted(topo.visited_ids()) if agent.fusion_mode == "dynamic" else []
     score_ids = candidates + visited  # navigable and visited are disjoint
-    row_of = {i: nodes[i].belief.row for i in score_ids}
+    row_of = {i: nodes[i].row for i in score_ids}
     rows = set(row_of.values())
 
     selected_path = None
@@ -352,7 +360,7 @@ def _scored_action(
                 by_row = row_scores.direct(rows)
         eta_all = {i: by_row[row] for i, row in row_of.items()}
 
-    current_row = nodes[current].belief.row
+    current_row = nodes[current].row
     alignment = row_scores.alignment(rows | {current_row})
     global_view = [(i, table.distance(i), alignment[row_of[i]]) for i in candidates]
     local_view = [(i, topo.adj[current][i], alignment[row_of[i]]) for i in sorted(F)]
@@ -425,13 +433,16 @@ class BatchResult:
 
 
 def _run_one(job) -> tuple[Trajectory | None, str | None]:
-    """Run one job: (trajectory, None), or (None, message) on an input error."""
+    """Run one job: (trajectory, None), or (None, message) on an input error, which
+    is a ValueError; any other exception is an engine fault, raised as InternalError."""
     try:
         return run_episode(*job), None
+    except ValueError as exc:
+        return None, str(exc)
     except InternalError:
         raise
     except Exception as exc:
-        return None, str(exc)
+        raise InternalError(f"episode {job[1].episode_id}: {type(exc).__name__}: {exc}") from exc
 
 
 def run_batch(
@@ -445,7 +456,7 @@ def run_batch(
 ) -> BatchResult:
     """Run many episodes; results are sorted by episode id and independent
     of the worker count.  Per-episode input errors are captured, not
-    raised; an InternalError (an engine bug) propagates."""
+    raised; an engine fault propagates as InternalError."""
     jobs = []
     failures: dict[str, str] = {}
     for episode in sorted(episodes, key=lambda e: e.episode_id):

@@ -2,8 +2,8 @@
 
 Grows incrementally as nodes are physically visited: arriving at a node
 makes it current, reveals its true neighbors as navigable, and re-perceives
-their types.  The map updates its visited and navigable sets whenever a
-status changes, so set queries read them instead of scanning every node.
+their types.  A node's status is not stored: it follows from `current` and
+the visited and navigable sets, which set queries read instead of scanning.
 Route planning runs single-source Dijkstra from the current node over the
 known edges, since a decision step only reads distances and routes from
 where the agent stands.
@@ -28,13 +28,6 @@ NAVIGABLE = "navigable"
 
 
 @dataclass
-class MapNode:
-    node_id: str
-    status: str
-    belief: TypeBelief
-
-
-@dataclass
 class RoutingTable:
     """Shortest distances and route predecessors from one source node.
 
@@ -50,15 +43,15 @@ class RoutingTable:
 
 
 class SemanticTopoMap:
-    """Known nodes with statuses, known edges, and the step counter."""
+    """Known nodes with their beliefs and statuses, known edges, and the step counter."""
 
     def __init__(self):
-        self.nodes: dict[str, MapNode] = {}
+        self.nodes: dict[str, TypeBelief] = {}
         # undirected edges, stored both ways: adj[a][b] == adj[b][a]
         self.adj: dict[str, dict[str, float]] = {}
         self.step = 0
         self.current: str | None = None
-        # status sets as insertion-ordered dicts, written only by _set_status
+        # status sets as insertion-ordered dicts; every known node is in exactly one
         self._visited: dict[str, None] = {}
         self._navigable: dict[str, None] = {}
 
@@ -66,29 +59,25 @@ class SemanticTopoMap:
         self.adj.setdefault(a, {})[b] = length
         self.adj.setdefault(b, {})[a] = length
 
-    def add_node(self, node_id: str, status: str, belief: TypeBelief) -> MapNode:
-        """Add a node with its status; observe adds every node it reveals this way."""
+    def add_node(self, node_id: str, status: str, belief: TypeBelief) -> None:
+        """Add a node with its status, bypassing observe; CURRENT makes it current."""
         if node_id in self.nodes:
             raise ValueError(f"node {node_id!r} is already on the map")
-        node = self.nodes[node_id] = MapNode(node_id, status, belief)
-        self._set_status(node, status)
-        return node
+        self.nodes[node_id] = belief
+        (self._navigable if status == NAVIGABLE else self._visited)[node_id] = None
+        if status == CURRENT:
+            self.current = node_id
 
-    def _set_status(self, node: MapNode, status: str) -> None:
-        # the only writer of statuses, so the two status sets stay exact
-        node.status = status
-        if status == NAVIGABLE:
-            self._navigable[node.node_id] = None
-            self._visited.pop(node.node_id, None)
-        else:
-            self._visited[node.node_id] = None
-            self._navigable.pop(node.node_id, None)
+    def status(self, node_id: str) -> str:
+        """CURRENT, NAVIGABLE or VISITED, read from `current` and the status sets."""
+        if node_id not in self.nodes:
+            raise ValueError(f"node {node_id!r} is not on the map")
+        if node_id == self.current:
+            return CURRENT
+        return NAVIGABLE if node_id in self._navigable else VISITED
 
     def visited_ids(self) -> KeysView[str]:
-        """Visited nodes; the current node counts as visited for set queries.
-
-        A read-only view that follows the map as it grows.
-        """
+        """Visited nodes, the current one included, as a read-only view that follows the map."""
         return self._visited.keys()
 
     def navigable_ids(self) -> KeysView[str]:
@@ -102,7 +91,7 @@ class SemanticTopoMap:
         confusion: ConfusionModel,
         rng: np.random.Generator | LazyRng,
     ) -> None:
-        """Arrive at a node: update statuses, reveal neighbors, refresh beliefs.
+        """Arrive at a node: make it current, reveal neighbors, refresh beliefs.
 
         The arrived node, then each neighbor in id order, is perceived
         through confusion with rng.  A known node keeps its belief object
@@ -119,37 +108,29 @@ class SemanticTopoMap:
         # a node's edges are all known after its first arrival, and
         # re-assigning a known key would keep its place in adj anyway
         first_arrival = arrived_node not in self._visited
-        if self.current is not None and self.current != arrived_node:
-            self._set_status(self.nodes[self.current], VISITED)
-        self._perceive(scene.node(arrived_node), CURRENT, confusion, rng)
+        self._perceive(scene.node(arrived_node), confusion, rng)
+        # the previous current node is in _visited already
+        self._navigable.pop(arrived_node, None)
+        self._visited[arrived_node] = None
         self.current = arrived_node
 
         for nbr_id, length in sorted(scene.neighbors(arrived_node)):
-            self._perceive(scene.node(nbr_id), NAVIGABLE, confusion, rng)
+            if self._perceive(scene.node(nbr_id), confusion, rng):
+                self._navigable[nbr_id] = None
             if first_arrival:
                 self.add_edge(arrived_node, nbr_id, length)
         self.step += 1
 
-    def _perceive(self, record, new_status: str, confusion: ConfusionModel, rng) -> None:
-        """Perceive one node and give it new_status if it is new or becomes current.
-
-        A known node's belief is replaced only when its row changed.
-        """
+    def _perceive(self, record, confusion: ConfusionModel, rng) -> bool:
+        """Perceive one node, replacing a known belief only if its row changed; True if new."""
         row = confusion.perceive(record.node_type, rng)
         known = self.nodes.get(record.node_id)
-        if known is None:
-            belief = confusion.belief(record.node_id, row)
-            self.add_node(record.node_id, new_status, belief)
-            return
-        if known.belief.row != row:
-            known.belief = confusion.belief(record.node_id, row)
-        if new_status == CURRENT:
-            self._set_status(known, CURRENT)
+        if known is None or known.row != row:
+            self.nodes[record.node_id] = confusion.belief(record.node_id, row)
+        return known is None
 
     def navigable_sets(self) -> tuple[set[str], KeysView[str]]:
-        """(local F, global C): navigable nodes adjacent to current, and all of them."""
-        if not self.nodes:
-            raise ValueError("map is empty")
+        """(local F, global C): navigable nodes next to current, and all of them (or none)."""
         C = self.navigable_ids()
         return C & self.adj.get(self.current, {}).keys(), C
 
@@ -232,10 +213,10 @@ class SemanticTopoMap:
             "step": self.step,
             "nodes": {
                 nid: {
-                    "status": rec.status,
-                    "type_argmax": int(np.argmax(rec.belief.R)),
+                    "status": self.status(nid),
+                    "type_argmax": int(np.argmax(belief.R)),
                 }
-                for nid, rec in sorted(self.nodes.items())
+                for nid, belief in sorted(self.nodes.items())
             },
             "edges": sorted(
                 [a, b, length]

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from hspr import cli as cli_module, simulator
 from hspr.cli import dispatch
 from hspr.errors import InternalError
 from hspr.kb import load_kb
@@ -341,25 +342,38 @@ def test_invalid_kb_value_is_rejected_at_load(violation, pipeline_dir, tmp_path)
     assert not (tmp_path / "t.jsonl").exists()
 
 
+def _raise(exc):
+    def broken(*args, **kwargs):
+        raise exc
+    return broken
+
+
+# (patched object, attribute, exception, the internal error line it gives);
+# {first} is the id of the first episode, which fails first in both modes
+ENGINE_FAULTS = [
+    (SemanticTopoMap, "shortest_paths", InternalError("routing invariant broken"),
+     "internal error: routing invariant broken"),
+    (simulator, "stop_score", KeyError("n3"), "internal error: episode {first}: KeyError: 'n3'"),
+]
+
+
 @pytest.mark.parametrize("parallel", ["1", "2"])
 def test_engine_bug_exits_4(parallel, pipeline_dir, tmp_path, monkeypatch, capsys):
     if parallel != "1" and multiprocessing.get_start_method() != "fork":
         pytest.skip("pool workers inherit the patched method only when forked")
-
-    def broken(self, source=None):
-        raise InternalError("routing invariant broken")
-
-    monkeypatch.setattr(SemanticTopoMap, "shortest_paths", broken)
-    code = dispatch(["run", "--scenes", str(pipeline_dir / "scenes"),
-                     "--kb", str(pipeline_dir / "kb.json"),
-                     "--episodes", str(pipeline_dir / "episodes.json"),
-                     "--seed", "1", "--parallel", parallel,
-                     "--out", str(tmp_path / "t.jsonl")])
-    stderr = capsys.readouterr().err
-    assert code == 4
-    assert "internal error: routing invariant broken" in stderr
-    assert "Traceback" not in stderr
-    assert not (tmp_path / "t.jsonl").exists()
+    first = min(e["episode_id"] for e in json.loads((pipeline_dir / "episodes.json").read_text()))
+    for target, name, exc, line in ENGINE_FAULTS:
+        with monkeypatch.context() as patch:
+            patch.setattr(target, name, _raise(exc))
+            code = dispatch(["run", "--scenes", str(pipeline_dir / "scenes"),
+                             "--kb", str(pipeline_dir / "kb.json"),
+                             "--episodes", str(pipeline_dir / "episodes.json"),
+                             "--seed", "1", "--parallel", parallel,
+                             "--out", str(tmp_path / "t.jsonl")])
+        stderr = capsys.readouterr().err
+        assert code == 4
+        assert stderr.splitlines() == [line.format(first=first)]
+        assert not (tmp_path / "t.jsonl").exists()
 
 
 def _set_shortest_length(value):
@@ -372,7 +386,13 @@ def _replace_record(records):
     records[1] = ["not", "an", "object"]
 
 
+def _other_target_type(records):
+    target_type = records[1]["target_type"]
+    records[1]["target_type"] = target_type - 1 if target_type else 1
+
+
 MANIFEST_VIOLATIONS = {
+    "target_type_not_the_target_node_type": (_other_target_type, "does not match target node"),
     "shortest_length_zero": (_set_shortest_length(0), "shortest_length"),
     "shortest_length_negative": (_set_shortest_length(-2), "shortest_length"),
     "shortest_length_nan": (_set_shortest_length("NaN"), "shortest_length"),
@@ -422,6 +442,27 @@ def test_episode_node_missing_from_scene_is_3(field, value, pipeline_dir, tmp_pa
     assert "Traceback" not in stderr
     written = [json.loads(line)["episode_id"] for line in (tmp_path / "t.jsonl").open()]
     assert written == sorted(r["episode_id"] for r in records[1:])
+
+
+def _no_scene_read(path):
+    raise AssertionError("scenes were read before --out was checked")
+
+
+@pytest.mark.parametrize("command", ["run", "build-kb", "gen-episodes"])
+@pytest.mark.parametrize("out", ["missing-dir/out.json", "."])
+def test_unusable_out_fails_before_any_work(out, command, pipeline_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli_module, "_load_scenes_dir", _no_scene_read)
+    argv = {
+        "run": ("--kb", pipeline_dir / "kb.json", "--episodes", pipeline_dir / "episodes.json",
+                "--seed", 1),
+        "build-kb": (),
+        "gen-episodes": ("--per-scene", 1, "--seed", 3),
+    }[command]
+    code, err = cli_in_process(command, "--scenes", pipeline_dir / "scenes", *argv,
+                               "--out", tmp_path / out)
+    _assert_input_error(code, err, f"--out {tmp_path / out}")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "missing-dir").exists()
 
 
 def test_kb_vocabulary_mismatch_fails_before_any_episode(pipeline_dir, tmp_path):

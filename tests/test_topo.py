@@ -5,6 +5,7 @@ import pytest
 
 from hspr.bench import standard_benchmark
 from hspr.errors import InternalError
+from hspr.fusion import BALANCE_FEATURES, balance_features
 from hspr.perception import ConfusionModel, TypeBelief
 from hspr.topo import CURRENT, NAVIGABLE, VISITED, SemanticTopoMap
 
@@ -14,6 +15,8 @@ from oracles import dijkstra_single_source, route_visited_sum
 
 # identity confusion: each node believes its true type with certainty
 ORACLE = ConfusionModel.identity(4)
+# statuses must not depend on perception: a noiseless and a sampled model
+STATUS_MODELS = (ORACLE, ConfusionModel.eps_uniform(4, 0.5, mode="sampled"))
 
 
 def star_scene():
@@ -60,7 +63,7 @@ class TestObserve:
         topo = SemanticTopoMap()
         topo.observe(scene, "hub", ORACLE, None)
         assert topo.current == "hub"
-        assert topo.nodes["hub"].status == CURRENT
+        assert topo.status("hub") == CURRENT
         assert topo.navigable_ids() == {"n1", "n2"}
         assert topo.adj["hub"] == {"n1": 1.0, "n2": 2.0}
         assert topo.step == 1
@@ -70,8 +73,8 @@ class TestObserve:
         topo = SemanticTopoMap()
         topo.observe(scene, "hub", ORACLE, None)
         topo.observe(scene, "n2", ORACLE, None)
-        assert topo.nodes["hub"].status == VISITED
-        assert topo.nodes["n2"].status == CURRENT
+        assert topo.status("hub") == VISITED
+        assert topo.status("n2") == CURRENT
         assert topo.navigable_ids() == {"n1", "n3"}
 
     def test_revisiting_a_visited_node(self):
@@ -81,9 +84,18 @@ class TestObserve:
         topo.observe(scene, "n2", ORACLE, None)
         edges_before = topo.snapshot()["edges"]
         topo.observe(scene, "hub", ORACLE, None)
-        assert topo.nodes["hub"].status == CURRENT
-        assert topo.nodes["n2"].status == VISITED
+        assert topo.status("hub") == CURRENT
+        assert topo.status("n2") == VISITED
         assert topo.snapshot()["edges"] == edges_before
+
+    def test_added_statuses_read_back(self):
+        topo = SemanticTopoMap()
+        for nid, status in (("a", VISITED), ("b", CURRENT), ("c", NAVIGABLE)):
+            topo.add_node(nid, status, TypeBelief(nid, np.array([1.0])))
+        assert topo.current == "b"
+        assert [topo.status(n) for n in "abc"] == [VISITED, CURRENT, NAVIGABLE]
+        with pytest.raises(ValueError, match="not on the map"):
+            topo.status("d")
 
     def test_teleport_rejected(self):
         scene = star_scene()
@@ -102,13 +114,14 @@ class TestObserve:
 
     def test_exactly_one_current_and_disjoint_statuses(self, rng):
         scene = star_scene()
-        topo = SemanticTopoMap()
         walk = ["hub", "n2", "n3", "n2", "hub", "n1"]
-        for node in walk:
-            topo.observe(scene, node, ORACLE, None)
-            statuses = [rec.status for rec in topo.nodes.values()]
-            assert statuses.count(CURRENT) == 1
-            assert set(statuses) <= {CURRENT, VISITED, NAVIGABLE}
+        for confusion in STATUS_MODELS:
+            topo = SemanticTopoMap()
+            for node in walk:
+                topo.observe(scene, node, confusion, rng)
+                statuses = [topo.status(nid) for nid in topo.nodes]
+                assert statuses.count(CURRENT) == 1
+                assert set(statuses) <= {CURRENT, VISITED, NAVIGABLE}
 
     def test_known_graph_is_subgraph_of_scene(self):
         scene = star_scene()
@@ -120,19 +133,19 @@ class TestObserve:
 
     def test_status_sets_follow_every_status_change(self, rng):
         def assert_sets_match_statuses(topo):
-            statuses = {nid: rec.status for nid, rec in topo.nodes.items()}
+            statuses = {nid: topo.status(nid) for nid in topo.nodes}
             assert topo.visited_ids() == {n for n, s in statuses.items() if s in (VISITED, CURRENT)}
             assert topo.navigable_ids() == {n for n, s in statuses.items() if s == NAVIGABLE}
 
         scene = star_scene()
-        for _ in range(20):
+        for confusion in STATUS_MODELS * 20:
             topo = SemanticTopoMap()
-            topo.observe(scene, "hub", ORACLE, None)
+            topo.observe(scene, "hub", confusion, rng)
             assert_sets_match_statuses(topo)
             for _ in range(5):
                 goal = sorted(topo.nodes)[int(rng.integers(len(topo.nodes)))]
                 for hop in topo.route_to(topo.shortest_paths(), goal)[1:]:
-                    topo.observe(scene, hop, ORACLE, None)
+                    topo.observe(scene, hop, confusion, rng)
                     assert_sets_match_statuses(topo)
 
     def test_status_sets_are_read_only(self):
@@ -152,20 +165,20 @@ class TestObserve:
         scene = star_scene()
         topo = SemanticTopoMap()
         topo.observe(scene, "hub", ORACLE, None)
-        first = topo.nodes["n2"].belief
+        first = topo.nodes["n2"]
         assert first.row == 2
         topo.observe(scene, "n2", ORACLE, None)
         topo.observe(scene, "hub", ORACLE, None)
-        assert topo.nodes["n2"].belief is first
+        assert topo.nodes["n2"] is first
         # sampled: hub, n1, n2 draw in that order on each arrival at hub
         sampled = ConfusionModel.eps_uniform(4, 1.0, mode="sampled")
         rng, twin = np.random.default_rng(3), np.random.default_rng(3)
         replaced = 0
         for _ in range(10):
-            before = topo.nodes["n2"].belief
+            before = topo.nodes["n2"]
             topo.observe(scene, "hub", sampled, rng)
             want = [sampled.perceive(scene.node(n).node_type, twin) for n in ("hub", "n1", "n2")][2]
-            after = topo.nodes["n2"].belief
+            after = topo.nodes["n2"]
             assert after.row == want and after.R[want] == 1.0
             assert (after is before) == (want == before.row)
             replaced += after is not before
@@ -198,6 +211,12 @@ class TestObserve:
 
 
 class TestNavigableSets:
+    def test_empty_map_has_empty_sets(self):
+        topo = SemanticTopoMap()
+        F, C = topo.navigable_sets()
+        assert F == set() and C == set()
+        assert balance_features(topo) == dict.fromkeys(BALANCE_FEATURES, 0.0)
+
     def test_first_step_local_equals_global(self):
         scene = star_scene()
         topo = SemanticTopoMap()
