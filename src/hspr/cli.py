@@ -84,12 +84,25 @@ def _parse_numbers(text: str, flag: str, count: int | None = None, kind: type = 
     return values
 
 
+def _check_positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise SchemaError(f"{flag} must be >= 1, got {value}")
+
+
 def _check_out(path: str) -> None:
     """Refuse an --out file that cannot be created, before any work is done."""
     out = Path(path)
     if out.is_dir() or not out.parent.is_dir():
         reason = errno.EISDIR if out.is_dir() else errno.ENOENT
         raise SchemaError(f"--out {path}: {os.strerror(reason)}")
+
+
+def _check_out_dir(path: str) -> None:
+    """Refuse an --out directory that cannot be made, before any input is
+    read: it must be a directory or absent, under a directory."""
+    out = Path(path)
+    if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+        raise SchemaError(f"--out {path}: {os.strerror(errno.ENOTDIR)}")
 
 
 def _load_scenes_dir(path: str) -> dict:
@@ -167,8 +180,8 @@ def cmd_build_kb(args) -> int:
 
 
 def cmd_gen_scenes(args) -> int:
-    if args.n < 1:
-        raise SchemaError(f"--n must be >= 1, got {args.n}")
+    _check_positive("--n", args.n)
+    _check_out_dir(args.out)
     if args.kb == "house":
         kb, object_weights = house_generator_kb()
     else:
@@ -210,8 +223,7 @@ def cmd_gen_episodes(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if args.parallel < 1:
-        raise SchemaError("--parallel must be >= 1")
+    _check_positive("--parallel", args.parallel)
     _check_out(args.out)
     kb = load_kb(args.kb)
     episodes = load_episodes(args.episodes)
@@ -240,6 +252,7 @@ def _uncovered(episode_ids, trajectories) -> list[str]:
 
 
 def cmd_eval(args) -> int:
+    _check_out_dir(args.out)
     scenes = _load_scenes_dir(args.scenes)
     episodes = {e.episode_id: e for e in load_episodes(args.episodes)}
     trajectories = load_trajectories(args.traj)
@@ -275,21 +288,32 @@ def cmd_eval(args) -> int:
 def _parse_sweep(spec: str) -> tuple[str, list]:
     key, _, values = spec.partition("=")
     if key == "steps":
-        if ".." in values:
-            lo, hi = values.split("..")
-            return "steps", list(range(int(lo), int(hi) + 1))
-        return "steps", [int(v) for v in values.split(",")]
+        lo, _, hi = values.partition("..")
+        try:
+            steps = list(range(int(lo), int(hi) + 1)) if hi else [int(v) for v in values.split(",")]
+        except ValueError:
+            steps = []
+        if not steps or min(steps) < 1:
+            raise SchemaError(
+                f"--sweep {spec!r}: expected steps=A..B with 1 <= A <= B, or steps=a,b,c with each >= 1"
+            )
+        return "steps", steps
     if key == "fusion":
         modes = values.split(",")
         for mode in modes:
             if mode not in FUSION_MODES:
-                raise SchemaError(f"unknown fusion mode {mode!r}")
+                raise SchemaError(f"--sweep {spec!r}: unknown fusion mode {mode!r}")
         return "fusion", modes
-    raise SchemaError(f"unknown sweep {spec!r}; expected steps=A..B or fusion=a,b,c")
+    raise SchemaError(f"--sweep {spec!r}: expected steps=A..B or fusion=a,b,c")
 
 
 def cmd_ablate(args) -> int:
     key, values = _parse_sweep(args.sweep)
+    for flag, value in (("--scenes-n", args.scenes_n), ("--episodes-per", args.episodes_per),
+                        ("--parallel", args.parallel)):
+        _check_positive(flag, value)
+    if args.out:
+        _check_out_dir(args.out)
     scenes, episodes, kb = standard_benchmark(
         n_scenes=args.scenes_n, episodes_per_scene=args.episodes_per, seed=args.seed
     )

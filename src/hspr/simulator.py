@@ -1,11 +1,13 @@
 """Episode execution.
 
-Each decision step observes the current node, perceives navigable nodes,
-replans the type path, scores candidates with proximity + visual evidence,
-fuses, and either stops or routes to the chosen navigable node (observing
-every hop on the way).  All randomness derives from (agent seed, episode id,
-step), so batches replay identically under any parallelism; a keyed
-generator is derived only when it first draws.
+Each decision step observes the current node, replans the type path,
+scores candidates with proximity + visual evidence, fuses, and either stops
+or routes to the chosen navigable node (observing every hop on the way).
+In distribution mode an arrival perceives only the nodes new to the map,
+so each node is perceived once per episode; in sampled mode every arrival
+draws once for each node it reaches.  All randomness derives from (agent
+seed, episode id, step), so batches replay identically under any
+parallelism; a keyed generator is derived only when it first draws.
 
 Every belief on the map is one of the confusion model's rows, so each
 belief-dependent score (proximity, multi-step, present types, visual type

@@ -1,8 +1,9 @@
 """The agent's semantic topological map.
 
 Grows incrementally as nodes are physically visited: arriving at a node
-makes it current, reveals its true neighbors as navigable, and re-perceives
-their types.  A node's status is not stored: it follows from `current` and
+makes it current, reveals its true neighbors as navigable, and perceives
+the types of the nodes new to the map (in sampled mode, of every node it
+reaches).  A node's status is not stored: it follows from `current` and
 the visited and navigable sets, which set queries read instead of scanning.
 Route planning runs single-source Dijkstra from the current node over the
 known edges, since a decision step only reads distances and routes from
@@ -94,28 +95,31 @@ class SemanticTopoMap:
         """Arrive at a node: make it current, reveal neighbors, refresh beliefs.
 
         The arrived node, then each neighbor in id order, is perceived
-        through confusion with rng.  A known node keeps its belief object
-        unless it is perceived at another confusion row, so in distribution
-        mode every node holds one belief for the whole episode.  Arrival is
-        legal at the episode start (empty map) or at any already-known node;
-        anything else is a teleport.  The arrived node's edges are added on
-        its first arrival only; every arrival perceives the same nodes.
+        through confusion with rng if it is new to the map or the model is
+        sampled: in distribution mode a known node's perception draws nothing
+        and returns the row it holds, so a repeat arrival only moves the
+        current node.  A sampled draw replaces a known belief only if it
+        lands on another row.  Arrival is legal at the episode start (empty
+        map) or at any already-known node; anything else is a teleport.  The
+        arrived node's edges are added on its first arrival only.
         """
         if self.nodes and arrived_node not in self.nodes:
             raise ValueError(
                 f"cannot arrive at {arrived_node!r}: not a known node and not the start"
             )
-        # a node's edges are all known after its first arrival, and
-        # re-assigning a known key would keep its place in adj anyway
+        # a node's edges and neighbors are all known after its first arrival,
+        # and re-assigning a known key would keep its place in adj anyway
         first_arrival = arrived_node not in self._visited
-        self._perceive(scene.node(arrived_node), confusion, rng)
+        redraw = confusion.mode == "sampled"
+        if redraw or arrived_node not in self.nodes:
+            self._perceive(scene.node(arrived_node), confusion, rng)
         # the previous current node is in _visited already
         self._navigable.pop(arrived_node, None)
         self._visited[arrived_node] = None
         self.current = arrived_node
 
-        for nbr_id, length in sorted(scene.neighbors(arrived_node)):
-            if self._perceive(scene.node(nbr_id), confusion, rng):
+        for nbr_id, length in sorted(scene.neighbors(arrived_node)) if redraw or first_arrival else ():
+            if (redraw or nbr_id not in self.nodes) and self._perceive(scene.node(nbr_id), confusion, rng):
                 self._navigable[nbr_id] = None
             if first_arrival:
                 self.add_edge(arrived_node, nbr_id, length)

@@ -13,8 +13,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
+from hspr.bench import house_generator_kb
 from hspr.cli import dispatch
 from hspr.scene import NodeRecord, ObjectInstance, SceneGraph, validate_scene
+from hspr.seeding import stable_digest
+from hspr.synth import GeneratorConfig, generate_scene, sample_episodes
 
 
 def cli_in_process(*argv):
@@ -70,6 +73,27 @@ def two_node_scene():
         ],
         edges=[("a", "b", 3.0)],
     )
+
+
+@pytest.fixture(scope="session")
+def large_scenes():
+    """(scenes, episodes, kb): two scenes in the large-scene benchmark's shape,
+    60 regions of repeated types with 4-5 nodes each, and two episodes per
+    scene.  Walks on them revisit known nodes far more than on the house
+    benchmark."""
+    kb, object_weights = house_generator_kb()
+    scenes, episodes = {}, []
+    for i in range(2):
+        config = GeneratorConfig(
+            seed=stable_digest(1, "large-scene", "scene", i), generator_kb=kb,
+            region_count=60, nodes_per_region=(4, 5), extra_region_links=1,
+            objects_per_node=(1, 2), unique_region_types=False,
+            unique_objects_per_region=True, object_weights=object_weights,
+        )
+        scene = generate_scene(config, scene_id=f"large{i:03d}")
+        scenes[scene.scene_id] = scene
+        episodes.extend(sample_episodes(scene, 2, (1, "large-scene", "episodes", i)))
+    return scenes, episodes, kb
 
 
 @pytest.fixture

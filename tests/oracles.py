@@ -6,10 +6,12 @@ are frozen from these oracles, not from the implementation under test.
 
 `compose_scores`, `fuse_final`, `select_path`, the per-instance object
 code (`ObjectBelief`, `object_beliefs`, `object_proximity_scores`,
-`ground_object`) and `sample_region_types` (formerly
+`ground_object`), `sample_region_types` (formerly
 `synth._sample_region_types`, which rebuilt its candidate list for every
-new region) are the package's former implementations, kept verbatim as
-slow references for the code that replaced them.
+new region) and `observe_reperceiving` (formerly
+`SemanticTopoMap.observe`, which perceived every node an arrival reached
+in both confusion modes) are the package's former implementations, kept
+as slow references for the code that replaced them.
 """
 
 from __future__ import annotations
@@ -298,3 +300,34 @@ def sample_region_types(config: GeneratorConfig, rng: np.random.Generator) -> tu
         del extra_candidates[pick]
         del extra_weights[pick]
     return types, links
+
+
+def observe_reperceiving(topo, scene, arrived_node, confusion, rng) -> None:
+    """Arrive at a node of a SemanticTopoMap, perceiving every node reached.
+
+    The arrived node, then each neighbor in id order, is perceived on every
+    arrival, known or not and in either confusion mode.  A known node keeps
+    its belief object unless it is perceived at another row; the arrived
+    node's edges are added on its first arrival only.
+    """
+    if topo.nodes and arrived_node not in topo.nodes:
+        raise ValueError(f"cannot arrive at {arrived_node!r}: not a known node and not the start")
+
+    def perceive(node_id) -> bool:
+        row = confusion.perceive(scene.node(node_id).node_type, rng)
+        known = topo.nodes.get(node_id)
+        if known is None or known.row != row:
+            topo.nodes[node_id] = confusion.belief(node_id, row)
+        return known is None
+
+    first_arrival = arrived_node not in topo._visited
+    perceive(arrived_node)
+    topo._navigable.pop(arrived_node, None)
+    topo._visited[arrived_node] = None
+    topo.current = arrived_node
+    for nbr_id, length in sorted(scene.neighbors(arrived_node)):
+        if perceive(nbr_id):
+            topo._navigable[nbr_id] = None
+        if first_arrival:
+            topo.add_edge(arrived_node, nbr_id, length)
+    topo.step += 1

@@ -465,6 +465,57 @@ def test_unusable_out_fails_before_any_work(out, command, pipeline_dir, tmp_path
     assert not (tmp_path / "missing-dir").exists()
 
 
+def _no_benchmark(**kwargs):
+    raise AssertionError("the benchmark was built before the flags were checked")
+
+
+ABLATE_FAULTS = {
+    "sweep_empty_range": ("--sweep", "steps=3..1"),
+    "sweep_three_bounds": ("--sweep", "steps=1..2..3"),
+    "sweep_zero_steps": ("--sweep", "steps=0,1"),
+    "parallel_negative": ("--parallel", "-3"),
+    "scenes_n_zero": ("--scenes-n", "0"),
+    "episodes_per_zero": ("--episodes-per", "0"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ABLATE_FAULTS))
+def test_ablate_bad_flag_fails_before_any_episode(fault, tmp_path, monkeypatch, capsys):
+    flag, value = ABLATE_FAULTS[fault]
+    monkeypatch.setattr(cli_module, "standard_benchmark", _no_benchmark)
+    args = {"--sweep": "fusion=residual", "--scenes-n": "2", "--episodes-per": "1", flag: value}
+    code = dispatch(["ablate", *(arg for pair in args.items() for arg in pair),
+                     "--out", str(tmp_path / "ab")])
+    captured = capsys.readouterr()
+    _assert_input_error(code, captured.err, flag)
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == ""  # no table
+    assert not (tmp_path / "ab").exists()
+
+
+def _no_input_read(*args, **kwargs):
+    raise AssertionError("input was read before --out was checked")
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate", "gen-scenes"])
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_out_that_is_a_file_fails_before_any_work(out, command, pipeline_dir, tmp_path, monkeypatch):
+    for name in ("_load_scenes_dir", "standard_benchmark", "load_kb"):
+        monkeypatch.setattr(cli_module, name, _no_input_read)
+    (tmp_path / "taken").write_text("a file, not a directory")
+    argv = {
+        "eval": ("--scenes", pipeline_dir / "scenes", "--episodes", pipeline_dir / "episodes.json",
+                 "--traj", tmp_path / "t.jsonl"),
+        "ablate": ("--sweep", "fusion=residual", "--scenes-n", 2, "--episodes-per", 1),
+        "gen-scenes": ("--kb", pipeline_dir / "kb.json", "--n", 2, "--seed", 1),
+    }[command]
+    code, err = cli_in_process(command, *argv, "--out", tmp_path / out)
+    assert code == 3
+    assert err == f"error: --out {tmp_path / out}: Not a directory\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert (tmp_path / "taken").read_text() == "a file, not a directory"
+
+
 def test_kb_vocabulary_mismatch_fails_before_any_episode(pipeline_dir, tmp_path):
     payload = json.loads((pipeline_dir / "kb.json").read_text())
     vocabulary = payload["type_vocabulary"]

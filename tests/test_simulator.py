@@ -386,6 +386,25 @@ class TestRandomStreams:
                 objects = scenes[episode.scene_id].node(traj.stop_node).objects
                 assert traj.selected_object == min((o.object_id for o in objects), default=None)
 
+    # traced runs in the large-scene benchmark's shape (dynamic fusion, 40
+    # actions), where most arrivals revisit a known node; recorded while
+    # every arrival re-perceived the arrived node and all of its neighbours
+    LARGE_SCENE_TRACED = {
+        "distribution": "9d4310755494ee71752f373bd921d11eaccab408924b7e9ff5e241c11aa0cfee",
+        "sampled": "3b7a7885c84ce4aa0102721ff8443f62a100a89dff02c022005ad4f9d937f5a7",
+    }
+
+    @pytest.mark.parametrize("mode", sorted(LARGE_SCENE_TRACED))
+    def test_large_scene_scores_pinned(self, large_scenes, mode):
+        scenes, episodes, kb = large_scenes
+        agent = AgentConfig(
+            confusion=ConfusionModel.eps_uniform(len(kb.type_vocabulary), 0.2, mode=mode),
+            visual=VisualWeights(noise_sd=0.1), fusion_mode="dynamic", max_actions=40, seed=1,
+        )
+        batch = run_batch(scenes, episodes, kb, agent, "hspr", trace=True)
+        assert not batch.failures
+        assert trajectory_digest(batch.trajectories) == self.LARGE_SCENE_TRACED[mode]
+
     def test_sampled_mode_streams_pinned(self, small_bench):
         scenes, episodes, kb = small_bench
         agent = AgentConfig(
@@ -531,6 +550,46 @@ class TestRowScores:
                 known.update(nbr for nbr, _ in scene.neighbors(node))
             assert set(built) == known
             assert set(built.values()) == {1}
+
+    def test_distribution_mode_perceives_each_node_once(self, small_bench, large_scenes, monkeypatch):
+        perceptions = [0]
+        original = ConfusionModel.perceive
+
+        def counting(self, true_type, rng):
+            perceptions[0] += 1
+            return original(self, true_type, rng)
+
+        maps = []
+
+        class CountingMap(simulator.SemanticTopoMap):
+            def __init__(self):
+                super().__init__()
+                maps.append(self)
+                self.arrivals = []  # (repeat arrival, perceptions it made)
+
+            def observe(self, scene, arrived_node, confusion, rng):
+                before, repeat = perceptions[0], arrived_node in self.visited_ids()
+                super().observe(scene, arrived_node, confusion, rng)
+                self.arrivals.append((repeat, perceptions[0] - before))
+
+        monkeypatch.setattr(ConfusionModel, "perceive", counting)
+        monkeypatch.setattr(simulator, "SemanticTopoMap", CountingMap)
+        repeats = 0
+        for scenes, episodes, kb in (small_bench, large_scenes):
+            agent = bench_agent(confusion=ConfusionModel.eps_uniform(len(kb.type_vocabulary), 0.2),
+                                visual=VisualWeights(noise_sd=0.1), fusion_mode="dynamic",
+                                max_actions=40)
+            for episode in episodes[:4]:
+                maps.clear()
+                perceptions[0] = 0
+                run_episode(scenes[episode.scene_id], episode, kb, agent, "hspr")
+                (topo,) = maps
+                # the target's type is perceived once; each node on the map once
+                assert perceptions[0] == 1 + len(topo.nodes)
+                assert sum(count for _, count in topo.arrivals) == len(topo.nodes)
+                assert all(count == 0 for repeat, count in topo.arrivals if repeat)
+                repeats += sum(repeat for repeat, _ in topo.arrivals)
+        assert repeats > 100
 
     def test_sampled_mode_draws_once_per_perceived_node(self, small_bench, monkeypatch):
         scenes, episodes, kb = small_bench

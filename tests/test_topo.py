@@ -10,7 +10,7 @@ from hspr.perception import ConfusionModel, TypeBelief
 from hspr.topo import CURRENT, NAVIGABLE, VISITED, SemanticTopoMap
 
 from conftest import make_scene
-from oracles import dijkstra_single_source, route_visited_sum
+from oracles import dijkstra_single_source, observe_reperceiving, route_visited_sum
 
 
 # identity confusion: each node believes its true type with certainty
@@ -208,6 +208,45 @@ class TestObserve:
                 options = sorted(scene.neighbors(node))
                 node = options[int(rng.integers(len(options)))][0]
             assert revisits > 0
+
+
+    @pytest.mark.parametrize("mode", ["distribution", "sampled"])
+    @pytest.mark.parametrize("world", ["house", "large"])
+    def test_matches_reperceiving_oracle_over_walks_with_revisits(self, rng, mode, world, large_scenes):
+        # the map perceives only nodes new to it unless the model is sampled;
+        # the oracle perceives every node that each arrival reaches
+        if world == "house":
+            scenes, _, kb = standard_benchmark(n_scenes=3, episodes_per_scene=1, seed=5)
+        else:
+            scenes, _, kb = large_scenes
+        confusion = ConfusionModel.eps_uniform(len(kb.type_vocabulary), 0.3, mode=mode)
+        for scene in scenes.values():
+            fast, slow = SemanticTopoMap(), SemanticTopoMap()
+            fast_rng, slow_rng = np.random.default_rng(11), np.random.default_rng(11)
+            node = sorted(scene.node_ids())[0]
+            revisits = 0
+            for _ in range(150):
+                revisits += node in fast.visited_ids()
+                fast_before, slow_before = dict(fast.nodes), dict(slow.nodes)
+                fast.observe(scene, node, confusion, fast_rng)
+                observe_reperceiving(slow, scene, node, confusion, slow_rng)
+                assert list(fast.nodes) == list(slow.nodes)
+                for nid, belief in fast.nodes.items():
+                    assert belief.row == slow.nodes[nid].row
+                    # a belief object is kept or replaced on the same arrivals
+                    assert (belief is fast_before.get(nid)) == (slow.nodes[nid] is slow_before.get(nid))
+                    assert fast.status(nid) == slow.status(nid)
+                assert list(fast.visited_ids()) == list(slow.visited_ids())
+                assert list(fast.navigable_ids()) == list(slow.navigable_ids())
+                assert [(a, list(near.items())) for a, near in fast.adj.items()] == [
+                    (a, list(near.items())) for a, near in slow.adj.items()
+                ]
+                assert (fast.current, fast.step) == (slow.current, slow.step)
+                # the same draws in the same order leave the same generator state
+                assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+                options = sorted(scene.neighbors(node))
+                node = options[int(rng.integers(len(options)))][0]
+            assert revisits > 100
 
 
 class TestNavigableSets:
