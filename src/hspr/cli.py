@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import errno
 import logging
+import math
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .bench import house_generator_kb, standard_benchmark
+from .bench import HOUSE_TYPES, house_generator_kb, standard_benchmark
 from .errors import InternalError, SchemaError, write_json
 from .fusion import FUSION_MODES, parse_beta_policy
 from .kb import (
@@ -89,6 +90,14 @@ def _check_positive(flag: str, value: int) -> None:
         raise SchemaError(f"{flag} must be >= 1, got {value}")
 
 
+def _flagged(flag: str, value, build, *args, **kwargs):
+    """build(*args, **kwargs), with its ValueError naming the flag and value."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise SchemaError(f"{flag} {value}: {exc}") from None
+
+
 def _check_out(path: str) -> None:
     """Refuse an --out file that cannot be created, before any work is done."""
     out = Path(path)
@@ -123,11 +132,11 @@ def _confusion_from_spec(spec: str, n_types: int) -> ConfusionModel:
         return ConfusionModel.identity(n_types)
     if spec.startswith("eps:"):
         (eps,) = _parse_numbers(spec[4:], "--confusion eps:<f>", 1)
-        return ConfusionModel.eps_uniform(n_types, eps)
+        return _flagged("--confusion", spec, ConfusionModel.eps_uniform, n_types, eps)
     model = load_confusion(spec)
     if model.n_types != n_types:
         raise SchemaError(
-            f"confusion matrix is {model.n_types}x{model.n_types}, scenes have {n_types} types"
+            f"confusion matrix is {model.n_types}x{model.n_types}, the KB has {n_types} types"
         )
     return model
 
@@ -154,6 +163,7 @@ def _agent_from_args(args, n_types: int) -> AgentConfig:
 
 
 def cmd_build_kb(args) -> int:
+    _check_positive("--top-k", args.top_k)
     _check_out(args.out)
     scenes = _load_scenes_dir(args.scenes)
     first = next(iter(scenes.values()))
@@ -210,6 +220,7 @@ def cmd_gen_scenes(args) -> int:
 
 
 def cmd_gen_episodes(args) -> int:
+    _check_positive("--per-scene", args.per_scene)
     _check_out(args.out)
     scenes = _load_scenes_dir(args.scenes)
     episodes = []
@@ -226,12 +237,12 @@ def cmd_run(args) -> int:
     _check_positive("--parallel", args.parallel)
     _check_out(args.out)
     kb = load_kb(args.kb)
+    # every scene is checked against the KB's vocabularies below
+    agent = _agent_from_args(args, len(kb.type_vocabulary))
     episodes = load_episodes(args.episodes)
     scenes = _load_scenes_dir(args.scenes)
     for scene_id in sorted(scenes):
         check_vocabularies(scenes[scene_id], kb)
-    first = next(iter(scenes.values()))
-    agent = _agent_from_args(args, first.n_types)
     result = run_batch(
         scenes, episodes, kb, agent, args.policy, parallelism=args.parallel, trace=args.trace
     )
@@ -252,6 +263,8 @@ def _uncovered(episode_ids, trajectories) -> list[str]:
 
 
 def cmd_eval(args) -> int:
+    if not (math.isfinite(args.threshold) and args.threshold > 0):
+        raise SchemaError(f"--threshold must be a finite number > 0, got {args.threshold}")
     _check_out_dir(args.out)
     scenes = _load_scenes_dir(args.scenes)
     episodes = {e.episode_id: e for e in load_episodes(args.episodes)}
@@ -314,21 +327,22 @@ def cmd_ablate(args) -> int:
         _check_positive(flag, value)
     if args.out:
         _check_out_dir(args.out)
+    base = AgentConfig(
+        confusion=_confusion_from_spec(args.confusion, len(HOUSE_TYPES)),
+        visual=_flagged("--visual-noise", args.visual_noise, VisualWeights, noise_sd=args.visual_noise),
+        seed=args.seed,
+    )
     scenes, episodes, kb = standard_benchmark(
         n_scenes=args.scenes_n, episodes_per_scene=args.episodes_per, seed=args.seed
     )
-    n_types = len(kb.type_vocabulary)
     by_id = {e.episode_id: e for e in episodes}
     rows = []
     results = {}
     for value in values:
-        agent = AgentConfig(
-            confusion=_confusion_from_spec(args.confusion, n_types),
-            reasoner=ReasonerConfig(max_steps=value if key == "steps" else 3),
-            fusion_mode=value if key == "fusion" else "residual",
-            visual=VisualWeights(noise_sd=args.visual_noise),
-            seed=args.seed,
-        )
+        if key == "steps":
+            agent = replace(base, reasoner=ReasonerConfig(max_steps=value))
+        else:
+            agent = replace(base, fusion_mode=value)
         batch = run_batch(scenes, episodes, kb, agent, "hspr", parallelism=args.parallel)
         # the benchmark is generated in-process, so a failed episode is an engine fault
         failed = _uncovered(by_id, batch.trajectories)

@@ -239,12 +239,16 @@ AGENT_FAULTS = {
     "beta_fixed_nan": (("--beta", "fixed:nan"), "'nan' is not a finite number"),
     "beta_bias_nan": (("--beta", "logistic:bias=nan"), "'nan' is not a finite number"),
     "beta_unknown_feature": (("--beta", "logistic:foo=1"), "unknown balance feature 'foo'"),
+    "max_actions_zero": (("--max-actions", "0"), "max_actions must be >= 1"),
+    "gamma_above_one": (("--gamma", "2"), "gamma must be in (0, 1]"),
+    "eps_above_one": (("--confusion", "eps:2"), "--confusion eps:2: eps must be in [0, 1]"),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(AGENT_FAULTS))
-def test_bad_agent_setting_fails_before_any_episode(fault, pipeline_dir, tmp_path, capsys):
+def test_bad_agent_setting_fails_before_any_episode(fault, pipeline_dir, tmp_path, monkeypatch, capsys):
     extra, message = AGENT_FAULTS[fault]
+    monkeypatch.setattr(cli_module, "_load_scenes_dir", _no_scene_read)
     code = dispatch(["run", "--scenes", str(pipeline_dir / "scenes"),
                      "--kb", str(pipeline_dir / "kb.json"),
                      "--episodes", str(pipeline_dir / "episodes.json"),
@@ -445,7 +449,7 @@ def test_episode_node_missing_from_scene_is_3(field, value, pipeline_dir, tmp_pa
 
 
 def _no_scene_read(path):
-    raise AssertionError("scenes were read before --out was checked")
+    raise AssertionError("scenes were read before the flags were checked")
 
 
 @pytest.mark.parametrize("command", ["run", "build-kb", "gen-episodes"])
@@ -465,6 +469,34 @@ def test_unusable_out_fails_before_any_work(out, command, pipeline_dir, tmp_path
     assert not (tmp_path / "missing-dir").exists()
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("build-kb", "--top-k", "0"),
+    ("gen-episodes", "--per-scene", "0"),
+    ("gen-episodes", "--per-scene", "-2"),
+], ids=["top_k_zero", "per_scene_zero", "per_scene_negative"])
+def test_count_below_one_fails_before_any_scene_is_read(command, flag, value, pipeline_dir, tmp_path,
+                                                        monkeypatch):
+    monkeypatch.setattr(cli_module, "_load_scenes_dir", _no_scene_read)
+    seed = ("--seed", 3) if command == "gen-episodes" else ()
+    code, err = cli_in_process(command, "--scenes", pipeline_dir / "scenes", *seed, flag, value,
+                               "--out", tmp_path / "out.json")
+    assert code == 3
+    assert err == f"error: {flag} must be >= 1, got {value}\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("threshold", ["nan", "-1", "0", "inf"])
+def test_eval_threshold_must_be_finite_and_positive(threshold, pipeline_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli_module, "_load_scenes_dir", _no_scene_read)
+    code, err = cli_in_process("eval", "--scenes", pipeline_dir / "scenes",
+                               "--episodes", pipeline_dir / "episodes.json",
+                               "--traj", tmp_path / "t.jsonl", "--threshold", threshold,
+                               "--out", tmp_path / "report")
+    _assert_input_error(code, err, "--threshold must be a finite number > 0")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "report").exists()
+
+
 def _no_benchmark(**kwargs):
     raise AssertionError("the benchmark was built before the flags were checked")
 
@@ -476,6 +508,8 @@ ABLATE_FAULTS = {
     "parallel_negative": ("--parallel", "-3"),
     "scenes_n_zero": ("--scenes-n", "0"),
     "episodes_per_zero": ("--episodes-per", "0"),
+    "confusion_eps_above_one": ("--confusion", "eps:2"),
+    "visual_noise_negative": ("--visual-noise", "-1"),
 }
 
 
