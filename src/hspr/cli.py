@@ -327,7 +327,7 @@ def cmd_ablate(args) -> int:
         _check_positive(flag, value)
     if args.out:
         _check_out_dir(args.out)
-    base = AgentConfig(
+    base = AgentConfig(  # standard_benchmark's KB has the house grammar's types
         confusion=_confusion_from_spec(args.confusion, len(HOUSE_TYPES)),
         visual=_flagged("--visual-noise", args.visual_noise, VisualWeights, noise_sd=args.visual_noise),
         seed=args.seed,

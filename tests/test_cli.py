@@ -12,6 +12,7 @@ from hspr import cli as cli_module, simulator
 from hspr.cli import dispatch
 from hspr.errors import InternalError
 from hspr.kb import load_kb
+from hspr.perception import ConfusionModel, save_confusion
 from hspr.scene import load_scene
 from hspr.simulator import BatchResult, run_batch
 from hspr.topo import SemanticTopoMap
@@ -242,12 +243,16 @@ AGENT_FAULTS = {
     "max_actions_zero": (("--max-actions", "0"), "max_actions must be >= 1"),
     "gamma_above_one": (("--gamma", "2"), "gamma must be in (0, 1]"),
     "eps_above_one": (("--confusion", "eps:2"), "--confusion eps:2: eps must be in [0, 1]"),
+    "confusion_file_wrong_size": (("--confusion", "<tmp>/confusion-2x2.json"),
+                                  "confusion matrix is 2x2, the KB has 10 types"),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(AGENT_FAULTS))
 def test_bad_agent_setting_fails_before_any_episode(fault, pipeline_dir, tmp_path, monkeypatch, capsys):
     extra, message = AGENT_FAULTS[fault]
+    save_confusion(ConfusionModel.identity(2), tmp_path / "confusion-2x2.json")
+    extra = [arg.replace("<tmp>", str(tmp_path)) for arg in extra]
     monkeypatch.setattr(cli_module, "_load_scenes_dir", _no_scene_read)
     code = dispatch(["run", "--scenes", str(pipeline_dir / "scenes"),
                      "--kb", str(pipeline_dir / "kb.json"),

@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -6,12 +7,22 @@ from pathlib import Path
 import hspr
 
 
-def test_importing_one_module_loads_no_engine():
-    """The package root re-exports nothing, so a module loads only what it imports."""
-    src = str(Path(hspr.__file__).resolve().parent.parent)
+def test_package_root_reexports_no_names():
+    """Each name is imported from its module; the root holds only submodules and __version__."""
+    public = {name: value for name, value in vars(hspr).items() if not name.startswith("_")}
+    reexported = [name for name, value in public.items()
+                  if not (inspect.ismodule(value) and value.__name__ == f"hspr.{name}")]
+    assert reexported == []
+
+
+def test_importing_the_package_loads_every_traced_layer():
+    """perfbench's tracer looks each layer it wraps up in sys.modules, and its
+    own tests import only some of them, so a fresh `import hspr` must load all."""
+    root = Path(hspr.__file__).resolve().parents[2]
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, hspr.errors; print(sorted({'numpy', 'hspr.simulator'} & set(sys.modules)))"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), str(root), env.get("PYTHONPATH")]))
+    code = ("import sys, hspr; from perfbench.tracing import TRACED_MODULES; "
+            "print([m for m in TRACED_MODULES if f'hspr.{m}' not in sys.modules])")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
