@@ -141,24 +141,36 @@ def _confusion_from_spec(spec: str, n_types: int) -> ConfusionModel:
     return model
 
 
+def _with_flags(config, **fields):
+    """config with each field set in turn from its (flag, value); each step
+    runs the config's checks, so a ValueError names the flag and value."""
+    for name, (flag, value) in fields.items():
+        config = _flagged(flag, value, replace, config, **{name: value})
+    return config
+
+
 def _agent_from_args(args, n_types: int) -> AgentConfig:
-    return AgentConfig(
+    reasoner = _with_flags(
+        ReasonerConfig(), gamma=("--gamma", args.gamma), max_steps=("--steps", args.steps),
+        beam=("--beam", args.beam), feasibility_tau=("--tau", args.tau),
+    )
+    if args.omega:  # after --steps, whose count it must cover
+        omega = _parse_numbers(args.omega, "--omega")
+        reasoner = _flagged("--omega", args.omega, replace, reasoner, omega=omega)
+    agent = AgentConfig(
         confusion=_confusion_from_spec(args.confusion, n_types),
-        reasoner=ReasonerConfig(
-            gamma=args.gamma,
-            max_steps=args.steps,
-            beam=args.beam,
-            feasibility_tau=args.tau,
-            omega=_parse_numbers(args.omega, "--omega") if args.omega else None,
-        ),
+        reasoner=reasoner,
         fusion_mode=args.fusion,
         beta_policy=parse_beta_policy(args.beta),
-        object_noise=args.object_noise,
-        visual=VisualWeights(*_parse_numbers(args.visual, "--visual", 4)),
-        max_actions=args.max_actions,
-        stop_weights=_parse_numbers(args.stop_weights, "--stop-weights", 2),
+        visual=_flagged("--visual", args.visual, VisualWeights, *_parse_numbers(args.visual, "--visual", 4)),
         seed=args.seed,
         eq11_literal=args.eq11_literal,
+    )
+    stop_weights = _parse_numbers(args.stop_weights, "--stop-weights", 2)
+    agent = _flagged("--stop-weights", args.stop_weights, replace, agent, stop_weights=stop_weights)
+    return _with_flags(
+        agent, object_noise=("--object-noise", args.object_noise),
+        max_actions=("--max-actions", args.max_actions),
     )
 
 

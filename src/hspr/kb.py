@@ -17,6 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import SchemaError, malformed, read_json, write_json
+from .reasoner import SuccessorTable
 from .scene import SceneGraph, region_adjacency, segment_regions
 
 KB_SCHEMA_VERSION = 1
@@ -45,7 +46,14 @@ class CountMatrices:
 
 @dataclass(eq=False)
 class ProximityKB:
-    """Normalized proximity matrices plus per-type top co-occurring objects."""
+    """Normalized proximity matrices plus per-type top co-occurring objects.
+
+    The KB also holds the `SuccessorTable` that every episode run on it
+    searches through, built from P_r on the first search; P_r is read-only
+    from then on.  The table is a cache: it takes no part in `==`, and a
+    pickled KB (a process-pool chunk) leaves it behind, so each worker
+    starts cold.
+    """
 
     P_r: np.ndarray
     P_o: np.ndarray
@@ -53,6 +61,18 @@ class ProximityKB:
     type_vocabulary: list[str]
     object_vocabulary: list[str]
     provenance: dict = field(default_factory=dict)
+    _successors: SuccessorTable | None = field(default=None, init=False, repr=False)
+
+    def successor_table(self) -> SuccessorTable:
+        """The table of P_r; a ValueError from building it leaves nothing cached."""
+        if self._successors is None:
+            self._successors = SuccessorTable(self.P_r)
+        return self._successors
+
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state.pop("_successors", None)  # unset, it reads the class default
+        return state
 
     def __eq__(self, other):
         if not isinstance(other, ProximityKB):

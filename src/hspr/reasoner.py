@@ -6,12 +6,16 @@ target, and turns a path into discounted multi-step scores.  The search
 starts every path at a present type, one that some distribution holds with
 mass >= tau, so its start set is the feasibility check.
 
-The top-K search is an exact best-first search: proximity entries lie in
-[0, 1], so a path's confidence never rises as it grows, and the search can
-stop at the K-th completed path with exactly the ranking a full enumeration
-would give.  A `SuccessorTable` checks the matrix once, refusing a NaN or an
-entry outside [0, 1], and sorts each row's successors once, so the many
-searches of an episode share that work.
+The top-K search runs once per start type: an exact best-first search
+whose proximity entries lie in [0, 1], so a path's confidence never rises
+as it grows, and the search can stop at the K-th completed path with
+exactly the ranking a full enumeration would give.  The top K over a
+present set are the first K of its starts' lists merged on the ranking
+key, which is exact because every path has one start and the key is a
+total order.  A `SuccessorTable`, one per KB, checks the matrix once,
+refusing a NaN or an entry outside [0, 1], sorts each row's successors
+once and keeps each single-start list, so every episode on the KB shares
+that work.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import heapq
 import math
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -100,13 +105,16 @@ def present_types_from_beliefs(
 
 
 class SuccessorTable:
-    """Proximity rows of one KB, checked once, with sorted successor lists.
+    """Proximity rows of one KB, checked once, with sorted successor lists
+    and the single-start searches already run over them.
 
     Holds P_r as nested lists.  A row's nonzero successors are sorted by
     (-p, type) the first time a search expands that row, and kept for every
-    later search over the same matrix.  Raises ValueError when P_r holds a
-    NaN or an entry outside [0, 1], because the search's ordering argument
-    needs that bound.
+    later search over the same matrix.  Each single-start search is kept
+    too, by (start, target, max_steps, beam), which is everything it reads
+    besides P_r.  Raises ValueError when P_r holds a NaN or an entry
+    outside [0, 1], because the search's ordering argument needs that
+    bound.
     """
 
     def __init__(self, P_r: np.ndarray):
@@ -116,6 +124,7 @@ class SuccessorTable:
         self.n = P_r.shape[0]
         self.rows: list[list[float]] = P_r.tolist()
         self._sorted: dict[int, list[tuple[int, float]]] = {}
+        self._searched: dict[tuple[int, int, int, int], list[TypePath]] = {}
 
     def successors(self, t: int) -> list[tuple[int, float]]:
         """Nonzero (type, p) of row t, by p descending, then type."""
@@ -126,6 +135,18 @@ class SuccessorTable:
                 key=lambda item: (-item[1], item[0]),
             )
         return succ
+
+    def paths_from(self, start: int, target: int, max_steps: int, beam: int) -> list[TypePath]:
+        """The top `beam` paths from `start` to `target`, searched once."""
+        key = (start, target, max_steps, beam)
+        found = self._searched.get(key)
+        if found is None:
+            found = self._searched[key] = _best_first(self, start, target, max_steps, beam)
+        return found
+
+
+def _rank(path: TypePath) -> tuple:
+    return (-path.confidence, len(path.types), path.types)
 
 
 def enumerate_type_paths(
@@ -141,6 +162,27 @@ def enumerate_type_paths(
     (zero entries prune the branch).  Ranked by confidence descending, then
     shorter path, then lexicographic type order; the first config.beam are
     returned.
+
+    Every path starts at exactly one present type, and the ranking key
+    (-confidence, length, types) is a total order, so the top K over the
+    set are the first K of the merged top-K lists of its start types.
+    Those lists come from the table, which searches each start once.
+    """
+    n = table.n
+    if not 0 <= target_type < n:
+        raise ValueError(f"target type {target_type} outside vocabulary of {n}")
+    starts = sorted(present_types)
+    for s1 in starts:
+        if not 0 <= s1 < n:
+            raise ValueError(f"present type {s1} outside vocabulary of {n}")
+    lists = [table.paths_from(s1, target_type, config.max_steps, config.beam) for s1 in starts]
+    return list(islice(heapq.merge(*lists, key=_rank), config.beam))
+
+
+def _best_first(
+    table: SuccessorTable, start: int, target_type: int, max_steps: int, beam: int
+) -> list[TypePath]:
+    """Top-`beam` paths from one start type, by best-first search.
 
     Best-first search over partial paths keyed (-confidence, length, types).
     Every entry of P_r lies in [0, 1] and IEEE rounding is monotone, so
@@ -158,22 +200,14 @@ def enumerate_type_paths(
     at most one of those ends at the target, and every descendant is longer,
     so the completed paths still leave in ranking order.
     """
-    n = table.n
-    if not 0 <= target_type < n:
-        raise ValueError(f"target type {target_type} outside vocabulary of {n}")
-    starts = sorted(present_types)
-    for s1 in starts:
-        if not 0 <= s1 < n:
-            raise ValueError(f"present type {s1} outside vocabulary of {n}")
-
     # entries are (-confidence, length, types, -parent confidence, parent's
     # successor list, index in it); types are unique, so the tail never
     # takes part in a comparison.  Negation is exact, so products match
-    # conf * p bit for bit.  A path without siblings to advance (a start
+    # conf * p bit for bit.  A path without siblings to advance (the start
     # type, or a full-length child) has no successor list.
-    heap = [(-1.0, 1, (s1,), 0.0, None, 0) for s1 in starts]  # sorted, so already a heap
+    heap = [(-1.0, 1, (start,), 0.0, None, 0)]
     found: list[TypePath] = []
-    while heap and len(found) < config.beam:
+    while heap and len(found) < beam:
         neg_conf, length, types, parent_neg_conf, siblings, k = heapq.heappop(heap)
         if siblings is not None:
             parent = types[:-1]
@@ -188,9 +222,9 @@ def enumerate_type_paths(
         if last == target_type:
             found.append(TypePath(types=types, confidence=-neg_conf))
             continue
-        if length == config.max_steps:
+        if length == max_steps:
             continue
-        if length + 1 == config.max_steps:
+        if length + 1 == max_steps:
             # a full-length child completes only at the target
             p = table.rows[last][target_type]
             if p != 0.0:

@@ -14,9 +14,10 @@ belief-dependent score (proximity, multi-step, present types, visual type
 alignment) is computed once per row per episode and read for every node
 at that row.  Object instances are perceived as rows too, one per object
 type, so the object proximity that drives stopping and grounding is
-computed once per object type per episode.  Type-path searches share one
-successor table per episode, and each distinct present-type set is
-searched once per episode.
+computed once per object type per episode.  Type-path searches go through
+the KB's one successor table, shared by every episode on the KB, which
+searches each start type once per target and config; each distinct
+present-type set merges its starts' cached lists once per episode.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .perception import (
 )
 from .reasoner import (
     ReasonerConfig,
-    SuccessorTable,
     TypePath,
     enumerate_type_paths,
     multi_step_scores,
@@ -181,8 +181,10 @@ class _RowScores:
     from a table is filled once, together with the other rows the set
     lacks, and every node or instance at that row then reads the same value.
 
-    Top-K type paths are kept per present-type set, as tuples, and searched
-    through one successor table built on the episode's first search.
+    Top-K type paths are kept per present-type set, as tuples.  A set's
+    paths merge the single-start lists that the KB's successor table keeps
+    for every episode on the KB; the merge is exact because each path has
+    one start and the ranking key is a total order.
     """
 
     def __init__(
@@ -199,7 +201,6 @@ class _RowScores:
         self._present: dict[int, set[int]] = {}  # types held with mass >= tau
         self._objects: dict[int, float] = {}  # O . P_o . Y_o, by object type
         self._multi: dict[tuple[int, ...], dict[int, float]] = {}  # by path types
-        self._successors: SuccessorTable | None = None
         self._paths: dict[frozenset[int], tuple[TypePath, ...]] = {}
 
     def _fill(self, table: dict, keys: set[int], score, rows: np.ndarray | None = None) -> dict:
@@ -235,10 +236,8 @@ class _RowScores:
         key = frozenset(present)
         found = self._paths.get(key)
         if found is None:
-            if self._successors is None:
-                self._successors = SuccessorTable(self.kb.P_r)
             found = self._paths[key] = tuple(enumerate_type_paths(
-                present, self.target.target_type, self._successors, self.reasoner
+                present, self.target.target_type, self.kb.successor_table(), self.reasoner
             ))
         return found
 

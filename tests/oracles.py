@@ -8,10 +8,12 @@ are frozen from these oracles, not from the implementation under test.
 code (`ObjectBelief`, `object_beliefs`, `object_proximity_scores`,
 `ground_object`), `sample_region_types` (formerly
 `synth._sample_region_types`, which rebuilt its candidate list for every
-new region) and `observe_reperceiving` (formerly
+new region), `observe_reperceiving` (formerly
 `SemanticTopoMap.observe`, which perceived every node an arrival reached
-in both confusion modes) are the package's former implementations, kept
-as slow references for the code that replaced them.
+in both confusion modes) and `enumerate_paths_best_first` (formerly the
+body of `reasoner.enumerate_type_paths`, which searched from every present
+type in one heap) are the package's former implementations, kept as slow
+references for the code that replaced them.
 """
 
 from __future__ import annotations
@@ -120,6 +122,51 @@ def enumerate_paths_exhaustive(present_types, target_type, P_r, max_types, k):
                 candidates.append((seq, conf))
     candidates.sort(key=lambda item: (-item[1], len(item[0]), item[0]))
     return candidates[:k]
+
+
+def enumerate_paths_best_first(present_types, target_type, P_r, max_types, k):
+    """Top-k type paths by one best-first search from every present type.
+
+    Same contract and return value as `enumerate_paths_exhaustive`.  The
+    heap holds partial paths of all starts at once, keyed
+    (-confidence, length, types); a popped path pushes its best child not
+    already on it and its parent's next such child.
+    """
+    successors = [
+        sorted(((u, p) for u, p in enumerate(row) if p != 0.0), key=lambda item: (-item[1], item[0]))
+        for row in P_r
+    ]
+    # (-confidence, length, types, -parent confidence, parent's successors, index)
+    heap = [(-1.0, 1, (s1,), 0.0, None, 0) for s1 in sorted(present_types)]
+    found = []
+    while heap and len(found) < k:
+        neg_conf, length, types, parent_neg_conf, siblings, i = heapq.heappop(heap)
+        if siblings is not None:
+            parent = types[:-1]
+            for j in range(i + 1, len(siblings)):
+                t, p = siblings[j]
+                if t not in parent:
+                    heapq.heappush(heap, (
+                        parent_neg_conf * p, length, parent + (t,), parent_neg_conf, siblings, j
+                    ))
+                    break
+        last = types[-1]
+        if last == target_type:
+            found.append((types, -neg_conf))
+            continue
+        if length == max_types:
+            continue
+        if length + 1 == max_types:
+            p = P_r[last][target_type]
+            if p != 0.0:
+                heapq.heappush(heap, (neg_conf * p, length + 1, types + (target_type,), 0.0, None, 0))
+            continue
+        children = successors[last]
+        for j, (t, p) in enumerate(children):
+            if t not in types:
+                heapq.heappush(heap, (neg_conf * p, length + 1, types + (t,), neg_conf, children, j))
+                break
+    return found
 
 
 def route_visited_sum(prev, source, goal, visited_scores):

@@ -225,14 +225,15 @@ def test_run_argument_fault_is_3(fault, pipeline_dir, tmp_path, capsys):
 
 
 AGENT_FAULTS = {
-    "stop_weights_nan": (("--stop-weights", "nan,1"), "stop_weights must be finite"),
-    "stop_weights_infinite": (("--stop-weights", "1,inf"), "stop_weights must be finite"),
-    "tau_nan": (("--tau", "nan"), "feasibility_tau must be finite"),
-    "visual_noise_negative": (("--visual", "0.3,1.5,10,-1"), "noise_sd must be >= 0"),
-    "visual_weight_infinite": (("--visual", "0.3,inf,10,0"), "visual weights must be finite"),
-    "omega_shorter_than_steps": (("--omega", "1,1", "--steps", "3"), "omega must supply"),
-    "omega_nan": (("--omega", "1,nan,1"), "omega must supply"),
-    "object_noise_above_one": (("--object-noise", "2"), "object_noise must be in [0, 1]"),
+    "stop_weights_nan": (("--stop-weights", "nan,1"), "--stop-weights nan,1: stop_weights must be finite"),
+    "stop_weights_infinite": (("--stop-weights", "1,inf"), "--stop-weights 1,inf: stop_weights must be finite"),
+    "tau_nan": (("--tau", "nan"), "--tau nan: feasibility_tau must be finite"),
+    "visual_noise_negative": (("--visual", "0.3,1.5,10,-1"), "--visual 0.3,1.5,10,-1: noise_sd must be >= 0"),
+    "visual_weight_infinite": (("--visual", "0.3,inf,10,0"), "--visual 0.3,inf,10,0: visual weights must be finite"),
+    "omega_shorter_than_steps": (("--omega", "1,1", "--steps", "3"), "--omega 1,1: omega must supply"),
+    "omega_shorter_than_more_steps": (("--omega", "1,1,1", "--steps", "4"), "--omega 1,1,1: omega must supply"),
+    "omega_nan": (("--omega", "1,nan,1"), "--omega 1,nan,1: omega must supply"),
+    "object_noise_above_one": (("--object-noise", "2"), "--object-noise 2.0: object_noise must be in [0, 1]"),
     "stop_weights_not_a_number": (("--stop-weights", "1,abc"), "--stop-weights expects two"),
     "visual_not_a_number": (("--visual", "1,2,3,x"), "--visual expects four"),
     "omega_not_a_number": (("--omega", "1,x,3"), "--omega expects comma-separated numbers"),
@@ -240,8 +241,10 @@ AGENT_FAULTS = {
     "beta_fixed_nan": (("--beta", "fixed:nan"), "'nan' is not a finite number"),
     "beta_bias_nan": (("--beta", "logistic:bias=nan"), "'nan' is not a finite number"),
     "beta_unknown_feature": (("--beta", "logistic:foo=1"), "unknown balance feature 'foo'"),
-    "max_actions_zero": (("--max-actions", "0"), "max_actions must be >= 1"),
-    "gamma_above_one": (("--gamma", "2"), "gamma must be in (0, 1]"),
+    "max_actions_zero": (("--max-actions", "0"), "--max-actions 0: max_actions must be >= 1"),
+    "gamma_above_one": (("--gamma", "2"), "--gamma 2.0: gamma must be in (0, 1]"),
+    "beam_zero": (("--beam", "0"), "--beam 0: beam must be >= 1"),
+    "steps_zero": (("--steps", "0"), "--steps 0: max_steps must be >= 1"),
     "eps_above_one": (("--confusion", "eps:2"), "--confusion eps:2: eps must be in [0, 1]"),
     "confusion_file_wrong_size": (("--confusion", "<tmp>/confusion-2x2.json"),
                                   "confusion matrix is 2x2, the KB has 10 types"),

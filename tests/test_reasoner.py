@@ -15,6 +15,7 @@ from hspr.reasoner import (
     proximity_scores,
 )
 
+import oracles
 from oracles import enumerate_paths_exhaustive, select_path
 
 
@@ -139,7 +140,7 @@ class TestEnumerateTypePaths:
     def test_matches_exhaustive_oracle_at_large_vocabulary(self, beam):
         # the large-vocab benchmark KB: 20 types, ~75% of P_r nonzero, M=4
         P = recovery_generator_kb(n_types=20).P_r
-        table = SuccessorTable(P)  # shared, as in an episode
+        table = SuccessorTable(P)  # shared, as by the episodes on a KB
         config = ReasonerConfig(max_steps=4, beam=beam)
         cases = [({0}, 19), ({3, 11}, 7), ({1, 5, 9, 14}, 2), ({2, 6, 12, 17, 18}, 0),
                  ({4, 8}, 8)]
@@ -240,6 +241,51 @@ class TestEnumerateTypePaths:
         a = enumerate_type_paths({0, 1, 2}, 3, SuccessorTable(P), config)
         b = enumerate_type_paths({2, 1, 0}, 3, SuccessorTable(P), config)
         assert a == b
+
+
+class TestSharedSingleStartSearches:
+    """One table answering many queries against the former multi-start search."""
+
+    def test_shared_table_matches_both_oracles_in_any_query_order(self, rng):
+        # few distinct levels, with ties and exact 1.0 entries, and one table
+        # per matrix for queries that mix targets and configs, so later
+        # queries read single-start lists that earlier ones searched
+        levels = [0.0, 0.25, 0.5, 0.75, 1.0]
+        asked = searched = 0
+        for trial in range(300):
+            n = int(rng.integers(2, 7))
+            P = rng.choice(levels, size=(n, n))
+            if trial % 2:
+                P[rng.uniform(size=(n, n)) < 0.5] = 1.0
+            rows = P.tolist()
+            configs = [
+                ReasonerConfig(max_steps=int(rng.integers(1, 6)), beam=int(rng.integers(1, 6)))
+                for _ in range(3)
+            ]
+            queries = []
+            for _ in range(16):
+                size = int(rng.integers(1, n + 1))
+                present = {int(t) for t in rng.choice(n, size=size, replace=False)}
+                queries.append((present, int(rng.integers(n)), configs[int(rng.integers(3))]))
+            answers = []
+            table = SuccessorTable(P)
+            for present, target, config in queries:
+                got = [(p.types, p.confidence) for p in enumerate_type_paths(present, target, table, config)]
+                assert got == oracles.enumerate_paths_best_first(
+                    present, target, rows, config.max_steps, config.beam
+                )
+                want = enumerate_paths_exhaustive(present, target, rows, config.max_steps, config.beam)
+                assert got == [(tuple(seq), conf) for seq, conf in want]
+                answers.append(got)
+            keys = {(s, target, c.max_steps, c.beam) for present, target, c in queries for s in present}
+            asked += sum(len(present) for present, _, _ in queries)
+            searched += len(keys)
+            table = SuccessorTable(P)
+            for k in rng.permutation(len(queries)):
+                present, target, config = queries[k]
+                got = enumerate_type_paths(present, target, table, config)
+                assert [(p.types, p.confidence) for p in got] == answers[k]
+        assert asked > 1.25 * searched  # a quarter of the starts were answered from the memo
 
 
 class TestSelectPath:

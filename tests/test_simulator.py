@@ -1,14 +1,16 @@
+import copy
 import dataclasses
 import hashlib
 import json
 import logging
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from hspr import seeding, simulator
+from hspr import reasoner, seeding, simulator
 from hspr.bench import standard_benchmark
 from hspr.fusion import STOP
 from hspr.kb import ProximityKB
@@ -709,3 +711,63 @@ class TestPathMemo:
         assert first == tuple(enumerate_type_paths({0, 1}, 3, table, config))
         assert scores.paths({1, 0}) is first
         assert scores.paths({2}) == tuple(enumerate_type_paths({2}, 3, table, config))
+
+
+class TestSharedPathSearch:
+    """One successor table per KB, shared by every episode run on it."""
+
+    @staticmethod
+    def agent():
+        return bench_agent(confusion=ConfusionModel.eps_uniform(10, 0.2),
+                           visual=VisualWeights(noise_sd=0.1), fusion_mode="dynamic")
+
+    def test_each_single_start_search_runs_once_per_batch(self, small_bench, monkeypatch):
+        scenes, episodes, kb = small_bench
+        kb = copy.deepcopy(kb)  # a cold table
+        searched, asked = Counter(), [0]
+        original_search = reasoner._best_first
+
+        def counting_search(table, *key):
+            searched[key] += 1
+            return original_search(table, *key)
+
+        def counting_enumerate(present, *args):
+            asked[0] += len(present)
+            return enumerate_type_paths(present, *args)
+
+        monkeypatch.setattr(reasoner, "_best_first", counting_search)
+        monkeypatch.setattr(simulator, "enumerate_type_paths", counting_enumerate)
+        agent = self.agent()
+        batch = run_batch(scenes, episodes, kb, agent, "hspr")
+        assert not batch.failures
+        assert searched and set(searched.values()) == {1}
+        assert asked[0] > len(searched)  # episodes read lists that others searched
+        # an episode on a cold KB of its own takes the same steps
+        alone = [run_episode(scenes[e.scene_id], e, copy.deepcopy(small_bench[2]), agent, "hspr")
+                 for e in episodes]
+        assert trajectory_digest(alone) == trajectory_digest(batch.trajectories)
+
+    def test_kb_pickles_to_the_same_bytes_after_episodes(self, small_bench):
+        scenes, episodes, kb = small_bench
+        kb = copy.deepcopy(kb)
+        before = pickle.dumps(kb)
+        run_batch(scenes, episodes, kb, self.agent(), "hspr")
+        assert kb.successor_table() is kb.successor_table()
+        assert pickle.dumps(kb) == before
+        assert pickle.loads(before)._successors is None
+
+    def test_equality_ignores_the_table(self):
+        warm, cold = mini_kb(), mini_kb()
+        warm.successor_table().paths_from(0, 3, 3, 3)
+        assert warm == cold
+        assert cold._successors is None
+
+    def test_nan_proximity_fails_every_episode_alike(self, small_bench):
+        scenes, episodes, kb = small_bench
+        kb = copy.deepcopy(kb)
+        kb.P_r[0, 1] = np.nan
+        batch = run_batch(scenes, episodes, kb, self.agent(), "hspr")
+        assert not batch.trajectories
+        assert sorted(batch.failures) == sorted(e.episode_id for e in episodes)
+        assert set(batch.failures.values()) == {"proximity matrix entries must lie in [0, 1]"}
+        assert kb._successors is None
