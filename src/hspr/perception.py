@@ -108,14 +108,16 @@ class ConfusionModel:
     def n_types(self) -> int:
         return self.M.shape[0]
 
-    def perceive(self, true_type: int, rng: np.random.Generator | LazyRng) -> int:
+    def perceive(self, true_type: int, rng: np.random.Generator | LazyRng | None) -> int:
         """Index into `rows` of the perceived type distribution.
 
-        distribution mode returns true_type and draws nothing; sampled mode
-        draws one label from the confusion row.
+        distribution mode returns true_type and draws nothing, so rng may be
+        None; sampled mode draws one label from the confusion row.
         """
         if self.mode == "distribution":
             return true_type
+        if rng is None:
+            raise ValueError("sampled confusion mode needs a generator to perceive with")
         return int(rng.choice(self.n_types, p=self.M[true_type]))
 
     def row(self, true_type: int, rng: np.random.Generator | LazyRng) -> np.ndarray:
@@ -215,13 +217,15 @@ def visual_score_table(
 
     The type alignment of a node is R . Y_r, its belief against the target
     type.  score = w_d * exp(-d / decay) + w_t * alignment + N(0, noise_sd),
-    with noise drawn in view order so a fixed seed replays exactly.
+    with the noise drawn in one sized call, the same values as one scalar
+    draw per entry, and added in view order: a fixed seed replays exactly,
+    and a repeated node id uses up a draw though its last entry wins.
     """
+    noise = None
+    if weights.noise_sd > 0 and view:
+        noise = rng.normal(0.0, weights.noise_sd, len(view)).tolist()
     scores = {}
-    for node_id, distance, alignment in view:
-        value = weights.w_d * float(np.exp(-distance / weights.decay))
-        value += weights.w_t * alignment
-        if weights.noise_sd > 0:
-            value += float(rng.normal(0.0, weights.noise_sd))
-        scores[node_id] = value
+    for k, (node_id, distance, alignment) in enumerate(view):
+        value = weights.w_d * float(np.exp(-distance / weights.decay)) + weights.w_t * alignment
+        scores[node_id] = value if noise is None else value + noise[k]
     return scores

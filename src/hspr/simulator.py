@@ -4,10 +4,11 @@ Each decision step observes the current node, replans the type path,
 scores candidates with proximity + visual evidence, fuses, and either stops
 or routes to the chosen navigable node (observing every hop on the way).
 In distribution mode an arrival perceives only the nodes new to the map,
-so each node is perceived once per episode; in sampled mode every arrival
-draws once for each node it reaches.  All randomness derives from (agent
-seed, episode id, step), so batches replay identically under any
-parallelism; a keyed generator is derived only when it first draws.
+so each node is perceived once per episode and no arrival builds a
+generator; in sampled mode every arrival draws once for each node it
+reaches.  All randomness derives from (agent seed, episode id, step), so
+batches replay identically under any parallelism; a keyed generator is
+derived only when it first draws, and a visual view draws its noise at once.
 
 Every belief on the map is one of the confusion model's rows, so each
 belief-dependent score (proximity, multi-step, present types, visual type
@@ -274,8 +275,11 @@ def run_episode(
     )
     topo = SemanticTopoMap()
 
+    sampled = agent.confusion.mode == "sampled"
+
     def arrive(node_id: str) -> None:  # topo.step counts arrivals
-        topo.observe(scene, node_id, agent.confusion, LazyRng(agent.seed, ep, "perceive", topo.step))
+        rng = LazyRng(agent.seed, ep, "perceive", topo.step) if sampled else None
+        topo.observe(scene, node_id, agent.confusion, rng)
 
     arrive(episode.start_node)
     node_sequence = [episode.start_node]
@@ -363,7 +367,8 @@ def _scored_action(
 
     current_row = nodes[current].row
     alignment = row_scores.alignment(rows | {current_row})
-    global_view = [(i, table.distance(i), alignment[row_of[i]]) for i in candidates]
+    dist = table.dist
+    global_view = [(i, dist.get(i, math.inf), alignment[row_of[i]]) for i in candidates]
     local_view = [(i, topo.adj[current][i], alignment[row_of[i]]) for i in sorted(F)]
     eps_c = visual_score_table(
         global_view, agent.visual, LazyRng(agent.seed, ep, "visual-global", decision_step)
@@ -374,7 +379,7 @@ def _scored_action(
 
     visited_scores = None
     if agent.fusion_mode == "dynamic":
-        visited_view = [(i, table.distance(i), alignment[row_of[i]]) for i in visited]
+        visited_view = [(i, dist.get(i, math.inf), alignment[row_of[i]]) for i in visited]
         eps_v = visual_score_table(
             visited_view, agent.visual,
             LazyRng(agent.seed, ep, "visual-visited", decision_step),

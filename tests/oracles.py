@@ -10,10 +10,12 @@ code (`ObjectBelief`, `object_beliefs`, `object_proximity_scores`,
 `synth._sample_region_types`, which rebuilt its candidate list for every
 new region), `observe_reperceiving` (formerly
 `SemanticTopoMap.observe`, which perceived every node an arrival reached
-in both confusion modes) and `enumerate_paths_best_first` (formerly the
+in both confusion modes), `enumerate_paths_best_first` (formerly the
 body of `reasoner.enumerate_type_paths`, which searched from every present
-type in one heap) are the package's former implementations, kept as slow
-references for the code that replaced them.
+type in one heap) and `visual_score_table_per_node` (formerly
+`perception.visual_score_table`, which drew one scalar of noise per entry)
+are the package's former implementations, kept as slow references for the
+code that replaced them.
 """
 
 from __future__ import annotations
@@ -378,3 +380,17 @@ def observe_reperceiving(topo, scene, arrived_node, confusion, rng) -> None:
         if first_arrival:
             topo.add_edge(arrived_node, nbr_id, length)
     topo.step += 1
+
+
+def visual_score_table_per_node(view, weights, rng) -> dict[str, float]:
+    """Visual scores of (node id, distance, alignment) triples, one scalar
+    noise draw per entry in view order; a repeated node id keeps its last
+    entry's score."""
+    scores = {}
+    for node_id, distance, alignment in view:
+        value = weights.w_d * float(np.exp(-distance / weights.decay))
+        value += weights.w_t * alignment
+        if weights.noise_sd > 0:
+            value += float(rng.normal(0.0, weights.noise_sd))
+        scores[node_id] = value
+    return scores

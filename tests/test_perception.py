@@ -15,7 +15,10 @@ from hspr.perception import (
     target_spec_from_episode,
     visual_score_table,
 )
+from hspr.seeding import LazyRng
 from hspr.synth import sample_episode
+
+from oracles import visual_score_table_per_node
 
 
 def perceive(model, true_types, seed):
@@ -47,6 +50,12 @@ class TestConfusionModel:
         beliefs = perceive(model, [0] * 10_000, seed=7)
         freqs = np.mean(beliefs, axis=0)
         assert np.all(np.abs(freqs - [0.5, 0.3, 0.2]) <= 0.02)
+
+    def test_sampled_mode_without_generator_is_a_clear_error(self):
+        # distribution mode draws nothing, so it needs no generator
+        assert ConfusionModel.eps_uniform(4, 0.5).perceive(2, None) == 2
+        with pytest.raises(ValueError, match="sampled confusion mode needs a generator"):
+            ConfusionModel.eps_uniform(4, 0.5, mode="sampled").perceive(2, None)
 
     def test_sampled_mode_deterministic_in_seed(self):
         model = ConfusionModel.eps_uniform(5, 0.5, mode="sampled")
@@ -204,6 +213,49 @@ class TestVisualScores:
         c = visual_score_table(view, weights, np.random.default_rng(100))
         assert a != c
 
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.1, 2.5])
+    @pytest.mark.parametrize("lazy", [False, True])
+    def test_matches_per_node_oracle_bit_for_bit(self, noise_sd, lazy):
+        # one sized draw per view gives the values of one scalar draw per
+        # entry, and leaves the generator where the scalar draws leave it
+        weights = VisualWeights(w_d=0.3, w_t=1.5, decay=10.0, noise_sd=noise_sd)
+        views = np.random.default_rng(31)
+        repeats = 0
+        for length in range(41):
+            # odd lengths draw ids from as many as the view holds, so they repeat
+            span = max(1, length) if length % 2 else 10_000
+            ids = [f"n{k}" for k in views.integers(0, span, length)]
+            repeats += len(set(ids)) < length
+            view = [(i, float(views.exponential(8.0)), float(views.uniform(-0.1, 1.0))) for i in ids]
+
+            def make():
+                if lazy:
+                    return LazyRng(4, "ep", "visual-global", length)
+                return np.random.default_rng(length)
+
+            fast_rng, slow_rng = make(), make()
+            fast = visual_score_table(view, weights, fast_rng)
+            slow = visual_score_table_per_node(view, weights, slow_rng)
+            assert list(fast) == list(slow)
+            for node_id, value in fast.items():
+                assert same_float(value, slow[node_id])
+            if lazy and (noise_sd == 0 or not view):
+                assert fast_rng._rng is None  # nothing drew, so nothing was derived
+            assert fast_rng.normal() == slow_rng.normal()
+        assert repeats >= 15
+
+    def test_repeated_node_keeps_last_entry_and_every_entry_draws(self):
+        weights = VisualWeights(w_d=0.0, w_t=1.0, noise_sd=1.0)
+        view = [("a", 1.0, 0.0), ("b", 1.0, 10.0), ("a", 1.0, 20.0)]
+        table = visual_score_table(view, weights, np.random.default_rng(5))
+        noise = np.random.default_rng(5).normal(0.0, 1.0, 3)
+        assert table == {"a": 20.0 + float(noise[2]), "b": 10.0 + float(noise[1])}
+
     def test_decay_must_be_positive(self):
         with pytest.raises(ValueError):
             VisualWeights(decay=0.0)
+
+
+def same_float(a, b):
+    """Equal as IEEE values, including the sign of a zero."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)

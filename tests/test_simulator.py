@@ -593,6 +593,28 @@ class TestRowScores:
                 repeats += sum(repeat for repeat, _ in topo.arrivals)
         assert repeats > 100
 
+    @pytest.mark.parametrize("mode", ["distribution", "sampled"])
+    def test_only_sampled_arrivals_build_a_generator(self, large_scenes, monkeypatch, mode):
+        # in the large-scene benchmark's shape, where most arrivals revisit
+        built = Counter()
+
+        class CountingLazyRng(seeding.LazyRng):
+            def __init__(self, *parts):
+                built[parts[2]] += 1
+                super().__init__(*parts)
+
+        monkeypatch.setattr(simulator, "LazyRng", CountingLazyRng)
+        scenes, episodes, kb = large_scenes
+        agent = AgentConfig(
+            confusion=ConfusionModel.eps_uniform(len(kb.type_vocabulary), 0.2, mode=mode),
+            visual=VisualWeights(noise_sd=0.1), fusion_mode="dynamic", max_actions=40, seed=1,
+        )
+        arrivals = 0
+        for episode in episodes:
+            arrivals += len(run_episode(scenes[episode.scene_id], episode, kb, agent).node_sequence)
+        assert built["perceive"] == (arrivals if mode == "sampled" else 0)
+        assert built["target"] == len(episodes) and built["visual-global"] > 0
+
     def test_sampled_mode_draws_once_per_perceived_node(self, small_bench, monkeypatch):
         scenes, episodes, kb = small_bench
         draws = Counter()
