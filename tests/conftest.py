@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import sys
 from pathlib import Path
@@ -26,6 +27,11 @@ def cli_in_process(*argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = dispatch([str(a) for a in argv])
     return code, err.getvalue()
+
+
+def same_float(a, b):
+    """Equal as IEEE values, including the sign of a zero."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 def make_scene(

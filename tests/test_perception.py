@@ -18,6 +18,7 @@ from hspr.perception import (
 from hspr.seeding import LazyRng
 from hspr.synth import sample_episode
 
+from conftest import same_float
 from oracles import visual_score_table_per_node
 
 
@@ -254,8 +255,3 @@ class TestVisualScores:
     def test_decay_must_be_positive(self):
         with pytest.raises(ValueError):
             VisualWeights(decay=0.0)
-
-
-def same_float(a, b):
-    """Equal as IEEE values, including the sign of a zero."""
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)

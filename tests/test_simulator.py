@@ -35,7 +35,7 @@ from hspr.simulator import (
 from hspr.synth import Episode
 
 import oracles
-from conftest import make_scene
+from conftest import make_scene, same_float
 
 
 def mini_kb(n_types=4, n_objects=4):
@@ -462,11 +462,6 @@ class TestRandomStreams:
         assert [lazy.normal(0.0, 1.0) for _ in range(5)] == [want.normal(0.0, 1.0) for _ in range(5)]
         assert lazy.integers(1000) == want.integers(1000)
         assert labels["visual-local"] == 2
-
-
-def same_float(a, b):
-    """Equal as IEEE values, including the sign of a zero."""
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
 def all_type_paths(n_types, max_steps):
