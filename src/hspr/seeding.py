@@ -29,9 +29,9 @@ def derive_rng(*parts) -> np.random.Generator:
 class LazyRng:
     """Stands in for derive_rng(*parts) and derives it on the first draw.
 
-    Many keyed streams never draw (distribution-mode perception, noiseless
-    or empty visual views), so they never pay for the hash and the
-    generator seeding.  The first draw sees exactly the stream that
+    Many keyed streams never draw (the target spec in distribution mode,
+    noiseless or empty visual views), so they never pay for the hash and
+    the generator seeding.  The first draw sees exactly the stream that
     derive_rng(*parts) gives.
     """
 

@@ -367,8 +367,7 @@ def _scored_action(
 
     current_row = nodes[current].row
     alignment = row_scores.alignment(rows | {current_row})
-    dist = table.dist
-    global_view = [(i, dist.get(i, math.inf), alignment[row_of[i]]) for i in candidates]
+    global_view = [(i, table.distance(i), alignment[row_of[i]]) for i in candidates]
     local_view = [(i, topo.adj[current][i], alignment[row_of[i]]) for i in sorted(F)]
     eps_c = visual_score_table(
         global_view, agent.visual, LazyRng(agent.seed, ep, "visual-global", decision_step)
@@ -379,7 +378,7 @@ def _scored_action(
 
     visited_scores = None
     if agent.fusion_mode == "dynamic":
-        visited_view = [(i, dist.get(i, math.inf), alignment[row_of[i]]) for i in visited]
+        visited_view = [(i, table.distance(i), alignment[row_of[i]]) for i in visited]
         eps_v = visual_score_table(
             visited_view, agent.visual,
             LazyRng(agent.seed, ep, "visual-visited", decision_step),

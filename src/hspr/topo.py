@@ -97,18 +97,13 @@ class SemanticTopoMap:
         The arrived node, then each neighbor in id order, is perceived
         through confusion with rng if it is new to the map or the model is
         sampled: in distribution mode a known node's perception draws nothing
-        and returns the row it holds, so rng may be None there, and a repeat
-        arrival at a visited node only moves the current node and counts the
-        step.  A sampled draw replaces a known belief only if it lands on
-        another row.  Arrival is legal at the episode start (empty map) or at
-        any already-known node; anything else is a teleport.  The arrived
+        and returns the row it holds, so a repeat arrival only moves the
+        current node; distribution mode never draws, so rng may be None
+        there.  A sampled draw replaces a known belief only if it lands on
+        another row.  Arrival is legal at the episode start (empty map) or
+        at any already-known node; anything else is a teleport.  The arrived
         node's edges are added on its first arrival only.
         """
-        redraw = confusion.mode == "sampled"
-        if not redraw and arrived_node in self._visited:
-            self.current = arrived_node
-            self.step += 1
-            return
         if self.nodes and arrived_node not in self.nodes:
             raise ValueError(
                 f"cannot arrive at {arrived_node!r}: not a known node and not the start"
@@ -116,6 +111,7 @@ class SemanticTopoMap:
         # a node's edges and neighbors are all known after its first arrival,
         # and re-assigning a known key would keep its place in adj anyway
         first_arrival = arrived_node not in self._visited
+        redraw = confusion.mode == "sampled"
         if redraw or arrived_node not in self.nodes:
             self._perceive(scene.node(arrived_node), confusion, rng)
         # the previous current node is in _visited already

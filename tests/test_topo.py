@@ -213,9 +213,8 @@ class TestObserve:
     @pytest.mark.parametrize("mode", ["distribution", "sampled"])
     @pytest.mark.parametrize("world", ["house", "large"])
     def test_matches_reperceiving_oracle_over_walks_with_revisits(self, rng, mode, world, large_scenes):
-        # the map perceives only nodes new to it unless the model is sampled,
-        # and a distribution-mode arrival at a visited node writes no status
-        # set; the oracle perceives every node that each arrival reaches
+        # the map perceives only nodes new to it unless the model is sampled;
+        # the oracle perceives every node that each arrival reaches
         if world == "house":
             scenes, _, kb = standard_benchmark(n_scenes=3, episodes_per_scene=1, seed=5)
         else:
@@ -223,19 +222,14 @@ class TestObserve:
         confusion = ConfusionModel.eps_uniform(len(kb.type_vocabulary), 0.3, mode=mode)
         for scene in scenes.values():
             fast, slow = SemanticTopoMap(), SemanticTopoMap()
-            writes = []
-            fast._visited, fast._navigable = CountingDict(writes), CountingDict(writes)
             fast_rng, slow_rng = np.random.default_rng(11), np.random.default_rng(11)
             node = sorted(scene.node_ids())[0]
             revisits = 0
             for _ in range(150):
-                repeat = node in fast.visited_ids()
-                revisits += repeat
+                revisits += node in fast.visited_ids()
                 fast_before, slow_before = dict(fast.nodes), dict(slow.nodes)
-                written = len(writes)
                 fast.observe(scene, node, confusion, fast_rng)
                 observe_reperceiving(slow, scene, node, confusion, slow_rng)
-                assert (len(writes) == written) == (repeat and mode == "distribution")
                 assert list(fast.nodes) == list(slow.nodes)
                 for nid, belief in fast.nodes.items():
                     assert belief.row == slow.nodes[nid].row
@@ -253,22 +247,6 @@ class TestObserve:
                 options = sorted(scene.neighbors(node))
                 node = options[int(rng.integers(len(options)))][0]
             assert revisits > 100
-
-
-class CountingDict(dict):
-    """A status set that logs every write: an assignment or a pop."""
-
-    def __init__(self, log):
-        super().__init__()
-        self.log = log
-
-    def __setitem__(self, key, value):
-        self.log.append(("set", key))
-        super().__setitem__(key, value)
-
-    def pop(self, key, *default):
-        self.log.append(("pop", key))
-        return super().pop(key, *default)
 
 
 class TestNavigableSets:
