@@ -22,7 +22,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import malformed, read_json, write_json
-from .seeding import LazyRng
+from .seeding import LazyRng, choose
 
 CONFUSION_SCHEMA_VERSION = 1
 _SUM_TOL = 1e-9
@@ -88,6 +88,8 @@ class ConfusionModel:
             raise ValueError(f"unknown confusion mode {self.mode!r}")
         if self.M.ndim != 2 or self.M.shape[0] != self.M.shape[1]:
             raise ValueError("confusion matrix must be square")
+        if not np.isfinite(self.M).all():
+            raise ValueError("confusion matrix has a non-finite entry")
         if np.any(self.M < 0):
             raise ValueError("confusion matrix has a negative entry")
         sums = self.M.sum(axis=1)
@@ -118,7 +120,7 @@ class ConfusionModel:
             return true_type
         if rng is None:
             raise ValueError("sampled confusion mode needs a generator to perceive with")
-        return int(rng.choice(self.n_types, p=self.M[true_type]))
+        return choose(rng, self.M[true_type])
 
     def row(self, true_type: int, rng: np.random.Generator | LazyRng) -> np.ndarray:
         """The perceived type distribution, a read-only row."""

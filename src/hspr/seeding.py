@@ -3,6 +3,12 @@
 Every random draw in the package comes from a generator derived here so
 results depend only on (seed, labels), never on execution or scheduling
 order.  This is what makes batch runs reproducible under any parallelism.
+
+Weighted draws go through `choose` and `choose_distinct`: they consume the
+same doubles and run the same cumsum/searchsorted steps as
+`Generator.choice(..., p=...)`, so every pick and generator state is the
+same, but they skip its per-call argument checks.  The weights are checked
+where they are built instead.
 """
 
 from __future__ import annotations
@@ -48,3 +54,33 @@ class LazyRng:
         value = getattr(self._rng, name)
         setattr(self, name, value)  # later lookups skip __getattr__
         return value
+
+
+def choose(rng: np.random.Generator | LazyRng, p: np.ndarray) -> int:
+    """The index `int(rng.choice(len(p), p=p))` gives, drawing the same double.
+
+    p must be a 1-D float64 array of finite, nonnegative weights with a
+    positive sum; it is not checked here.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def choose_distinct(rng: np.random.Generator | LazyRng, p: np.ndarray, k: int) -> list[int]:
+    """The indices `rng.choice(len(p), size=k, replace=False, p=p)` gives, in its order.
+
+    p is checked as in `choose`, and needs at least k nonzero entries.
+    Each round draws one double per missing index and keeps each new index
+    at its first occurrence; found indices have zero weight in later rounds.
+    """
+    p = p.copy()
+    found: list[int] = []
+    while len(found) < k:
+        x = rng.random(k - len(found))
+        if found:
+            p[found] = 0
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        found.extend(dict.fromkeys(cdf.searchsorted(x, side="right").tolist()))
+    return found

@@ -25,7 +25,7 @@ from .scene import (
     hop_distances,
     validate_scene,
 )
-from .seeding import derive_rng
+from .seeding import choose, choose_distinct, derive_rng
 
 _INTRA_SHORTCUT_P = 0.3
 
@@ -56,6 +56,19 @@ class GeneratorConfig:
             raise ValueError(f"region_extent must be finite and > 0, got {self.region_extent}")
         if self.extra_region_links < 0:
             raise ValueError(f"extra_region_links must be >= 0, got {self.extra_region_links}")
+        # weighted draws are checked here, not per draw (seeding.choose)
+        if not np.isfinite(self.generator_kb.P_r).all():
+            raise ValueError("generator_kb.P_r must be finite")
+        if self.object_weights is not None:
+            kb = self.generator_kb
+            shape = (len(kb.type_vocabulary), len(kb.object_vocabulary))
+            weights = np.asarray(self.object_weights, dtype=np.float64)
+            if weights.shape != shape:
+                raise ValueError(
+                    f"object_weights must have shape {shape} (types x object types), got {weights.shape}"
+                )
+            if not (np.isfinite(weights).all() and (weights >= 0).all()):
+                raise ValueError("object_weights must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -105,7 +118,7 @@ def _sample_region_types(config: GeneratorConfig, rng: np.random.Generator) -> t
                 "config infeasible: no positive-probability region type can extend the tree"
             )
         probs = np.array(weights) / sum(weights)
-        pick = int(rng.choice(len(candidates), p=probs))
+        pick = choose(rng, probs)
         parent, new_type = candidates[pick]
         links.append((parent, len(types)))
         types.append(new_type)
@@ -124,7 +137,7 @@ def _sample_region_types(config: GeneratorConfig, rng: np.random.Generator) -> t
                 extra_weights.append(w)
     for _ in range(min(config.extra_region_links, len(extra_candidates))):
         probs = np.array(extra_weights) / sum(extra_weights)
-        pick = int(rng.choice(len(extra_candidates), p=probs))
+        pick = choose(rng, probs)
         links.append(extra_candidates[pick])
         del extra_candidates[pick]
         del extra_weights[pick]
@@ -180,8 +193,8 @@ def generate_scene(config: GeneratorConfig, scene_id: str | None = None) -> Scen
                     weights = weights / weights.sum()
             available = int(np.count_nonzero(weights))
             obj_count = min(obj_count, available)
-            chosen = rng.choice(n_objects, size=obj_count, replace=False, p=weights) if obj_count else []
-            used_in_region.update(int(t) for t in chosen)
+            chosen = choose_distinct(rng, weights, obj_count)
+            used_in_region.update(chosen)
             # objects cluster in view sectors, so view-level co-occurrence
             # counts have signal
             views_here: list[int] = []
@@ -195,7 +208,7 @@ def generate_scene(config: GeneratorConfig, scene_id: str | None = None) -> Scen
                 objects.append(
                     ObjectInstance(
                         object_id=f"{node_id}-o{k}",
-                        object_type=int(ot),
+                        object_type=ot,
                         view_index=view,
                         heading=float(rng.uniform(-math.pi, math.pi)),
                         elevation=float(rng.uniform(-0.5, 0.5)),

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import os
 import subprocess
@@ -26,3 +27,16 @@ def test_importing_the_package_loads_every_traced_layer():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_no_weighted_choice_in_the_package():
+    """Weighted draws go through seeding.choose/choose_distinct, whose weights
+    are checked where they are built; Generator.choice(p=...) re-checks them
+    on every call."""
+    calls = []
+    for path in sorted(Path(hspr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "choice" and any(k.arg == "p" for k in node.keywords)):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

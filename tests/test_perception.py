@@ -85,6 +85,11 @@ class TestConfusionModel:
         with pytest.raises(ValueError, match="negative"):
             ConfusionModel(np.array([[1.2, -0.2], [0.5, 0.5]]))
 
+    def test_non_finite_entry_rejected(self):
+        # a NaN row sums to NaN, which no tolerance check rejects
+        with pytest.raises(ValueError, match="non-finite"):
+            ConfusionModel(np.array([[np.nan, 0.5], [0.5, 0.5]]), mode="sampled")
+
     def test_file_round_trip(self, tmp_path):
         model = ConfusionModel.eps_uniform(3, 0.3, mode="sampled")
         path = tmp_path / "confusion.json"

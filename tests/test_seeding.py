@@ -1,0 +1,69 @@
+import itertools
+
+import numpy as np
+import pytest
+
+from hspr.seeding import LazyRng, choose, choose_distinct, derive_rng
+
+
+def test_weighted_draws_match_generator_choice():
+    """choose/choose_distinct give Generator.choice's picks and leave the same state.
+
+    Weights are cubed and ~40% zero, so some entries are tiny and zero
+    entries sit anywhere, first and last included; k runs up to the number
+    of nonzero entries.  Odd trials draw through a LazyRng.
+    """
+    rng = np.random.default_rng(19)
+    for trial in range(10_000):
+        n = int(rng.integers(1, 701))
+        weights = rng.uniform(size=n) ** 3 * (rng.uniform(size=n) >= 0.4)
+        if not weights.any():
+            weights[int(rng.integers(n))] = 1.0
+        p = weights / weights.sum()
+        k = int(rng.integers(1, np.count_nonzero(p) + 1))
+        if trial % 2:
+            fast, slow = LazyRng(trial, "oracle"), derive_rng(trial, "oracle")
+        else:
+            fast, slow = np.random.default_rng(trial), np.random.default_rng(trial)
+        assert choose(fast, p) == int(slow.choice(n, p=p))
+        assert choose_distinct(fast, p, k) == slow.choice(n, size=k, replace=False, p=p).tolist()
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_choose_distinct_of_nothing_draws_nothing():
+    rng, untouched = np.random.default_rng(3), np.random.default_rng(3)
+    assert choose_distinct(rng, np.zeros(4), 0) == []
+    assert rng.bit_generator.state == untouched.bit_generator.state
+
+
+class ScriptedRng(np.random.Generator):
+    """A Generator whose random() returns the given doubles in order;
+    Generator.choice draws through it too."""
+
+    def __init__(self, doubles):
+        super().__init__(np.random.PCG64(0))
+        self.doubles = list(doubles)
+
+    def random(self, size=None):
+        if size is None or size == ():
+            return self.doubles.pop(0)
+        return np.array([self.doubles.pop(0) for _ in range(int(np.prod(size)))])
+
+
+EDGE_DOUBLES = (0.0, 0.25, 0.5, 0.75, 1 - 2**-53)
+
+
+@pytest.mark.parametrize("p", [
+    [0.0, 0.5, 0.5],  # 0.0 must skip the leading zero; 0.5 lands on a cdf step
+    [0.25, 0.75 - 1e-8, 0.0],  # sums a little under 1, within choice's tolerance
+    [0.25, 0.25, 0.0, 0.5],
+])
+def test_edge_doubles_pick_what_generator_choice_picks(p):
+    p = np.array(p)
+    n, k = len(p), int(np.count_nonzero(p))
+    for x in EDGE_DOUBLES:
+        assert choose(ScriptedRng([x]), p) == int(ScriptedRng([x]).choice(n, p=p))
+    for order in itertools.permutations(EDGE_DOUBLES):
+        doubles = order * 3  # repeats force later rounds
+        want = ScriptedRng(doubles).choice(n, size=k, replace=False, p=p).tolist()
+        assert choose_distinct(ScriptedRng(doubles), p, k) == want

@@ -615,9 +615,10 @@ class TestRowScores:
         draws = Counter()
 
         class CountingGenerator(np.random.Generator):
-            def choice(self, *args, **kwargs):
+            # a sampled perception draws one double (seeding.choose)
+            def random(self, *args, **kwargs):
                 draws[self.key] += 1
-                return super().choice(*args, **kwargs)
+                return super().random(*args, **kwargs)
 
         def derive(*parts):
             generator = CountingGenerator(np.random.PCG64(seeding.stable_digest(*parts)))

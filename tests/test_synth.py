@@ -109,6 +109,35 @@ class TestGenerateScene:
         with pytest.raises(ValueError, match=f"{field} must be"):
             config_for(gen_kb, 1, **{field: value})
 
+    @pytest.mark.parametrize("value", [-0.5, math.nan, math.inf])
+    def test_config_rejects_bad_object_weight(self, gen_kb, value):
+        weights = np.ones((len(gen_kb.type_vocabulary), len(gen_kb.object_vocabulary)))
+        weights[2, 1] = value
+        with pytest.raises(ValueError, match="object_weights must be finite and >= 0"):
+            config_for(gen_kb, 1, object_weights=weights)
+
+    @pytest.mark.parametrize("cut", [lambda w: w[:-1], lambda w: w[:, :-1], lambda w: w[0]],
+                             ids=["missing_row", "missing_column", "one_dimensional"])
+    def test_config_rejects_misshapen_object_weights(self, gen_kb, cut):
+        weights = np.ones((len(gen_kb.type_vocabulary), len(gen_kb.object_vocabulary)))
+        with pytest.raises(ValueError, match="object_weights must have shape"):
+            config_for(gen_kb, 1, object_weights=cut(weights))
+
+    def test_config_rejects_non_finite_generator_kb(self, gen_kb):
+        P_r = gen_kb.P_r.copy()
+        P_r[0, 1] = math.inf
+        kb = ProximityKB(P_r, gen_kb.P_o, gen_kb.top_objects, gen_kb.type_vocabulary, gen_kb.object_vocabulary)
+        with pytest.raises(ValueError, match="generator_kb.P_r must be finite"):
+            config_for(kb, 1)
+
+    def test_house_weights_pass_and_zero_rows_stay_uniform(self):
+        kb, weights = house_generator_kb()
+        config_for(kb, 1, region_count=8, object_weights=weights)
+        # an all-zero row falls back to uniform object weights
+        zero = generate_scene(config_for(kb, 3, region_count=8, object_weights=np.zeros_like(weights)))
+        uniform = generate_scene(config_for(kb, 3, region_count=8))
+        assert scene_to_payload(zero) == scene_to_payload(uniform)
+
     def test_objects_respect_weights(self, gen_kb):
         n_o = len(gen_kb.object_vocabulary)
         weights = np.zeros((len(gen_kb.type_vocabulary), n_o))
