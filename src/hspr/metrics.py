@@ -3,6 +3,11 @@
 Navigation error defaults to geodesic (graph) distance because scenes are
 graphs; a straight-line mode exists for comparison.  Success is strict:
 NE < threshold.
+
+Geodesic mode runs one Dijkstra from the target that stops once the stop
+node is settled.  That is exact: nodes settle in order of distance, so a
+walked node nearer than NE already holds its final distance, every other
+node is at least NE away, and the stop node is on the walk.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InternalError, write_json
-from .scene import SceneGraph, geodesic_distances
+from .scene import SceneGraph, dijkstra
 from .simulator import Trajectory
 from .synth import Episode
 
@@ -50,30 +55,45 @@ def episode_metrics(
         raise ValueError(
             f"trajectory {trajectory.episode_id!r} does not match episode {episode.episode_id!r}"
         )
-    for node_id in trajectory.node_sequence + [trajectory.stop_node]:
+    walk = trajectory.node_sequence
+    if not walk:
+        raise ValueError(f"trajectory {trajectory.episode_id}: node_sequence is empty")
+    stop_node = trajectory.stop_node
+    if stop_node != walk[-1]:
+        raise ValueError(
+            f"trajectory {trajectory.episode_id}: stop_node {stop_node!r} "
+            f"is not the last node of node_sequence"
+        )
+    walked = dict.fromkeys(walk)  # distinct nodes in first-visit order
+    for node_id in walked:
         if not scene.has_node(node_id):
             raise ValueError(f"trajectory visits unknown node {node_id!r}")
+    if walk[0] != episode.start_node:
+        raise ValueError(
+            f"trajectory {trajectory.episode_id}: node_sequence starts at {walk[0]!r}, "
+            f"not at the episode's start_node {episode.start_node!r}"
+        )
     selected = trajectory.selected_object
     if selected is not None and all(
-        o.object_id != selected for o in scene.node(trajectory.stop_node).objects
+        o.object_id != selected for o in scene.node(stop_node).objects
     ):
         raise ValueError(
             f"trajectory {trajectory.episode_id}: selected_object {selected!r} "
-            f"is not an object at stop node {trajectory.stop_node!r}"
+            f"is not an object at stop node {stop_node!r}"
         )
     if ne_mode not in ("geodesic", "euclidean"):
         raise ValueError(f"unknown ne mode {ne_mode!r}")
+    if not scene.has_node(episode.target_node):
+        raise ValueError(f"unknown node {episode.target_node!r}")
 
     if ne_mode == "geodesic":
-        dist_to_target = geodesic_distances(scene, episode.target_node)
-        ne = dist_to_target[trajectory.stop_node]
-        nearest = min(dist_to_target[nid] for nid in trajectory.node_sequence)
+        dist, _ = dijkstra(scene._adjacency, episode.target_node, target=stop_node)
+        ne = dist.get(stop_node, math.inf)
+        nearest = min(dist.get(nid, math.inf) for nid in walked)
     else:
         tp = scene.node(episode.target_node).position
-        ne = math.dist(scene.node(trajectory.stop_node).position, tp)
-        nearest = min(
-            math.dist(scene.node(nid).position, tp) for nid in trajectory.node_sequence
-        )
+        ne = math.dist(scene.node(stop_node).position, tp)
+        nearest = min(math.dist(scene.node(nid).position, tp) for nid in walked)
 
     success = ne < threshold
     oracle_success = nearest < threshold

@@ -323,17 +323,6 @@ def dijkstra(
     return dist, prev
 
 
-def geodesic_distances(scene: SceneGraph, source: str) -> dict[str, float]:
-    """Exact shortest-path distances (meters) from source to every node.
-
-    Unreachable nodes get inf.
-    """
-    if not scene.has_node(source):
-        raise ValueError(f"unknown node {source!r}")
-    dist, _ = dijkstra(scene._adjacency, source)
-    return {nid: dist.get(nid, math.inf) for nid in scene.node_ids()}
-
-
 def hop_distances(scene: SceneGraph, source: str) -> dict[str, int]:
     """Unweighted hop counts from source via breadth-first search."""
     dist = {source: 0}

@@ -542,6 +542,12 @@ def load_trajectories(path) -> list[Trajectory]:
             raise SchemaError(
                 f"{label}: total_length must be finite and >= 0, got {payload['total_length']!r}"
             )
+        if not traj.node_sequence:
+            raise SchemaError(f"{label}: node_sequence is empty")
+        if traj.stop_node != traj.node_sequence[-1]:
+            raise SchemaError(
+                f"{label}: stop_node {traj.stop_node!r} is not the last node of node_sequence"
+            )
         if traj.episode_id in seen:
             raise SchemaError(f"{label} repeats episode id {traj.episode_id!r}")
         seen.add(traj.episode_id)

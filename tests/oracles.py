@@ -14,17 +14,23 @@ in both confusion modes), `enumerate_paths_best_first` (formerly the
 body of `reasoner.enumerate_type_paths`, which searched from every present
 type in one heap) and `visual_score_table_per_node` (formerly
 `perception.visual_score_table`, which drew one scalar of noise per entry)
-are the package's former implementations, kept as slow references for the
-code that replaced them.
+and `geodesic_distances` (formerly `scene.geodesic_distances`, the full
+search from the target that `metrics.episode_metrics` read each episode's
+distances from; `tests/test_scene.py` checks it against scipy) are the
+package's former implementations, kept as slow references for the code
+that replaced them.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
+
+from hspr.scene import dijkstra
 
 
 def percentile_minmax_row(row):
@@ -72,6 +78,17 @@ def dijkstra_single_source(node_ids, edges, source):
                 dist[nbr] = nd
                 heapq.heappush(heap, (nd, nbr))
     return dist
+
+
+def geodesic_distances(scene, source: str) -> dict[str, float]:
+    """Exact shortest-path distances (meters) from source to every node.
+
+    Unreachable nodes get inf.
+    """
+    if not scene.has_node(source):
+        raise ValueError(f"unknown node {source!r}")
+    dist, _ = dijkstra(scene._adjacency, source)
+    return {nid: dist.get(nid, math.inf) for nid in scene.node_ids()}
 
 
 def connected_components_union_find(node_ids, edges):

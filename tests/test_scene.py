@@ -10,7 +10,6 @@ from hspr.bench import house_generator_kb
 from hspr.errors import InvariantViolation, SchemaError
 from hspr.scene import (
     dijkstra,
-    geodesic_distances,
     load_scene,
     region_adjacency,
     save_scene,
@@ -20,7 +19,7 @@ from hspr.scene import (
 from hspr.synth import GeneratorConfig, generate_scene
 
 from conftest import make_scene
-from oracles import connected_components_union_find, dijkstra_single_source
+from oracles import connected_components_union_find, dijkstra_single_source, geodesic_distances
 
 
 def write_scene(scene, tmp_path, name="scene.json"):
