@@ -601,6 +601,18 @@ def _object_elsewhere(record, scenes_dir):
     )
 
 
+def _stop_node_not_last(record, scenes_dir):
+    # the walk's first node, which it leaves
+    assert record["node_sequence"][0] != record["node_sequence"][-1]
+    record["stop_node"] = record["node_sequence"][0]
+
+
+def _start_node_elsewhere(record, scenes_dir):
+    # the walk with its first node dropped
+    assert len(record["node_sequence"]) > 1
+    del record["node_sequence"][0]
+
+
 TRAJECTORY_VIOLATIONS = {
     "total_length_nan": (_set_field("total_length", "nan"), "total_length"),
     "total_length_negative": (_set_field("total_length", -5.0), "total_length"),
@@ -610,6 +622,9 @@ TRAJECTORY_VIOLATIONS = {
     ),
     "node_sequence_string": (_set_field("node_sequence", "r0_n0"), "node_sequence"),
     "action_sequence_string": (_set_field("action_sequence", "STOP"), "action_sequence"),
+    "node_sequence_empty": (_set_field("node_sequence", []), "node_sequence"),
+    "stop_node_not_last": (_stop_node_not_last, "stop_node"),
+    "start_node_elsewhere": (_start_node_elsewhere, "start_node"),
     "selected_object_elsewhere": (_object_elsewhere, "selected_object"),
     "schema_version_99": (_set_field("schema_version", 99), "t.jsonl:2 has schema_version 99"),
     "schema_version_missing": (

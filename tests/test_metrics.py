@@ -1,7 +1,11 @@
+import dataclasses
+import heapq
 import math
+import types
 
 import pytest
 
+import hspr.scene
 from hspr.metrics import (
     EpisodeMetrics,
     aggregate_report,
@@ -13,7 +17,8 @@ from hspr.metrics import (
 from hspr.simulator import Trajectory
 from hspr.synth import Episode
 
-from conftest import make_scene
+from conftest import make_scene, same_float
+from oracles import geodesic_distances
 
 
 def path_scene():
@@ -121,6 +126,26 @@ class TestEpisodeMetrics:
         with pytest.raises(ValueError, match="ghost"):
             episode_metrics(bad, EPISODE, path_scene())
 
+    @pytest.mark.parametrize(
+        "nodes, stop, field",
+        [
+            ([], "a", "node_sequence is empty"),
+            (["a", "b", "c"], "b", "stop_node 'b' is not the last node"),
+            (["b", "c"], "c", "start_node 'a'"),
+        ],
+        ids=["node_sequence_empty", "stop_node_not_last", "start_node_elsewhere"],
+    )
+    def test_walk_without_usable_ends_rejected(self, nodes, stop, field):
+        bad = Trajectory("e0", "hspr", nodes, [], stop, None, 0.0)
+        for ne_mode in ("geodesic", "euclidean"):
+            with pytest.raises(ValueError, match=field):
+                episode_metrics(bad, EPISODE, path_scene(), ne_mode=ne_mode)
+
+    def test_unknown_target_rejected(self):
+        ghost = Episode("e0", "test", "a", "ghost", "d-obj", 6.0, 1)
+        with pytest.raises(ValueError, match="unknown node 'ghost'"):
+            episode_metrics(traj(["a", "b"], "b", selected=None), ghost, path_scene())
+
     def test_episode_id_mismatch_rejected(self):
         with pytest.raises(ValueError, match="match"):
             episode_metrics(
@@ -128,6 +153,156 @@ class TestEpisodeMetrics:
                 Episode("other", "test", "a", "d", "d-obj", 6.0, 1),
                 path_scene(),
             )
+
+
+def full_search_metrics(trajectory, episode, scene, threshold, ne_mode):
+    """The former scoring: one full search from the target, read at every hop."""
+    if ne_mode == "geodesic":
+        dist = geodesic_distances(scene, episode.target_node)
+        ne = dist[trajectory.stop_node]
+        nearest = min(dist[nid] for nid in trajectory.node_sequence)
+    else:
+        tp = scene.node(episode.target_node).position
+        ne = math.dist(scene.node(trajectory.stop_node).position, tp)
+        nearest = min(math.dist(scene.node(nid).position, tp) for nid in trajectory.node_sequence)
+    L, tl = episode.shortest_length, trajectory.total_length
+    success = ne < threshold
+    rgs = success and trajectory.selected_object == episode.target_object
+    return EpisodeMetrics(
+        episode.episode_id, tl, ne, success, nearest < threshold,
+        L / max(L, tl) if success else 0.0, rgs, L / max(L, tl) if rgs else 0.0,
+    )
+
+
+def assert_same_metrics(got, want):
+    for f in dataclasses.fields(EpisodeMetrics):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, float):
+            assert same_float(a, b), (f.name, a, b)
+        else:
+            assert a == b, (f.name, a, b)
+
+
+TIE_PRONE_LENGTHS = [0.1, 0.2, 0.3, 1 / 3, 2 / 3, 0.7, 1.0, 0.1 + 0.2, 2.5]
+
+
+def random_scene(rng, n, lengths, grid=False):
+    """A connected scene of n nodes (a w x h grid when grid) with 0-2 objects each."""
+    if grid:
+        w = int(rng.integers(2, 7))
+        n = w * max(1, n // w)
+        pairs = {(i, i + 1) for i in range(n) if (i + 1) % w} | {(i, i + w) for i in range(n - w)}
+    else:
+        pairs = {(int(rng.integers(i)), i) for i in range(1, n)}
+        for _ in range(int(rng.integers(0, 2 * n))):
+            pairs.add(tuple(sorted(int(k) for k in rng.choice(n, 2, replace=False))))
+    ids = [f"n{i}" for i in range(n)]
+    nodes = [
+        (nid, "r0", 0, tuple(float(v) for v in rng.uniform(-5, 5, 3)),
+         [(f"{nid}-o{k}", 0, 0) for k in range(int(rng.integers(3)))])
+        for nid in ids
+    ]
+    edges = [(ids[i], ids[j], float(rng.choice(lengths))) for i, j in sorted(pairs)]
+    return make_scene(nodes, edges)
+
+
+def random_walk(rng, scene, start, hops):
+    walk = [start]
+    for _ in range(hops):
+        nbrs = [nbr for nbr, _ in scene.neighbors(walk[-1])]
+        if not nbrs:
+            break
+        walk.append(nbrs[int(rng.integers(len(nbrs)))])
+    return walk
+
+
+def random_case(rng, scene, walk):
+    """(trajectory, episode) for a walk; the target is the stop node, a walked
+    node or any node, and the selected object is one at the stop node or none."""
+    ids = scene.node_ids()
+    target = [walk[-1], walk[int(rng.integers(len(walk)))], ids[int(rng.integers(len(ids)))]][
+        int(rng.integers(3))
+    ]
+    target_objects = [o.object_id for o in scene.node(target).objects] or ["none"]
+    stop_objects = [None, *(o.object_id for o in scene.node(walk[-1]).objects)]
+    L = geodesic_distances(scene, walk[0])[target]
+    total = float(sum(scene._adjacency.get(a, {}).get(b, 1.0) for a, b in zip(walk, walk[1:])))
+    trajectory = Trajectory(
+        "e0", "hspr", walk, [*walk[1:], "<stop>"], walk[-1],
+        stop_objects[int(rng.integers(len(stop_objects)))], total,
+    )
+    episode = Episode(
+        "e0", scene.scene_id, walk[0], target, target_objects[0],
+        L if 0 < L < math.inf else 1.0, 0,
+    )
+    return trajectory, episode
+
+
+def check_against_full_search(rng, scene, trajectory, episode):
+    dist = geodesic_distances(scene, episode.target_node)
+    finite = [d for d in dist.values() if d < math.inf]
+    # thresholds on a walked node's distance make NE == threshold occur
+    for threshold in (float(rng.choice(finite)) or 1.0, float(rng.uniform(0.1, 10.0))):
+        for ne_mode in ("geodesic", "euclidean"):
+            assert_same_metrics(
+                episode_metrics(trajectory, episode, scene, threshold, ne_mode),
+                full_search_metrics(trajectory, episode, scene, threshold, ne_mode),
+            )
+
+
+class TestEarlyStopAgainstFullSearch:
+    """Scoring stops its search at the stop node; every metric must equal the
+    one read from a full search, bit for bit."""
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["random", "unit_grid"])
+    def test_random_scenes_and_walks(self, rng, grid):
+        for _ in range(150):
+            lengths = [1.0] if grid else TIE_PRONE_LENGTHS
+            scene = random_scene(rng, int(rng.integers(2, 30)), lengths, grid=grid)
+            ids = scene.node_ids()
+            walk = random_walk(rng, scene, ids[int(rng.integers(len(ids)))], int(rng.integers(0, 40)))
+            check_against_full_search(rng, scene, *random_case(rng, scene, walk))
+
+    def test_large_scenes(self, rng, large_scenes):
+        scenes, episodes, _ = large_scenes
+        for episode in episodes:
+            scene = scenes[episode.scene_id]
+            for _ in range(25):
+                walk = random_walk(rng, scene, episode.start_node, int(rng.integers(0, 80)))
+                check_against_full_search(rng, scene, *random_case(rng, scene, walk))
+
+    def test_unreachable_stop_node(self, rng):
+        # two components; walks may jump between them, as a built Trajectory can
+        scene = make_scene(
+            [("a", "r0", 0), ("b", "r0", 0), ("c", "r0", 0),
+             ("x", "r1", 1), ("y", "r1", 1, (9.0, 0.0, 0.0), [("y-o", 0, 0)])],
+            [("a", "b", 0.1), ("b", "c", 0.2), ("a", "c", 0.3), ("x", "y", 1.0)],
+            validate=False,
+        )
+        for _ in range(100):
+            near = random_walk(rng, scene, "abc"[int(rng.integers(3))], int(rng.integers(0, 6)))
+            far = random_walk(rng, scene, "xy"[int(rng.integers(2))], int(rng.integers(0, 6)))
+            walk = (near + far) if rng.random() < 0.5 else far
+            trajectory, _ = random_case(rng, scene, walk)
+            episode = Episode("e0", "test", walk[0], "abc"[int(rng.integers(3))], "none", 1.0, 0)
+            assert episode_metrics(trajectory, episode, scene).ne == math.inf
+            check_against_full_search(rng, scene, trajectory, episode)
+
+
+def test_search_stops_at_the_stop_node(monkeypatch):
+    # a walk that stops next to the target settles the target and the stop node only
+    pops = []
+
+    def counting_heappop(heap):
+        pops.append(heap[0])
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(
+        hspr.scene, "heapq", types.SimpleNamespace(heappush=heapq.heappush, heappop=counting_heappop)
+    )
+    m = episode_metrics(traj(["a", "b", "c"], "c", selected=None), EPISODE, path_scene())
+    assert m.ne == 2.0 and m.success
+    assert 0 < len(pops) <= 3
 
 
 def fake_metric(i, success, spl, rgs=None, oracle=None):
