@@ -6,17 +6,16 @@ Each row is 150 episodes on the fixed house benchmark with noisy perception
 """
 
 from hspr.bench import standard_benchmark
-from hspr.metrics import aggregate_report, episode_metrics, format_report_table
+from hspr.metrics import evaluate, format_report_table
 from hspr.perception import ConfusionModel, VisualWeights
 from hspr.reasoner import ReasonerConfig
 from hspr.simulator import AgentConfig, run_batch
 
 scenes, episodes, kb = standard_benchmark(n_scenes=30, episodes_per_scene=5)
-by_id = {e.episode_id: e for e in episodes}
 n_types = len(kb.type_vocabulary)
 
 
-def evaluate(policy, steps=3, fusion="residual"):
+def run_arm(policy, steps=3, fusion="residual"):
     agent = AgentConfig(
         confusion=ConfusionModel.eps_uniform(n_types, 0.2),
         reasoner=ReasonerConfig(max_steps=steps),
@@ -27,15 +26,11 @@ def evaluate(policy, steps=3, fusion="residual"):
     batch = run_batch(scenes, episodes, kb, agent, policy, parallelism=4)
     if batch.failures:
         raise SystemExit(f"{policy}: episodes failed: {sorted(batch.failures)}")
-    metrics = []
-    for traj in batch.trajectories:
-        episode = by_id[traj.episode_id]
-        metrics.append(episode_metrics(traj, episode, scenes[episode.scene_id]))
-    return aggregate_report(metrics).aggregates
+    return evaluate(batch.trajectories, episodes, scenes).aggregates
 
 
 print("=== reasoning depth (hspr, residual fusion) ===")
-rows = [(f"steps={m}", evaluate("hspr", steps=m)) for m in (1, 2, 3, 4, 5)]
+rows = [(f"steps={m}", run_arm("hspr", steps=m)) for m in (1, 2, 3, 4, 5)]
 print(format_report_table(rows, label="steps"))
 print("Multi-step look-ahead concentrates its gains in SPL: with one step")
 print("the agent is blind at junctions whose wings only pay off two rooms")
@@ -43,15 +38,15 @@ print("later.  Here the agent's matrix is the exact house grammar, so even")
 print("long plans stay reliable and depth keeps helping.\n")
 
 print("=== fusion variants (hspr, 3-step) ===")
-rows = [(f"fusion={mode}", evaluate("hspr", fusion=mode)) for mode in ("residual", "average", "dynamic")]
+rows = [(f"fusion={mode}", run_arm("hspr", fusion=mode)) for mode in ("residual", "average", "dynamic")]
 print(format_report_table(rows, label="fusion"))
 
 print("=== policy baselines ===")
 rows = [
-    ("hspr", evaluate("hspr")),
-    ("greedy_eta", evaluate("greedy_eta")),
-    ("visual_only", evaluate("visual_only")),
-    ("random", evaluate("random")),
+    ("hspr", run_arm("hspr")),
+    ("greedy_eta", run_arm("greedy_eta")),
+    ("visual_only", run_arm("visual_only")),
+    ("random", run_arm("random")),
 ]
 print(format_report_table(rows, label="policy"))
 print("Proximity knowledge carries the gap over visual-only exploration;")

@@ -27,12 +27,7 @@ from .kb import (
     load_kb,
     save_kb,
 )
-from .metrics import (
-    aggregate_report,
-    episode_metrics,
-    format_report_table,
-    save_report,
-)
+from .metrics import evaluate, format_report_table, save_report
 from .perception import ConfusionModel, VisualWeights, load_confusion
 from .reasoner import ReasonerConfig
 from .scene import load_scene, save_scene
@@ -40,7 +35,6 @@ from .seeding import stable_digest
 from .simulator import (
     POLICIES,
     AgentConfig,
-    check_episode,
     check_vocabularies,
     load_trajectories,
     run_batch,
@@ -268,41 +262,14 @@ def cmd_run(args) -> int:
     return EXIT_OK if not result.failures else EXIT_INPUT
 
 
-def _uncovered(episode_ids, trajectories) -> list[str]:
-    """Sorted ids of the episodes with no trajectory; scoring without them
-    would drop them from every rate's denominator."""
-    return sorted(set(episode_ids) - {t.episode_id for t in trajectories})
-
-
 def cmd_eval(args) -> int:
     if not (math.isfinite(args.threshold) and args.threshold > 0):
         raise SchemaError(f"--threshold must be a finite number > 0, got {args.threshold}")
     _check_out_dir(args.out)
     scenes = _load_scenes_dir(args.scenes)
-    episodes = {e.episode_id: e for e in load_episodes(args.episodes)}
+    episodes = load_episodes(args.episodes)
     trajectories = load_trajectories(args.traj)
-    missing = _uncovered(episodes, trajectories)
-    if missing:
-        raise SchemaError(
-            f"{len(missing)} of {len(episodes)} manifest episodes have no trajectory "
-            f"in {args.traj} (first: {missing[0]!r})"
-        )
-    metrics = []
-    for traj in sorted(trajectories, key=lambda t: t.episode_id):
-        episode = episodes.get(traj.episode_id)
-        if episode is None:
-            raise SchemaError(f"trajectory {traj.episode_id!r} has no episode in the manifest")
-        scene = scenes.get(episode.scene_id)
-        if scene is None:
-            raise SchemaError(f"episode {episode.episode_id!r} names unknown scene {episode.scene_id!r}")
-        check_episode(scene, episode)
-        metrics.append(
-            episode_metrics(traj, episode, scene, threshold=args.threshold, ne_mode=args.ne)
-        )
-    report = aggregate_report(
-        metrics,
-        config={"threshold": args.threshold, "ne": args.ne, "episodes": len(metrics)},
-    )
+    report = evaluate(trajectories, episodes, scenes, threshold=args.threshold, ne_mode=args.ne)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_report(report, out / "report.json", out / "report.txt")
@@ -347,7 +314,6 @@ def cmd_ablate(args) -> int:
     scenes, episodes, kb = standard_benchmark(
         n_scenes=args.scenes_n, episodes_per_scene=args.episodes_per, seed=args.seed
     )
-    by_id = {e.episode_id: e for e in episodes}
     rows = []
     results = {}
     for value in values:
@@ -357,16 +323,12 @@ def cmd_ablate(args) -> int:
             agent = replace(base, fusion_mode=value)
         batch = run_batch(scenes, episodes, kb, agent, "hspr", parallelism=args.parallel)
         # the benchmark is generated in-process, so a failed episode is an engine fault
-        failed = _uncovered(by_id, batch.trajectories)
-        if failed:
+        if batch.failures:
+            failed = sorted(batch.failures)
             raise InternalError(
                 f"ablation {key}={value}: {len(failed)} episodes failed: {', '.join(failed)}"
             )
-        metrics = []
-        for traj in batch.trajectories:
-            episode = by_id[traj.episode_id]
-            metrics.append(episode_metrics(traj, episode, scenes[episode.scene_id]))
-        aggregates = aggregate_report(metrics).aggregates
+        aggregates = evaluate(batch.trajectories, episodes, scenes).aggregates
         rows.append((f"{key}={value}", aggregates))
         results[str(value)] = aggregates
         log.info("ablation %s=%s done", key, value)

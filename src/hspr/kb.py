@@ -174,13 +174,10 @@ def build_kb(
     object_vocabulary: list[str],
     top_k: int = DEFAULT_TOP_K,
     config: dict | None = None,
-    timestamp: str | None = None,
 ) -> ProximityKB:
     """Normalize accumulated counts into an immutable knowledge base."""
     config = dict(config or {})
     config.setdefault("top_k", top_k)
-    if timestamp is None:
-        timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     fingerprint = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode("utf-8")
     ).hexdigest()[:16]
@@ -192,7 +189,7 @@ def build_kb(
         object_vocabulary=list(object_vocabulary),
         provenance={
             "scene_count": counts.scene_count,
-            "built_at": timestamp,
+            "built_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "config_hash": fingerprint,
         },
     )

@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InternalError, write_json
+from .errors import write_json
 from .scene import SceneGraph, dijkstra
-from .simulator import Trajectory
+from .simulator import Trajectory, check_episode
 from .synth import Episode
 
 SUCCESS_THRESHOLD_M = 3.0
@@ -85,6 +85,11 @@ def episode_metrics(
         raise ValueError(f"unknown ne mode {ne_mode!r}")
     if not scene.has_node(episode.target_node):
         raise ValueError(f"unknown node {episode.target_node!r}")
+    L = episode.shortest_length
+    if not (math.isfinite(L) and L > 0):
+        raise ValueError(
+            f"episode {episode.episode_id}: shortest_length must be a finite number > 0, got {L}"
+        )
 
     if ne_mode == "geodesic":
         dist, _ = dijkstra(scene._adjacency, episode.target_node, target=stop_node)
@@ -97,10 +102,7 @@ def episode_metrics(
 
     success = ne < threshold
     oracle_success = nearest < threshold
-    L = episode.shortest_length
     tl = trajectory.total_length
-    if L <= 0:
-        raise InternalError(f"episode {episode.episode_id} has shortest_length {L}")
     spl = (L / max(L, tl)) if success else 0.0
     rgs = success and trajectory.selected_object == episode.target_object
     rgspl = (L / max(L, tl)) if rgs else 0.0
@@ -132,6 +134,41 @@ def aggregate_report(metrics: list[EpisodeMetrics], config: dict | None = None) 
         "RGSPL": 100.0 * sum(m.rgspl for m in metrics) / n,
     }
     return EvalReport(episodes=metrics, aggregates=aggregates, config=dict(config or {}))
+
+
+def evaluate(
+    trajectories: list[Trajectory],
+    episodes: list[Episode],
+    scenes: dict[str, SceneGraph],
+    threshold: float = SUCCESS_THRESHOLD_M,
+    ne_mode: str = "geodesic",
+) -> EvalReport:
+    """Score every manifest episode from its trajectory, in episode-id order.
+
+    Every episode needs a trajectory: scoring without one would drop it from
+    every rate's denominator.  Every trajectory needs its manifest episode,
+    and every episode its scene.
+    """
+    by_id = {e.episode_id: e for e in episodes}
+    missing = sorted(by_id.keys() - {t.episode_id for t in trajectories})
+    if missing:
+        raise ValueError(
+            f"{len(missing)} of {len(by_id)} manifest episodes have no trajectory "
+            f"(first: {missing[0]!r})"
+        )
+    metrics = []
+    for traj in sorted(trajectories, key=lambda t: t.episode_id):
+        episode = by_id.get(traj.episode_id)
+        if episode is None:
+            raise ValueError(f"trajectory {traj.episode_id!r} has no episode in the manifest")
+        scene = scenes.get(episode.scene_id)
+        if scene is None:
+            raise ValueError(f"episode {episode.episode_id!r} names unknown scene {episode.scene_id!r}")
+        check_episode(scene, episode)
+        metrics.append(episode_metrics(traj, episode, scene, threshold, ne_mode))
+    return aggregate_report(
+        metrics, config={"threshold": threshold, "ne": ne_mode, "episodes": len(metrics)}
+    )
 
 
 def report_to_payload(report: EvalReport) -> dict:
@@ -166,8 +203,7 @@ def format_report_table(rows: list[tuple[str, dict]], label: str = "config") -> 
     return "\n".join(lines) + "\n"
 
 
-def save_report(report: EvalReport, json_path, text_path=None, name: str = "run") -> None:
+def save_report(report: EvalReport, json_path, text_path) -> None:
     write_json(json_path, report_to_payload(report), indent=1)
-    if text_path is not None:
-        with open(text_path, "w", encoding="utf-8") as fh:
-            fh.write(format_report_table([(name, report.aggregates)]))
+    with open(text_path, "w", encoding="utf-8") as fh:
+        fh.write(format_report_table([("run", report.aggregates)]))

@@ -172,12 +172,12 @@ def object_rows(n_object_types: int, object_noise: float) -> np.ndarray:
     return ConfusionModel.eps_uniform(n_object_types, object_noise).rows
 
 
-def target_spec_from_episode(episode, scene, model: ConfusionModel, object_noise: float, seed) -> TargetSpec:
+def target_spec_from_episode(episode, scene, model: ConfusionModel, object_noise: float, rng) -> TargetSpec:
     """Build the believed target spec for an episode.
 
     The node-type side passes the target's true type through the confusion
-    model; the object-type side is the object-perception row of the true
-    object type.
+    model, drawing from the generator `rng`; the object-type side is the
+    object-perception row of the true object type.
     """
     target = scene.node(episode.target_node)
     objects = {o.object_id: o for o in target.objects}
@@ -186,7 +186,6 @@ def target_spec_from_episode(episode, scene, model: ConfusionModel, object_noise
             f"episode {episode.episode_id} target object {episode.target_object!r} "
             f"not found at node {episode.target_node!r}"
         )
-    rng = seed if isinstance(seed, (np.random.Generator, LazyRng)) else np.random.default_rng(seed)
     Y_r = model.row(target.node_type, rng)
     Y_o = object_rows(scene.n_object_types, object_noise)[objects[episode.target_object].object_type]
     return TargetSpec(Y_r=Y_r, Y_o=Y_o)

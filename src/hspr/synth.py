@@ -247,7 +247,7 @@ def generate_scene(config: GeneratorConfig, scene_id: str | None = None) -> Scen
     scene = SceneGraph(
         scene_id=scene_id or f"synth-{config.seed}",
         nodes=nodes,
-        edges=_dedupe_edges(edges),
+        edges=edges,
         type_vocabulary=list(kb.type_vocabulary),
         object_vocabulary=list(kb.object_vocabulary),
     )
@@ -259,17 +259,6 @@ def _dist(positions, a: str, b: str) -> float:
     pa, pb = positions[a], positions[b]
     d = math.dist(pa, pb)
     return max(d, 1e-9)
-
-
-def _dedupe_edges(edges):
-    seen = set()
-    out = []
-    for a, b, length in edges:
-        key = (a, b) if a < b else (b, a)
-        if key not in seen:
-            seen.add(key)
-            out.append((a, b, length))
-    return out
 
 
 def sample_episode(scene: SceneGraph, seed, episode_id: str | None = None) -> Episode:

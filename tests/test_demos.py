@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -28,3 +29,12 @@ def test_single_episode_demo_runs():
     steps = [line for line in lines if line.startswith("step ")]
     assert steps
     assert len(steps) == sum(line.strip().startswith("top action scores:") for line in lines)
+
+
+# recorded before demo 04 scored through metrics.evaluate
+DEMO_04_SHA256 = "702befd42eb1a3f44ea38b7535c62e53bf6c117d9a42654c02ae0dbfeeb7f4e5"
+
+
+def test_benchmark_ablations_demo_output_is_pinned():
+    stdout = run_demo("04_benchmark_ablations.py", 0)
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == DEMO_04_SHA256

@@ -1,6 +1,7 @@
 import dataclasses
 import heapq
 import math
+import random
 import types
 
 import pytest
@@ -10,14 +11,16 @@ from hspr.metrics import (
     EpisodeMetrics,
     aggregate_report,
     episode_metrics,
+    evaluate,
     format_report_table,
     report_to_payload,
     save_report,
 )
-from hspr.simulator import Trajectory
-from hspr.synth import Episode
+from hspr.scene import load_scene
+from hspr.simulator import Trajectory, load_trajectories
+from hspr.synth import Episode, load_episodes
 
-from conftest import make_scene, same_float
+from conftest import cli_in_process, make_scene, same_float
 from oracles import geodesic_distances
 
 
@@ -153,6 +156,12 @@ class TestEpisodeMetrics:
                 Episode("other", "test", "a", "d", "d-obj", 6.0, 1),
                 path_scene(),
             )
+
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_shortest_length_is_an_input_error(self, length):
+        episode = dataclasses.replace(EPISODE, shortest_length=length)
+        with pytest.raises(ValueError, match=f"episode e0: shortest_length .* got {length}"):
+            episode_metrics(traj(["a", "b", "c", "d"], "d"), episode, path_scene())
 
 
 def full_search_metrics(trajectory, episode, scene, threshold, ne_mode):
@@ -366,3 +375,72 @@ class TestAggregateReport:
         table = format_report_table(rows, label="steps")
         assert table.splitlines()[0].startswith("steps")
         assert len(table.splitlines()) == 4
+
+
+@pytest.fixture(scope="module")
+def cli_world(tmp_path_factory):
+    """The CLI tests' generated world, with one run: (trajectories, episodes, scenes)."""
+    root = tmp_path_factory.mktemp("world")
+    for argv in [
+        ("gen-scenes", "--kb", "house", "--n", "5", "--seed", "7", "--out", root / "scenes"),
+        ("gen-episodes", "--scenes", root / "scenes", "--per-scene", "2", "--seed", "3",
+         "--out", root / "episodes.json"),
+        ("build-kb", "--scenes", root / "scenes", "--out", root / "kb.json"),
+        ("run", "--scenes", root / "scenes", "--kb", root / "kb.json",
+         "--episodes", root / "episodes.json", "--seed", "11", "--out", root / "traj.jsonl"),
+    ]:
+        assert cli_in_process(*argv) == (0, "")
+    scenes = {s.scene_id: s for s in map(load_scene, sorted((root / "scenes").glob("*.json")))}
+    return load_trajectories(root / "traj.jsonl"), load_episodes(root / "episodes.json"), scenes
+
+
+def per_episode_loop(trajectories, episodes, scenes, threshold, ne_mode):
+    """The scoring loop `hspr eval` ran before `evaluate`, on covered inputs."""
+    by_id = {e.episode_id: e for e in episodes}
+    metrics = []
+    for t in sorted(trajectories, key=lambda t: t.episode_id):
+        episode = by_id[t.episode_id]
+        scene = scenes[episode.scene_id]
+        metrics.append(episode_metrics(t, episode, scene, threshold=threshold, ne_mode=ne_mode))
+    return aggregate_report(
+        metrics, config={"threshold": threshold, "ne": ne_mode, "episodes": len(metrics)}
+    )
+
+
+class TestEvaluate:
+    def test_refuses_an_episode_without_trajectory(self):
+        other = dataclasses.replace(EPISODE, episode_id="e1")
+        message = r"^1 of 2 manifest episodes have no trajectory \(first: 'e1'\)$"
+        with pytest.raises(ValueError, match=message):
+            evaluate([traj(["a", "b", "c", "d"], "d")], [other, EPISODE], {"test": path_scene()})
+
+    def test_refuses_a_trajectory_without_episode(self):
+        stray = dataclasses.replace(traj(["a", "b"], "b"), episode_id="stray")
+        with pytest.raises(ValueError, match="^trajectory 'stray' has no episode in the manifest$"):
+            evaluate([traj(["a", "b", "c", "d"], "d"), stray], [EPISODE], {"test": path_scene()})
+
+    def test_refuses_an_unknown_scene(self):
+        with pytest.raises(ValueError, match="^episode 'e0' names unknown scene 'test'$"):
+            evaluate([traj(["a", "b", "c", "d"], "d")], [EPISODE], {"other": path_scene()})
+
+    def test_refuses_an_episode_that_does_not_fit_its_scene(self):
+        wrong_type = dataclasses.replace(EPISODE, target_type=0)
+        with pytest.raises(ValueError, match="episode e0 target_type 0 does not match"):
+            evaluate([traj(["a", "b", "c", "d"], "d")], [wrong_type], {"test": path_scene()})
+
+    def test_order_of_inputs_does_not_matter(self, cli_world):
+        trajectories, episodes, scenes = cli_world
+        shuffler = random.Random(5)
+        trajectories, episodes = list(trajectories), list(episodes)
+        shuffler.shuffle(trajectories)
+        shuffler.shuffle(episodes)
+        assert report_to_payload(evaluate(trajectories, episodes, scenes)) == report_to_payload(
+            evaluate(*cli_world)
+        )
+
+    @pytest.mark.parametrize("threshold, ne_mode", [(3.0, "geodesic"), (1.5, "euclidean")])
+    def test_equals_the_per_episode_loop(self, cli_world, threshold, ne_mode):
+        got = evaluate(*cli_world, threshold=threshold, ne_mode=ne_mode)
+        want = per_episode_loop(*cli_world, threshold, ne_mode)
+        assert report_to_payload(got) == report_to_payload(want)
+        assert len(got.episodes) == len(cli_world[1]) == 10

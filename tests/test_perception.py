@@ -164,7 +164,8 @@ class TestTargetSpec:
     def test_oracle_spec_is_one_hot(self, two_node_scene):
         episode = sample_episode(two_node_scene, seed=0)
         spec = target_spec_from_episode(
-            episode, two_node_scene, ConfusionModel.identity(4), object_noise=0.0, seed=0
+            episode, two_node_scene, ConfusionModel.identity(4), object_noise=0.0,
+            rng=np.random.default_rng(0),
         )
         assert np.array_equal(spec.Y_r, [0, 1, 0, 0])
         assert np.array_equal(spec.Y_o, [0, 0, 1, 0])
@@ -173,14 +174,16 @@ class TestTargetSpec:
     def test_full_noise_gives_uniform_objects(self, two_node_scene):
         episode = sample_episode(two_node_scene, seed=0)
         spec = target_spec_from_episode(
-            episode, two_node_scene, ConfusionModel.identity(4), object_noise=1.0, seed=0
+            episode, two_node_scene, ConfusionModel.identity(4), object_noise=1.0,
+            rng=np.random.default_rng(0),
         )
         assert np.allclose(spec.Y_o, 0.25)
 
     def test_half_noise_mixture_values(self, two_node_scene):
         episode = sample_episode(two_node_scene, seed=0)
         spec = target_spec_from_episode(
-            episode, two_node_scene, ConfusionModel.identity(4), object_noise=0.5, seed=0
+            episode, two_node_scene, ConfusionModel.identity(4), object_noise=0.5,
+            rng=np.random.default_rng(0),
         )
         assert np.allclose(spec.Y_o, [0.125, 0.125, 0.625, 0.125])
 
