@@ -114,7 +114,7 @@ def recovery_generator_kb(n_types: int = 8, seed: int = 7) -> ProximityKB:
     P = np.zeros((n_types, n_types))
     for a in range(n_types):
         for b in range(a + 1, n_types):
-            if rng.uniform() < 0.75:
+            if rng.random() < 0.75:
                 P[a, b] = P[b, a] = draw()
     order = rng.permutation(n_types)
     for prev, nxt in zip(order, order[1:]):

@@ -8,7 +8,9 @@ Weighted draws go through `choose` and `choose_distinct`: they consume the
 same doubles and run the same cumsum/searchsorted steps as
 `Generator.choice(..., p=...)`, so every pick and generator state is the
 same, but they skip its per-call argument checks.  The weights are checked
-where they are built instead.
+where they are built instead.  A draw in [0, x) is `x * rng.random()`: the
+double and state `uniform(0, x)` gives, fused multiply-add or not.  Keep
+`uniform(lo, hi)` when lo != 0: a fused `lo + (hi - lo) * d` can round otherwise.
 """
 
 from __future__ import annotations

@@ -5,7 +5,9 @@ sampled with probability proportional to the generator KB's proximity rows,
 regions are laid out in disjoint planar cells with jittered nodes, and
 objects are placed per node from type-conditioned weights.  Statistics of
 the generated population therefore follow the generating KB, which lets the
-KB builder be validated closed-loop.
+KB builder be validated closed-loop.  A draw in [0, x) is `x * rng.random()`;
+one with lo != 0 keeps `uniform(lo, hi)`, because a fused multiply-add would
+round `lo + (hi - lo) * rng.random()` differently (see seeding).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .scene import (
     ObjectInstance,
     SceneGraph,
     dijkstra,
-    hop_distances,
     validate_scene,
 )
 from .seeding import choose, choose_distinct, derive_rng
@@ -161,7 +162,8 @@ def generate_scene(config: GeneratorConfig, scene_id: str | None = None) -> Scen
     type_weights = {t: _object_type_weights(config, t, n_objects) for t in set(region_types)}
 
     cols = math.ceil(math.sqrt(len(region_types)))
-    pitch = 3.0 * config.region_extent
+    extent = config.region_extent
+    pitch = 3.0 * extent
 
     nodes: list[NodeRecord] = []
     edges: list[tuple[str, str, float]] = []
@@ -176,11 +178,7 @@ def generate_scene(config: GeneratorConfig, scene_id: str | None = None) -> Scen
         used_in_region: set[int] = set()
         for j in range(count):
             node_id = f"r{ri:02d}n{j}"
-            pos = (
-                origin[0] + float(rng.uniform(0, config.region_extent)),
-                origin[1] + float(rng.uniform(0, config.region_extent)),
-                0.0,
-            )
+            pos = (origin[0] + extent * rng.random(), origin[1] + extent * rng.random(), 0.0)
             positions[node_id] = pos
             ids.append(node_id)
 
@@ -189,8 +187,9 @@ def generate_scene(config: GeneratorConfig, scene_id: str | None = None) -> Scen
             if config.unique_objects_per_region and used_in_region:
                 weights = weights.copy()
                 weights[list(used_in_region)] = 0.0
-                if weights.sum() > 0:
-                    weights = weights / weights.sum()
+                total = weights.sum()
+                if total > 0:
+                    weights = weights / total
             available = int(np.count_nonzero(weights))
             obj_count = min(obj_count, available)
             chosen = choose_distinct(rng, weights, obj_count)
@@ -200,7 +199,7 @@ def generate_scene(config: GeneratorConfig, scene_id: str | None = None) -> Scen
             views_here: list[int] = []
             objects = []
             for k, ot in enumerate(chosen):
-                if views_here and rng.uniform() < 0.5:
+                if views_here and rng.random() < 0.5:
                     view = views_here[int(rng.integers(len(views_here)))]
                 else:
                     view = int(rng.integers(36))
@@ -229,14 +228,14 @@ def generate_scene(config: GeneratorConfig, scene_id: str | None = None) -> Scen
         # random spanning tree over the region's nodes, plus shortcuts
         tree_pairs = set()
         for j in range(1, count):
-            anchor = ids[int(rng.integers(j))]
-            edges.append((anchor, ids[j], _dist(positions, anchor, ids[j])))
-            tree_pairs.add(tuple(sorted((anchor, ids[j]))))
+            anchor = int(rng.integers(j))
+            edges.append((ids[anchor], ids[j], _dist(positions, ids[anchor], ids[j])))
+            tree_pairs.add((anchor, j))
         for a in range(count):
             for b in range(a + 1, count):
-                if tuple(sorted((ids[a], ids[b]))) in tree_pairs:
+                if (a, b) in tree_pairs:
                     continue
-                if rng.uniform() < _INTRA_SHORTCUT_P:
+                if rng.random() < _INTRA_SHORTCUT_P:
                     edges.append((ids[a], ids[b], _dist(positions, ids[a], ids[b])))
 
     for ra, rb in region_links:
@@ -266,7 +265,9 @@ def sample_episode(scene: SceneGraph, seed, episode_id: str | None = None) -> Ep
 
     Start is uniform over nodes; the target is uniform over object-bearing
     nodes at hop distance >= 2 (relaxed to >= 1 when none qualify); the
-    target object is uniform over the target node's instances.
+    target object is uniform over the target node's instances.  The scene
+    must be connected, as validate_scene checks: an unreachable target is a
+    ValueError, and hop distance >= 2 means neither the start nor a neighbor.
     """
     if len(scene.nodes) < 2:
         raise ValueError("scene needs at least 2 nodes to sample an episode")
@@ -276,23 +277,25 @@ def sample_episode(scene: SceneGraph, seed, episode_id: str | None = None) -> Ep
     rng = derive_rng(seed, "episode", scene.scene_id)
     order = scene.node_ids()
     start = order[int(rng.integers(len(order)))]
-    hops = hop_distances(scene, start)
-    eligible = [nid for nid in object_nodes if hops.get(nid, 0) >= 2]
+    near = scene._adjacency[start]
+    eligible = [nid for nid in object_nodes if nid != start and nid not in near]
     if not eligible:
-        eligible = [nid for nid in object_nodes if hops.get(nid, 0) >= 1]
+        eligible = [nid for nid in object_nodes if nid != start]
     if not eligible:
         raise ValueError("no object-bearing node distinct from the start")
     target = eligible[int(rng.integers(len(eligible)))]
     target_record = scene.node(target)
     obj = target_record.objects[int(rng.integers(len(target_record.objects)))]
-    shortest = dijkstra(scene._adjacency, start, target)[0][target]
+    dist = dijkstra(scene._adjacency, start, target)[0]
+    if target not in dist:
+        raise ValueError(f"scene {scene.scene_id!r}: {target!r} cannot be reached from {start!r}")
     return Episode(
         episode_id=episode_id or f"{scene.scene_id}-ep{seed}",
         scene_id=scene.scene_id,
         start_node=start,
         target_node=target,
         target_object=obj.object_id,
-        shortest_length=shortest,
+        shortest_length=dist[target],
         target_type=target_record.node_type,
     )
 

@@ -16,7 +16,9 @@ type in one heap) and `visual_score_table_per_node` (formerly
 `perception.visual_score_table`, which drew one scalar of noise per entry)
 and `geodesic_distances` (formerly `scene.geodesic_distances`, the full
 search from the target that `metrics.episode_metrics` read each episode's
-distances from; `tests/test_scene.py` checks it against scipy) are the
+distances from; `tests/test_scene.py` checks it against scipy) and
+`sample_episode_by_hops` (formerly `synth.sample_episode`, which ran a
+breadth-first hop count from the start of every episode) are the
 package's former implementations, kept as slow references for the code
 that replaced them.
 """
@@ -30,7 +32,9 @@ from itertools import permutations
 
 import numpy as np
 
-from hspr.scene import dijkstra
+from hspr.scene import SceneGraph, dijkstra, hop_distances
+from hspr.seeding import derive_rng
+from hspr.synth import Episode
 
 
 def percentile_minmax_row(row):
@@ -411,3 +415,39 @@ def visual_score_table_per_node(view, weights, rng) -> dict[str, float]:
             value += float(rng.normal(0.0, weights.noise_sd))
         scores[node_id] = value
     return scores
+
+
+def sample_episode_by_hops(scene: SceneGraph, seed, episode_id: str | None = None) -> Episode:
+    """Sample one navigation episode, deterministic in (scene, seed).
+
+    Start is uniform over nodes; the target is uniform over object-bearing
+    nodes at hop distance >= 2 (relaxed to >= 1 when none qualify); the
+    target object is uniform over the target node's instances.
+    """
+    if len(scene.nodes) < 2:
+        raise ValueError("scene needs at least 2 nodes to sample an episode")
+    object_nodes = [n.node_id for n in scene.nodes if n.objects]
+    if not object_nodes:
+        raise ValueError("scene has no node with objects")
+    rng = derive_rng(seed, "episode", scene.scene_id)
+    order = scene.node_ids()
+    start = order[int(rng.integers(len(order)))]
+    hops = hop_distances(scene, start)
+    eligible = [nid for nid in object_nodes if hops.get(nid, 0) >= 2]
+    if not eligible:
+        eligible = [nid for nid in object_nodes if hops.get(nid, 0) >= 1]
+    if not eligible:
+        raise ValueError("no object-bearing node distinct from the start")
+    target = eligible[int(rng.integers(len(eligible)))]
+    target_record = scene.node(target)
+    obj = target_record.objects[int(rng.integers(len(target_record.objects)))]
+    shortest = dijkstra(scene._adjacency, start, target)[0][target]
+    return Episode(
+        episode_id=episode_id or f"{scene.scene_id}-ep{seed}",
+        scene_id=scene.scene_id,
+        start_node=start,
+        target_node=target,
+        target_object=obj.object_id,
+        shortest_length=shortest,
+        target_type=target_record.node_type,
+    )

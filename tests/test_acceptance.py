@@ -18,7 +18,7 @@ from scipy import stats
 from hspr.bench import recovery_generator_kb, standard_benchmark
 from hspr.fusion import fuse_variant_table
 from hspr.kb import CountMatrices, accumulate_scene, normalize_counts
-from hspr.metrics import aggregate_report, episode_metrics
+from hspr.metrics import evaluate
 from hspr.perception import ConfusionModel, TypeBelief, VisualWeights
 from hspr.reasoner import ReasonerConfig, SuccessorTable, enumerate_type_paths
 from hspr.simulator import AgentConfig, run_batch, run_episode
@@ -74,11 +74,8 @@ def run_arm(bench_data, policy, steps=3, fusion="residual", confusion_eps=0.2,
     )
     batch = run_batch(scenes, episodes, kb, agent, policy, parallelism=4)
     assert not batch.failures, batch.failures
-    metrics = [
-        episode_metrics(t, e, scenes[e.scene_id])
-        for t, e in zip(batch.trajectories, episodes)
-    ]
-    return aggregate_report(metrics).aggregates, metrics
+    report = evaluate(batch.trajectories, episodes, scenes)
+    return report.aggregates, report.episodes
 
 
 @pytest.fixture(scope="module")

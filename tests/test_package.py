@@ -40,3 +40,19 @@ def test_no_weighted_choice_in_the_package():
                     and node.func.attr == "choice" and any(k.arg == "p" for k in node.keywords)):
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def test_no_zero_based_uniform_in_the_package():
+    """A draw in [0, x) is `x * rng.random()`: the same double and generator
+    state as `rng.uniform(0, x)` or `rng.uniform()`, without uniform's
+    per-call handling of its bounds (tests/test_seeding.py::TestZeroBasedDraws)."""
+    calls = []
+    for path in sorted(Path(hspr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "uniform"):
+                continue
+            low = node.args[0] if node.args else next((k.value for k in node.keywords if k.arg == "low"), None)
+            if low is None or (isinstance(low, ast.Constant) and low.value == 0):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

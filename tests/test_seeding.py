@@ -67,3 +67,27 @@ def test_edge_doubles_pick_what_generator_choice_picks(p):
         doubles = order * 3  # repeats force later rounds
         want = ScriptedRng(doubles).choice(n, size=k, replace=False, p=p).tolist()
         assert choose_distinct(ScriptedRng(doubles), p, k) == want
+
+
+class TestZeroBasedDraws:
+    """`x * random()` is `uniform(0, x)` and `random()` is `uniform()`, bit for bit.
+
+    numpy computes uniform(low, high) as low + (high - low) * next_double,
+    and random() returns that next_double from the same 64-bit draw.  With
+    low = 0 the sum is round(x * d) whether or not the add is fused.
+    """
+
+    BOUNDS = (1e-300, 3e-17, 0.1, 1.0, 2.0, 3.141592653589793, 7.5, 1e9, 1e300, 1, 2, 3, 17, 10**6, 10**300)
+
+    def test_same_doubles_and_state_over_seeds(self):
+        for seed in range(1000):
+            slow, fast = np.random.default_rng(seed), np.random.default_rng(seed)
+            for x in self.BOUNDS:
+                steps = (
+                    (lambda: slow.uniform(0, x), lambda: x * fast.random()),
+                    (lambda: slow.uniform(), lambda: fast.random()),
+                    (lambda: slow.integers(36), lambda: fast.integers(36)),
+                )
+                for want, got in steps:
+                    assert want() == got(), (seed, x)  # both >= 0, so no signed zeros
+                    assert slow.bit_generator.state == fast.bit_generator.state

@@ -19,7 +19,7 @@ from hspr.synth import (
 )
 
 from conftest import make_scene
-from oracles import dijkstra_single_source, sample_region_types
+from oracles import dijkstra_single_source, sample_episode_by_hops, sample_region_types
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +236,39 @@ class TestSampleEpisode:
         with pytest.raises(ValueError, match="object"):
             sample_episode(scene, seed=0)
 
+    @pytest.mark.parametrize("name", ["house", "no_object_weights", "recovery_unique", "repeated_types"])
+    def test_matches_hop_count_oracle(self, name):
+        make = _pinned_configs()[name]
+        for seed in range(30):
+            scene = generate_scene(make(seed), scene_id=f"{name}{seed}")
+            for k in range(3):
+                assert sample_episode(scene, (seed, k)) == sample_episode_by_hops(scene, (seed, k))
+
+    def test_two_node_scene_matches_hop_count_oracle(self, two_node_scene):
+        def outcome(sample, seed):
+            try:
+                return sample(two_node_scene, seed)
+            except ValueError as exc:  # a start at b leaves no target
+                return str(exc)
+
+        outcomes = [outcome(sample_episode, seed) for seed in range(12)]
+        assert outcomes == [outcome(sample_episode_by_hops, seed) for seed in range(12)]
+        assert len({type(o) for o in outcomes}) == 2
+
+    def test_unreachable_target_is_an_error(self):
+        # two components, a-b and c-d, with objects at a and c: from every
+        # start the only eligible target lies in the other component
+        scene = make_scene(
+            [("a", "r0", 0, (0.0, 0.0, 0.0), [("a-obj", 1, 0)]), ("b", "r0", 0),
+             ("c", "r1", 1, (5.0, 0.0, 0.0), [("c-obj", 2, 0)]), ("d", "r1", 1)],
+            [("a", "b", 1.0), ("c", "d", 1.0)],
+            scene_id="split",
+            validate=False,
+        )
+        for seed in range(8):
+            with pytest.raises(ValueError, match="scene 'split'.*cannot be reached"):
+                sample_episode(scene, seed)
+
     def test_manifest_round_trip(self, gen_kb, tmp_path):
         scene = generate_scene(config_for(gen_kb, 33))
         episodes = sample_episodes(scene, 4, seed=8)
@@ -298,3 +331,24 @@ def test_generator_output_is_pinned(name, tmp_path):
         save_episodes(sample_episodes(scene, 5, (seed, name)), tmp_path / "episodes.json")
         manifests.update((tmp_path / "episodes.json").read_bytes())
     assert (scenes.hexdigest(), manifests.hexdigest()) == PINNED_DIGESTS[name]
+
+
+# sha256 over repr() of the unrounded floats of the same scenes (saved files
+# round to 9 digits, so the digests above miss a last-bit drift) and over the
+# bytes of recovery_generator_kb(20).P_r
+PINNED_FLOATS = "85594876a2bc66b49e5db92e90e3d0904d6909c539954507c8e49d408c2d0dc6"
+
+
+def test_generator_floats_are_pinned():
+    digest = hashlib.sha256()
+    for name, make in sorted(_pinned_configs().items()):
+        for seed in (0, 1, 2):
+            scene = generate_scene(make(seed))
+            for node in scene.nodes:
+                digest.update(repr(node.position).encode())
+                for obj in node.objects:
+                    digest.update(repr((obj.heading, obj.elevation)).encode())
+            for _, _, length in scene.edges:
+                digest.update(repr(length).encode())
+    digest.update(recovery_generator_kb(20).P_r.tobytes())
+    assert digest.hexdigest() == PINNED_FLOATS
