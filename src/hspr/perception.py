@@ -22,7 +22,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import malformed, read_json, write_json
-from .seeding import LazyRng, choose
+from .seeding import Rng, choose
 
 CONFUSION_SCHEMA_VERSION = 1
 _SUM_TOL = 1e-9
@@ -110,7 +110,7 @@ class ConfusionModel:
     def n_types(self) -> int:
         return self.M.shape[0]
 
-    def perceive(self, true_type: int, rng: np.random.Generator | LazyRng | None) -> int:
+    def perceive(self, true_type: int, rng: Rng | None) -> int:
         """Index into `rows` of the perceived type distribution.
 
         distribution mode returns true_type and draws nothing, so rng may be
@@ -122,7 +122,7 @@ class ConfusionModel:
             raise ValueError("sampled confusion mode needs a generator to perceive with")
         return choose(rng, self.M[true_type])
 
-    def row(self, true_type: int, rng: np.random.Generator | LazyRng) -> np.ndarray:
+    def row(self, true_type: int, rng: Rng) -> np.ndarray:
         """The perceived type distribution, a read-only row."""
         return self.rows[self.perceive(true_type, rng)]
 
@@ -212,7 +212,7 @@ class VisualWeights:
 def visual_score_table(
     view: list[tuple[str, float, float]],
     weights: VisualWeights,
-    rng: np.random.Generator | LazyRng,
+    rng: Rng,
 ) -> dict[str, float]:
     """Score candidate nodes from (node id, distance, type alignment) triples.
 

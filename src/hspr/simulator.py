@@ -7,8 +7,11 @@ In distribution mode an arrival perceives only the nodes new to the map,
 so each node is perceived once per episode and no arrival builds a
 generator; in sampled mode every arrival draws once for each node it
 reaches.  All randomness derives from (agent seed, episode id, step), so
-batches replay identically under any parallelism; a keyed generator is
-derived only when it first draws, and a visual view draws its noise at once.
+batches replay identically under any parallelism.  The per-step streams of
+the visual views (or of the random policy) come from one stream table per
+episode, whose seed words are mixed in one batch on the episode's first
+such draw; each view builds its generator only when it first draws, and
+draws its noise at once, so noiseless or empty views hash nothing.
 
 Every belief on the map is one of the confusion model's rows, so each
 belief-dependent score (proximity, multi-step, present types, visual type
@@ -58,7 +61,7 @@ from .reasoner import (
     proximity_scores,
 )
 from .scene import SceneGraph
-from .seeding import LazyRng, derive_rng
+from .seeding import LazyRng, StreamTable
 from .synth import Episode
 from .topo import SemanticTopoMap
 
@@ -276,6 +279,13 @@ def run_episode(
     topo = SemanticTopoMap()
 
     sampled = agent.confusion.mode == "sampled"
+    if policy == "random":
+        labels = ("random",)
+    elif agent.fusion_mode == "dynamic":
+        labels = ("visual-global", "visual-local", "visual-visited")
+    else:
+        labels = ("visual-global", "visual-local")
+    streams = StreamTable((agent.seed, ep), labels, agent.max_actions)
 
     def arrive(node_id: str) -> None:  # topo.step counts arrivals
         rng = LazyRng(agent.seed, ep, "perceive", topo.step) if sampled else None
@@ -294,12 +304,12 @@ def run_episode(
 
         if policy == "random":
             options = sorted(F) + [STOP]
-            rng = derive_rng(agent.seed, ep, "random", decision_step)
+            rng = streams.generator("random", decision_step)
             chosen = options[int(rng.integers(len(options)))]
             step_trace = {"chosen": chosen} if trace else None
         else:
             chosen, step_trace = _scored_action(
-                scene, agent, policy, row_scores, topo, table, F, C, decision_step, ep, trace,
+                scene, agent, policy, row_scores, topo, table, F, C, decision_step, streams, trace,
             )
         if trace:
             traces.append(step_trace)
@@ -335,7 +345,7 @@ def run_episode(
 
 
 def _scored_action(
-    scene, agent, policy, row_scores, topo, table, F, C, decision_step, ep, trace,
+    scene, agent, policy, row_scores, topo, table, F, C, decision_step, streams, trace,
 ):
     """One fused scoring round; returns (chosen action, optional trace)."""
     current = topo.current
@@ -369,20 +379,14 @@ def _scored_action(
     alignment = row_scores.alignment(rows | {current_row})
     global_view = [(i, table.distance(i), alignment[row_of[i]]) for i in candidates]
     local_view = [(i, topo.adj[current][i], alignment[row_of[i]]) for i in sorted(F)]
-    eps_c = visual_score_table(
-        global_view, agent.visual, LazyRng(agent.seed, ep, "visual-global", decision_step)
-    )
-    eps_f = visual_score_table(
-        local_view, agent.visual, LazyRng(agent.seed, ep, "visual-local", decision_step)
-    )
+    visual = agent.visual
+    eps_c = visual_score_table(global_view, visual, streams.rng("visual-global", decision_step))
+    eps_f = visual_score_table(local_view, visual, streams.rng("visual-local", decision_step))
 
     visited_scores = None
     if agent.fusion_mode == "dynamic":
         visited_view = [(i, table.distance(i), alignment[row_of[i]]) for i in visited]
-        eps_v = visual_score_table(
-            visited_view, agent.visual,
-            LazyRng(agent.seed, ep, "visual-visited", decision_step),
-        )
+        eps_v = visual_score_table(visited_view, visual, streams.rng("visual-visited", decision_step))
         visited_scores = {i: eta_all[i] + eps_v[i] for i in visited}
 
     beta = balance_factor(agent.beta_policy, topo)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import InternalError
 from .perception import ConfusionModel, TypeBelief
 from .scene import SceneGraph, dijkstra
-from .seeding import LazyRng
+from .seeding import Rng
 
 CURRENT = "current"
 VISITED = "visited"
@@ -90,7 +90,7 @@ class SemanticTopoMap:
         scene: SceneGraph,
         arrived_node: str,
         confusion: ConfusionModel,
-        rng: np.random.Generator | LazyRng | None,
+        rng: Rng | None,
     ) -> None:
         """Arrive at a node: make it current, reveal neighbors, refresh beliefs.
 

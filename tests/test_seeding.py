@@ -3,7 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
-from hspr.seeding import LazyRng, choose, choose_distinct, derive_rng
+from hspr.seeding import (
+    LazyRng,
+    StreamTable,
+    _StateWords,
+    choose,
+    choose_distinct,
+    derive_rng,
+    seed_state_words,
+)
 
 
 def test_weighted_draws_match_generator_choice():
@@ -91,3 +99,65 @@ class TestZeroBasedDraws:
                 for want, got in steps:
                     assert want() == got(), (seed, x)  # both >= 0, so no signed zeros
                     assert slow.bit_generator.state == fast.bit_generator.state
+
+
+class TestStreamTable:
+    """The batched derivation against SeedSequence and derive_rng, its oracles."""
+
+    EDGES = (0, 1, 2**32 - 1, 2**32, 2**64, 2**96 - 1, 2**128 - 1)
+
+    @staticmethod
+    def words_of(entropies):
+        return seed_state_words(b"".join(e.to_bytes(16, "big") for e in entropies))
+
+    def test_words_match_seed_sequence(self):
+        rng = np.random.default_rng(41)
+        # 1 to 128 bits, so every count of missing top words is covered
+        bits = rng.integers(1, 129, 10_000)
+        entropies = list(self.EDGES) + [
+            int.from_bytes(rng.bytes(16), "big") >> (128 - int(b)) | 1 << (int(b) - 1) for b in bits
+        ]
+        words = self.words_of(entropies)
+        assert words.dtype == np.uint64 and words.shape == (len(entropies), 4)
+        assert words.flags.c_contiguous
+        for row, e in zip(words, entropies):
+            assert row.tolist() == np.random.SeedSequence(e).generate_state(4, np.uint64).tolist(), e
+
+    @pytest.mark.parametrize("prefix", [
+        (0, "ep-0"),
+        (-7, "ep-1"),
+        (2**64 + 3, "ep-2"),
+        (4, "it's \"quoted\""),
+        (4, "épisode-ü-漢字"),
+    ])
+    def test_generators_match_derive_rng(self, prefix):
+        labels = ("visual-global", "visual-local", "random")
+        table = StreamTable(prefix, labels, 6)
+        for label in labels:
+            for step in range(6):
+                fast = table.generator(label, step)
+                slow = derive_rng(*prefix, label, step)
+                assert fast.bit_generator.state == slow.bit_generator.state
+                assert fast.normal(0.0, 0.1, 3).tolist() == slow.normal(0.0, 0.1, 3).tolist()
+                assert fast.integers(1000) == slow.integers(1000)
+
+    def test_handles_hash_nothing_until_one_draws(self):
+        table = StreamTable((4, "ep"), ("visual-global", "visual-local"), 3)
+        handles = [table.rng(label, step) for label in ("visual-global", "visual-local") for step in range(3)]
+        assert table._words is None
+        want = derive_rng(4, "ep", "visual-local", 2)
+        assert handles[-1].normal() == want.normal()
+        assert table._words is not None
+        assert all(handle._rng is None for handle in handles[:-1])
+
+    def test_strided_words_cannot_seed_pcg64(self):
+        words = self.words_of([12345, 2**100 + 1])
+        # a row of a Fortran-ordered copy holds the same values, but strided
+        strided = np.asfortranarray(words)[0]
+        assert strided.tolist() == words[0].tolist() and not strided.flags.c_contiguous
+        with pytest.raises(ValueError, match="C-contiguous"):
+            np.random.PCG64(_StateWords(strided))
+        for bad in (words[0].astype(np.int64), words[:, :2].copy()):
+            with pytest.raises(ValueError):
+                _StateWords(bad)
+        assert np.random.PCG64(_StateWords(words[0])).state == np.random.PCG64(12345).state

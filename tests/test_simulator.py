@@ -317,17 +317,36 @@ def trajectory_digest(trajectories):
 
 
 def count_derivations(monkeypatch):
-    """Count derived generators by label, wherever the engine derives one."""
+    """Count derived generators by label, wherever the engine derives one:
+    through derive_rng, or from an episode's stream table."""
     labels = Counter()
     original = seeding.derive_rng
+    original_generator = seeding.StreamTable.generator
 
     def counting(*parts):
         labels[parts[2]] += 1
         return original(*parts)
 
+    def from_table(table, label, step):
+        labels[label] += 1
+        return original_generator(table, label, step)
+
     monkeypatch.setattr(seeding, "derive_rng", counting)
-    monkeypatch.setattr(simulator, "derive_rng", counting)
+    monkeypatch.setattr(seeding.StreamTable, "generator", from_table)
     return labels
+
+
+def count_mixes(monkeypatch):
+    """Record the number of keys of each batched seed-word mix."""
+    mixes = []
+    original = seeding.seed_state_words
+
+    def counting(digests):
+        mixes.append(len(digests) // 16)
+        return original(digests)
+
+    monkeypatch.setattr(seeding, "seed_state_words", counting)
+    return mixes
 
 
 class TestRandomStreams:
@@ -430,6 +449,7 @@ class TestRandomStreams:
     def test_distribution_mode_derives_only_generators_that_draw(self, small_bench, monkeypatch):
         scenes, episodes, kb = small_bench
         labels = count_derivations(monkeypatch)
+        mixes = count_mixes(monkeypatch)
         agent = bench_agent(confusion=ConfusionModel.eps_uniform(10, 0.2),
                             visual=VisualWeights(noise_sd=0.1), fusion_mode="dynamic")
         for episode in episodes[:4]:
@@ -437,13 +457,17 @@ class TestRandomStreams:
         assert labels["perceive"] == 0
         assert labels["target"] == 0
         assert labels["visual-global"] > 0 and labels["visual-visited"] > 0
+        # one batch per episode: three visual labels for every decision step
+        assert mixes == [3 * agent.max_actions] * 4
 
     def test_noiseless_visual_scores_derive_nothing(self, small_bench, monkeypatch):
         scenes, episodes, kb = small_bench
         labels = count_derivations(monkeypatch)
+        mixes = count_mixes(monkeypatch)
         episode = episodes[0]
         run_episode(scenes[episode.scene_id], episode, kb, bench_agent(), "hspr")
         assert not labels
+        assert not mixes
 
     def test_sampled_mode_derives_perception_generators(self, small_bench, monkeypatch):
         scenes, episodes, kb = small_bench
@@ -592,13 +616,19 @@ class TestRowScores:
     def test_only_sampled_arrivals_build_a_generator(self, large_scenes, monkeypatch, mode):
         # in the large-scene benchmark's shape, where most arrivals revisit
         built = Counter()
+        table_rng = seeding.StreamTable.rng
 
         class CountingLazyRng(seeding.LazyRng):
             def __init__(self, *parts):
                 built[parts[2]] += 1
                 super().__init__(*parts)
 
+        def counting_table_rng(table, label, step):
+            built[label] += 1
+            return table_rng(table, label, step)
+
         monkeypatch.setattr(simulator, "LazyRng", CountingLazyRng)
+        monkeypatch.setattr(seeding.StreamTable, "rng", counting_table_rng)
         scenes, episodes, kb = large_scenes
         agent = AgentConfig(
             confusion=ConfusionModel.eps_uniform(len(kb.type_vocabulary), 0.2, mode=mode),
