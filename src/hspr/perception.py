@@ -10,7 +10,8 @@ The confusion matrix is validated once, when the model is built, and then
 frozen.  Perceiving a node yields a row index; the belief for row k shares
 row k of the model's read-only `rows` (the matrix itself, or a one-hot
 identity in sampled mode) instead of copying and re-checking it, so every
-belief the agent holds is one of only n_types rows.
+belief the agent holds is one of only n_types rows.  The model also keeps,
+per feasibility tau, the types each row holds with mass >= tau.
 """
 
 from __future__ import annotations
@@ -101,9 +102,11 @@ class ConfusionModel:
         else:
             self.rows = np.eye(self.n_types)
             self.rows.flags.writeable = False
+        self._present: dict[float, list[frozenset[int]]] = {}
 
     def __reduce__(self):
-        # unpickled arrays come back writeable; rebuilding re-freezes them
+        # unpickled arrays come back writeable; rebuilding re-freezes them.
+        # The present-type lists are left behind, so a pickle holds no cache
         return (type(self), (self.M, self.mode))
 
     @property
@@ -125,6 +128,19 @@ class ConfusionModel:
     def row(self, true_type: int, rng: Rng) -> np.ndarray:
         """The perceived type distribution, a read-only row."""
         return self.rows[self.perceive(true_type, rng)]
+
+    def present_types(self, tau: float) -> list[frozenset[int]]:
+        """Per row of `rows`, the types it holds with mass >= tau.
+
+        `present_types_from_beliefs` of each row alone, computed on the first
+        call for a tau and kept for every episode that reads this model.
+        """
+        present = self._present.get(tau)
+        if present is None:
+            present = self._present[tau] = [
+                frozenset(int(t) for t in np.nonzero(R >= tau)[0]) for R in self.rows
+            ]
+        return present
 
     def belief(self, node_id: str, row: int) -> TypeBelief:
         """The belief holding rows[row]; the row was validated with the matrix."""
@@ -225,8 +241,9 @@ def visual_score_table(
     noise = None
     if weights.noise_sd > 0 and view:
         noise = rng.normal(0.0, weights.noise_sd, len(view)).tolist()
+    w_d, w_t, decay, exp = weights.w_d, weights.w_t, weights.decay, np.exp
     scores = {}
     for k, (node_id, distance, alignment) in enumerate(view):
-        value = weights.w_d * float(np.exp(-distance / weights.decay)) + weights.w_t * alignment
+        value = w_d * float(exp(-distance / decay)) + w_t * alignment
         scores[node_id] = value if noise is None else value + noise[k]
     return scores

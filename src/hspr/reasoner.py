@@ -10,21 +10,26 @@ The top-K search runs once per start type: an exact best-first search
 whose proximity entries lie in [0, 1], so a path's confidence never rises
 as it grows, and the search can stop at the K-th completed path with
 exactly the ranking a full enumeration would give.  The top K over a
-present set are the first K of its starts' lists merged on the ranking
-key, which is exact because every path has one start and the key is a
-total order.  A `SuccessorTable`, one per KB, checks the matrix once,
+present set are the first K of its starts' lists sorted together on the
+ranking key, which is exact because every path has one start and the key
+is a total order.  A `SuccessorTable`, one per KB, checks the matrix once,
 refusing a NaN or an entry outside [0, 1], sorts each row's successors
 once and keeps each single-start list, so every episode on the KB shares
-that work.
+that work.  It also keeps each type's column P_r . e_s and, per confusion
+`rows` array, each row's score against a column, so a multi-step score is
+a weighted sum of kept floats.
+
+`proximity_scores`, `present_types_from_beliefs` and `multi_step_scores`
+are the reference definitions over plain distributions; the engine reads
+the same values from the per-KB, per-model and per-episode tables.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Collection, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -115,6 +120,12 @@ class SuccessorTable:
     besides P_r.  Raises ValueError when P_r holds a NaN or an entry
     outside [0, 1], because the search's ordering argument needs that
     bound.
+
+    For multi-step scores it keeps each type's column P_r . e_s, by the
+    one-hot matvec `multi_step_scores` makes, and for each confusion `rows`
+    array (held, so its identity stays its key) a table
+    G[r][s] = rows[r] . column_s, filled one row r at a time when a score
+    first reads that row.  At most n^2 floats per rows array.
     """
 
     def __init__(self, P_r: np.ndarray):
@@ -125,6 +136,8 @@ class SuccessorTable:
         self.rows: list[list[float]] = P_r.tolist()
         self._sorted: dict[int, list[tuple[int, float]]] = {}
         self._searched: dict[tuple[int, int, int, int], list[TypePath]] = {}
+        self._columns = [P_r @ onehot for onehot in np.eye(P_r.shape[1])]
+        self._gains: dict[int, tuple[np.ndarray, list[list[float] | None]]] = {}
 
     def successors(self, t: int) -> list[tuple[int, float]]:
         """Nonzero (type, p) of row t, by p descending, then type."""
@@ -143,6 +156,42 @@ class SuccessorTable:
         if found is None:
             found = self._searched[key] = _best_first(self, start, target, max_steps, beam)
         return found
+
+    def multi_step(
+        self, rows: np.ndarray, indices: Iterable[int], path: TypePath, config: ReasonerConfig
+    ) -> list[float]:
+        """`multi_step_scores` of rows[r] for each r in indices, in order.
+
+        The same products and the same left-to-right sum from 0.0, read from
+        G, so every value equals the reference bit for bit.
+        """
+        if not path.types:
+            raise ValueError("selected path is empty")
+        omega = config.weights()
+        if len(path.types) > len(omega):
+            raise ValueError("path longer than configured weight list")
+        terms = [(config.gamma**j * omega[j], s) for j, s in enumerate(path.types)]
+        gains = self._gains_of(rows)
+        out = []
+        for r in indices:
+            row_gains = gains[r]
+            if row_gains is None:
+                row_gains = gains[r] = [float(rows[r] @ column) for column in self._columns]
+            total = 0.0
+            for factor, s in terms:
+                total += factor * row_gains[s]
+            out.append(total)
+        return out
+
+    def _gains_of(self, rows: np.ndarray) -> list[list[float] | None]:
+        entry = self._gains.get(id(rows))
+        if entry is None:
+            if rows.ndim != 2 or rows.shape[1] != self.n:
+                raise ValueError(
+                    f"type distributions have {rows.shape[-1]} types, matrix has {self.n}"
+                )
+            entry = self._gains[id(rows)] = (rows, [None] * len(rows))
+        return entry[1]
 
 
 def _rank(path: TypePath) -> tuple:
@@ -165,7 +214,7 @@ def enumerate_type_paths(
 
     Every path starts at exactly one present type, and the ranking key
     (-confidence, length, types) is a total order, so the top K over the
-    set are the first K of the merged top-K lists of its start types.
+    set are the first K of its start types' top-K lists sorted together.
     Those lists come from the table, which searches each start once.
     """
     n = table.n
@@ -175,8 +224,13 @@ def enumerate_type_paths(
     for s1 in starts:
         if not 0 <= s1 < n:
             raise ValueError(f"present type {s1} outside vocabulary of {n}")
-    lists = [table.paths_from(s1, target_type, config.max_steps, config.beam) for s1 in starts]
-    return list(islice(heapq.merge(*lists, key=_rank), config.beam))
+    merged = [
+        path
+        for s1 in starts
+        for path in table.paths_from(s1, target_type, config.max_steps, config.beam)
+    ]
+    merged.sort(key=_rank)
+    return merged[: config.beam]
 
 
 def _best_first(

@@ -14,14 +14,19 @@ such draw; each view builds its generator only when it first draws, and
 draws its noise at once, so noiseless or empty views hash nothing.
 
 Every belief on the map is one of the confusion model's rows, so each
-belief-dependent score (proximity, multi-step, present types, visual type
-alignment) is computed once per row per episode and read for every node
-at that row.  Object instances are perceived as rows too, one per object
-type, so the object proximity that drives stopping and grounding is
-computed once per object type per episode.  Type-path searches go through
+belief-dependent score is kept per row and read for every node at that
+row.  What does not depend on the episode is kept across episodes: the
+confusion model keeps each row's present types per tau, and the KB's
+successor table keeps, per confusion rows array, each row's score against
+each type's column, so a step's multi-step score of a row is a weighted
+sum of kept floats along the path.  The episode pulls P_r . Y_r and
+P_o . Y_o once and keeps the direct proximity and the visual type
+alignment per row.  Object instances are perceived as rows too, one per
+object type, so the object proximity that drives stopping and grounding
+is computed once per object type per episode.  Type-path searches go through
 the KB's one successor table, shared by every episode on the KB, which
 searches each start type once per target and config; each distinct
-present-type set merges its starts' cached lists once per episode.
+present-type set sorts its starts' cached lists together once per episode.
 """
 
 from __future__ import annotations
@@ -52,14 +57,7 @@ from .perception import (
     target_spec_from_episode,
     visual_score_table,
 )
-from .reasoner import (
-    ReasonerConfig,
-    TypePath,
-    enumerate_type_paths,
-    multi_step_scores,
-    present_types_from_beliefs,
-    proximity_scores,
-)
+from .reasoner import ReasonerConfig, TypePath, enumerate_type_paths
 from .scene import SceneGraph
 from .seeding import LazyRng, StreamTable
 from .synth import Episode
@@ -185,55 +183,62 @@ class _RowScores:
     from a table is filled once, together with the other rows the set
     lacks, and every node or instance at that row then reads the same value.
 
+    Only what depends on the episode's target lives here: the pulled
+    vectors P_r . Y_r and P_o . Y_o, computed once, and the tables read
+    through them.  Work that does not depend on the episode is kept across
+    episodes: the confusion model keeps each row's present types per tau,
+    and the KB's successor table keeps the single-start path searches and
+    the row-against-column floats whose weighted sum along a path is a
+    row's multi-step score, summed afresh at each step that reads it.
+
     Top-K type paths are kept per present-type set, as tuples.  A set's
-    paths merge the single-start lists that the KB's successor table keeps
-    for every episode on the KB; the merge is exact because each path has
-    one start and the ranking key is a total order.
+    paths are the first K of the single-start lists that the KB's successor
+    table keeps, sorted together; that is exact because each path has one
+    start and the ranking key is a total order.
     """
 
     def __init__(
-        self, rows: np.ndarray, object_rows: np.ndarray, kb: ProximityKB, target: TargetSpec,
-        reasoner: ReasonerConfig,
+        self, confusion: ConfusionModel, object_rows: np.ndarray, kb: ProximityKB,
+        target: TargetSpec, reasoner: ReasonerConfig,
     ):
-        self.rows = rows
+        self.rows = confusion.rows
         self.object_rows = object_rows
         self.kb = kb
         self.target = target
         self.reasoner = reasoner
+        self._present_of = confusion.present_types(reasoner.feasibility_tau)
+        self._pulled = kb.P_r @ target.Y_r  # P_r . Y_r
+        self._pulled_objects = kb.P_o @ target.Y_o  # P_o . Y_o
         self._alignment: dict[int, float] = {}  # R . Y_r
         self._direct: dict[int, float] = {}  # R . P_r . Y_r
-        self._present: dict[int, set[int]] = {}  # types held with mass >= tau
         self._objects: dict[int, float] = {}  # O . P_o . Y_o, by object type
-        self._multi: dict[tuple[int, ...], dict[int, float]] = {}  # by path types
         self._paths: dict[frozenset[int], tuple[TypePath, ...]] = {}
 
-    def _fill(self, table: dict, keys: set[int], score, rows: np.ndarray | None = None) -> dict:
-        rows = self.rows if rows is None else rows
+    @staticmethod
+    def _fill(table: dict, keys: set[int], score) -> dict:
         missing = [key for key in keys if key not in table]
         if missing:
-            table.update(zip(missing, score([rows[key] for key in missing])))
+            table.update(zip(missing, score(missing)))
         return table
 
     def alignment(self, rows: set[int]) -> dict[int, float]:
-        Y_r = self.target.Y_r
-        return self._fill(self._alignment, rows, lambda Rs: [float(R @ Y_r) for R in Rs])
+        R, Y_r = self.rows, self.target.Y_r
+        return self._fill(self._alignment, rows, lambda keys: [float(R[k] @ Y_r) for k in keys])
 
     def direct(self, rows: set[int]) -> dict[int, float]:
-        return self._fill(
-            self._direct, rows, lambda Rs: proximity_scores(Rs, self.kb.P_r, self.target.Y_r)
-        )
+        R, pulled = self.rows, self._pulled
+        return self._fill(self._direct, rows, lambda keys: [float(R[k] @ pulled) for k in keys])
 
     def multi_step(self, rows: set[int], path: TypePath) -> dict[int, float]:
-        return self._fill(
-            self._multi.setdefault(path.types, {}), rows,
-            lambda Rs: multi_step_scores(Rs, path, self.kb.P_r, self.reasoner),
-        )
+        scores = self.kb.successor_table().multi_step(self.rows, rows, path, self.reasoner)
+        return dict(zip(rows, scores))
 
     def objects(self, node_record) -> dict[int, float]:
         """O . P_o . Y_o by object type, filled for the node's instances."""
+        O, pulled = self.object_rows, self._pulled_objects
         return self._fill(
             self._objects, {o.object_type for o in node_record.objects},
-            lambda Os: proximity_scores(Os, self.kb.P_o, self.target.Y_o), self.object_rows,
+            lambda keys: [float(O[k] @ pulled) for k in keys],
         )
 
     def paths(self, present: set[int]) -> tuple[TypePath, ...]:
@@ -246,11 +251,7 @@ class _RowScores:
         return found
 
     def present(self, rows: set[int]) -> set[int]:
-        tau = self.reasoner.feasibility_tau
-        table = self._fill(
-            self._present, rows, lambda Rs: [present_types_from_beliefs([R], tau) for R in Rs]
-        )
-        return set().union(*(table[row] for row in rows))
+        return set().union(*(self._present_of[row] for row in rows))
 
 
 def run_episode(
@@ -273,7 +274,7 @@ def run_episode(
     )
 
     row_scores = _RowScores(
-        agent.confusion.rows, object_rows(scene.n_object_types, agent.object_noise),
+        agent.confusion, object_rows(scene.n_object_types, agent.object_noise),
         kb, target, agent.reasoner,
     )
     topo = SemanticTopoMap()

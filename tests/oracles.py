@@ -12,7 +12,9 @@ new region), `observe_reperceiving` (formerly
 `SemanticTopoMap.observe`, which perceived every node an arrival reached
 in both confusion modes), `enumerate_paths_best_first` (formerly the
 body of `reasoner.enumerate_type_paths`, which searched from every present
-type in one heap) and `visual_score_table_per_node` (formerly
+type in one heap), `merge_start_lists` (formerly the merge in
+`reasoner.enumerate_type_paths`, a `heapq.merge` of the start types'
+lists cut with `islice`) and `visual_score_table_per_node` (formerly
 `perception.visual_score_table`, which drew one scalar of noise per entry)
 and `geodesic_distances` (formerly `scene.geodesic_distances`, the full
 search from the target that `metrics.episode_metrics` read each episode's
@@ -28,7 +30,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 
@@ -190,6 +192,17 @@ def enumerate_paths_best_first(present_types, target_type, P_r, max_types, k):
                 heapq.heappush(heap, (neg_conf * p, length + 1, types + (t,), neg_conf, children, j))
                 break
     return found
+
+
+def merge_start_lists(present_types, target_type, table, config) -> list:
+    """Top `config.beam` paths over a present set: the single-start lists
+    of `table` merged on (-confidence, length, types) by `heapq.merge`."""
+    lists = [
+        table.paths_from(s, target_type, config.max_steps, config.beam)
+        for s in sorted(present_types)
+    ]
+    merged = heapq.merge(*lists, key=lambda path: (-path.confidence, len(path.types), path.types))
+    return list(islice(merged, config.beam))
 
 
 def route_visited_sum(prev, source, goal, visited_scores):

@@ -15,6 +15,7 @@ from hspr.perception import (
     target_spec_from_episode,
     visual_score_table,
 )
+from hspr.reasoner import present_types_from_beliefs
 from hspr.seeding import LazyRng
 from hspr.synth import sample_episode
 
@@ -158,6 +159,37 @@ class TestReadOnlyRows:
             TypeBelief("n", np.array([1.2, -0.2]))
         with pytest.raises(ValueError, match="sum to 1"):
             TypeBelief("n", np.array([0.5, 0.4]))
+
+
+class TestPresentTypesPerModel:
+    """Each row's present types, kept per tau, against
+    `present_types_from_beliefs` of that row alone."""
+
+    @pytest.mark.parametrize("mode", ["distribution", "sampled"])
+    def test_match_reference(self, mode):
+        rng = np.random.default_rng(31)
+        for trial in range(100):
+            n = int(rng.integers(1, 12))
+            if trial % 2:  # quarters, so entries land exactly on a tau
+                M = rng.integers(0, 5, (n, n)).astype(float)
+                M[:, 0] += 1.0
+                M /= M.sum(axis=1, keepdims=True)
+            else:
+                M = rng.dirichlet(np.full(n, 0.5), size=n)
+            model = ConfusionModel(M, mode=mode)
+            for tau in (0.0, 0.25, 0.5, 1.0, float(rng.uniform()), float(model.M[0, 0])):
+                present = model.present_types(tau)
+                assert len(present) == n
+                for row, types in enumerate(present):
+                    assert types == present_types_from_beliefs([model.rows[row]], tau)
+                assert model.present_types(tau) is present
+
+    def test_pickle_leaves_the_lists_behind(self):
+        model = ConfusionModel.eps_uniform(4, 0.4)
+        before = pickle.dumps(model)
+        model.present_types(0.5)
+        assert pickle.dumps(model) == before
+        assert pickle.loads(before)._present == {}
 
 
 class TestTargetSpec:

@@ -1,10 +1,11 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from hspr.bench import recovery_generator_kb
-from hspr.perception import TypeBelief
+from hspr.perception import ConfusionModel, TypeBelief
 from hspr.reasoner import (
     ReasonerConfig,
     SuccessorTable,
@@ -286,6 +287,85 @@ class TestSharedSingleStartSearches:
                 got = enumerate_type_paths(present, target, table, config)
                 assert [(p.types, p.confidence) for p in got] == answers[k]
         assert asked > 1.25 * searched  # a quarter of the starts were answered from the memo
+
+
+class TestOneSortMerge:
+    """The top K over a present set, one sort of the start lists, against a
+    `heapq.merge` of them."""
+
+    def test_matches_heapq_merge_oracle(self, rng):
+        # few levels, so paths from different starts tie on confidence and
+        # the length and type order decide between them
+        levels = [0.0, 0.25, 0.5, 1.0]
+        tied = 0
+        for trial in range(300):
+            n = int(rng.integers(2, 8))
+            P = rng.choice(levels, size=(n, n))
+            table = SuccessorTable(P)
+            config = ReasonerConfig(max_steps=int(rng.integers(1, 5)), beam=int(rng.integers(1, 8)))
+            present = {int(t) for t in rng.choice(n, size=rng.integers(1, n + 1), replace=False)}
+            target = int(rng.integers(n))
+            got = enumerate_type_paths(present, target, table, config)
+            assert got == oracles.merge_start_lists(present, target, table, config)
+            confidences = [
+                {p.confidence for p in table.paths_from(s, target, config.max_steps, config.beam)}
+                for s in present
+            ]
+            tied += any(a & b for a, b in combinations(confidences, 2))
+        assert tied > 50
+
+
+class TestMultiStepTable:
+    """The successor table's multi-step scores, read from its kept
+    row-against-column floats, against `multi_step_scores`."""
+
+    @pytest.mark.parametrize("mode", ["distribution", "sampled"])
+    def test_matches_reference_exactly(self, rng, mode):
+        for trial in range(60):
+            n = int(rng.integers(3, 26))
+            P = rng.uniform(0.0, 1.0, (n, n))
+            P[rng.uniform(size=(n, n)) < 0.3] = 0.0
+            P[rng.uniform(size=(n, n)) < 0.05] = -0.0
+            confusion = ConfusionModel(rng.dirichlet(np.full(n, 0.5), size=n), mode=mode)
+            max_steps = int(rng.integers(1, 6))
+            omega = None if trial % 3 == 0 else tuple(float(w) for w in rng.uniform(-1.0, 2.0, max_steps))
+            config = ReasonerConfig(
+                gamma=float(rng.uniform(0.05, 1.0)), max_steps=max_steps, omega=omega
+            )
+            table = SuccessorTable(P)  # shared by every path below, as by the episodes on a KB
+            for _ in range(10):
+                length = int(rng.integers(1, min(max_steps, n) + 1))
+                path = TypePath(tuple(int(t) for t in rng.choice(n, size=length, replace=False)), 1.0)
+                indices = [int(r) for r in rng.integers(n, size=int(rng.integers(1, 2 * n)))]
+                got = table.multi_step(confusion.rows, indices, path, config)
+                want = multi_step_scores([confusion.rows[r] for r in indices], path, P, config)
+                assert got == want
+                assert all(math.copysign(1.0, a) == math.copysign(1.0, b) for a, b in zip(got, want))
+
+    def test_each_rows_array_has_its_own_table(self):
+        P = np.array([[0.2, 0.8, 0.0], [0.5, 0.1, 0.4], [0.0, 0.9, 0.3]])
+        table = SuccessorTable(P)
+        config = ReasonerConfig(gamma=0.7, max_steps=3)
+        path = TypePath((1, 0, 2), 0.5)
+        models = [ConfusionModel.eps_uniform(3, 0.3), ConfusionModel.identity(3),
+                  ConfusionModel.eps_uniform(3, 0.3, mode="sampled")]
+        for _ in range(2):  # the second round reads the kept floats
+            for model in models:
+                got = table.multi_step(model.rows, range(3), path, config)
+                assert got == multi_step_scores(list(model.rows), path, P, config)
+
+    def test_path_checks_match_reference(self):
+        P = np.full((3, 3), 0.5)
+        rows = ConfusionModel.identity(3).rows
+        table = SuccessorTable(P)
+        config = ReasonerConfig(max_steps=2)
+        for path, message in ((TypePath((), 1.0), "empty"), (TypePath((0, 1, 2), 1.0), "longer")):
+            with pytest.raises(ValueError, match=message):
+                multi_step_scores(list(rows), path, P, config)
+            with pytest.raises(ValueError, match=message):
+                table.multi_step(rows, [0], path, config)
+        with pytest.raises(ValueError, match="types"):
+            table.multi_step(ConfusionModel.identity(4).rows, [0], TypePath((1,), 1.0), config)
 
 
 class TestSelectPath:

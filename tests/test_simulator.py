@@ -527,7 +527,7 @@ class TestRowScores:
                 confusion.belief(f"n{i}", confusion.perceive(int(rng.integers(n)), rng))
                 for i in range(int(rng.integers(1, 15)))
             ]
-            table = simulator._RowScores(confusion.rows, np.eye(1), kb, target, config)
+            table = simulator._RowScores(confusion, np.eye(1), kb, target, config)
             # fill from a prefix first, so later reads mix old and new rows
             for view in (beliefs[: len(beliefs) // 2], beliefs):
                 rows = {b.row for b in view}
@@ -549,6 +549,31 @@ class TestRowScores:
                         onehot[sub_goal] = 1.0
                         want += config.gamma**j * config.omega[j] * float(b.R @ (P_r @ onehot))
                     assert same_float(got[b.row], want)
+
+    @pytest.mark.parametrize("mode", ["distribution", "sampled"])
+    def test_pulled_scores_match_proximity_scores(self, mode):
+        rng = np.random.default_rng(19)
+        for trial in range(40):
+            n, m = int(rng.integers(1, 12)), int(rng.integers(1, 8))
+            confusion = ConfusionModel(rng.dirichlet(np.full(n, 0.5), size=n), mode=mode)
+            P_r, P_o = rng.uniform(0.0, 1.0, (n, n)), rng.uniform(0.0, 0.95, (m, m))
+            P_o[rng.random((m, m)) < 0.3] = 0.0
+            kb = ProximityKB(
+                P_r=P_r, P_o=P_o, top_objects=[[0]] * n,
+                type_vocabulary=[f"t{t}" for t in range(n)],
+                object_vocabulary=[f"o{t}" for t in range(m)],
+            )
+            O = object_rows(m, (0.0, 0.3, 1.0)[trial % 3])
+            Y_o = O[int(rng.integers(m))] if trial % 2 else rng.dirichlet(np.ones(m))
+            target = TargetSpec(Y_r=confusion.row(int(rng.integers(n)), rng), Y_o=Y_o)
+            table = simulator._RowScores(confusion, O, kb, target, ReasonerConfig())
+            direct = table.direct(set(range(n)))
+            assert [direct[r] for r in range(n)] == proximity_scores(list(confusion.rows), P_r, target.Y_r)
+            node = make_scene(
+                [("a", "r0", 0, (0.0, 0.0, 0.0), [(f"obj{k}", k, 0) for k in range(m)])], [], 1, m
+            ).node("a")
+            by_type = table.objects(node)
+            assert [by_type[k] for k in range(m)] == proximity_scores(list(O), P_o, Y_o)
 
     def test_distribution_mode_builds_one_belief_per_known_node(self, small_bench, monkeypatch):
         scenes, episodes, kb = small_bench
@@ -692,7 +717,9 @@ class TestObjectScores:
                 object_vocabulary=[f"o{t}" for t in range(n)],
             )
             target = TargetSpec(Y_r=np.ones(1), Y_o=Y_o)
-            table = simulator._RowScores(np.eye(1), object_rows(n, noise), kb, target, ReasonerConfig())
+            table = simulator._RowScores(
+                ConfusionModel.identity(1), object_rows(n, noise), kb, target, ReasonerConfig()
+            )
             # few types and shuffled ids, so instances tie and the id decides
             count = int(rng.integers(0, 7))
             ids = [f"obj{k}" for k in rng.permutation(count)]
@@ -752,7 +779,7 @@ class TestPathMemo:
         kb = mini_kb()
         target = TargetSpec(Y_r=np.eye(4)[3], Y_o=np.ones(4) / 4)
         config = ReasonerConfig(beam=4)
-        scores = simulator._RowScores(np.eye(4), np.eye(4), kb, target, config)
+        scores = simulator._RowScores(ConfusionModel.identity(4), np.eye(4), kb, target, config)
         table = SuccessorTable(kb.P_r)
         first = scores.paths({0, 1})
         assert isinstance(first, tuple)
@@ -803,6 +830,36 @@ class TestSharedPathSearch:
         assert kb.successor_table() is kb.successor_table()
         assert pickle.dumps(kb) == before
         assert pickle.loads(before)._successors is None
+
+    def test_one_kb_shared_by_several_confusion_models(self, small_bench):
+        scenes, episodes, kb = small_bench
+        shared = copy.deepcopy(kb)
+        confusions = [
+            ConfusionModel.eps_uniform(10, 0.2),
+            ConfusionModel.identity(10),
+            ConfusionModel.eps_uniform(10, 0.2, mode="sampled"),
+        ]
+        for _ in range(2):  # the second round reads tables the others filled
+            for confusion in confusions:
+                agent = dataclasses.replace(self.agent(), confusion=confusion)
+                got = run_batch(scenes, episodes, shared, agent, "hspr")
+                fresh = run_batch(
+                    scenes, episodes, copy.deepcopy(kb),
+                    dataclasses.replace(agent, confusion=ConfusionModel(confusion.M, confusion.mode)),
+                    "hspr",
+                )
+                assert not got.failures
+                assert trajectory_digest(got.trajectories) == trajectory_digest(fresh.trajectories)
+        assert len(shared.successor_table()._gains) == len(confusions)
+
+    def test_confusion_model_pickles_to_the_same_bytes_after_episodes(self, small_bench):
+        scenes, episodes, kb = small_bench
+        agent = self.agent()
+        before = pickle.dumps(agent.confusion)
+        run_batch(scenes, episodes, copy.deepcopy(kb), agent, "hspr")
+        assert agent.confusion._present
+        assert pickle.dumps(agent.confusion) == before
+        assert pickle.loads(before)._present == {}
 
     def test_equality_ignores_the_table(self):
         warm, cold = mini_kb(), mini_kb()
