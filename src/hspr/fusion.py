@@ -118,7 +118,10 @@ def balance_factor(policy: BetaPolicy, state: dict[str, float] | SemanticTopoMap
             if feature not in state:
                 raise ValueError(f"unknown balance feature {feature!r}")
             z += weight * state[feature]
-        beta = 1.0 / (1.0 + math.exp(-z))
+        try:
+            beta = 1.0 / (1.0 + math.exp(-z))
+        except OverflowError:  # exp(-z) exceeds the largest float: the sigmoid's limit
+            beta = 0.0
     else:
         raise ValueError(f"malformed balance policy {policy!r}")
     return min(1.0, max(0.0, beta))

@@ -22,7 +22,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import malformed, read_json, write_json
+from .errors import malformed, read_json
 from .seeding import Rng, choose
 
 CONFUSION_SCHEMA_VERSION = 1
@@ -132,8 +132,9 @@ class ConfusionModel:
     def present_types(self, tau: float) -> list[frozenset[int]]:
         """Per row of `rows`, the types it holds with mass >= tau.
 
-        `present_types_from_beliefs` of each row alone, computed on the first
-        call for a tau and kept for every episode that reads this model.
+        The reference `present_types_from_beliefs` in `tests/oracles.py` of
+        each row alone, computed on the first call for a tau and kept for
+        every episode that reads this model.
         """
         present = self._present.get(tau)
         if present is None:
@@ -157,15 +158,6 @@ class ConfusionModel:
             raise ValueError("eps must be in [0, 1]")
         M = (1.0 - eps) * np.eye(n_types) + eps * np.full((n_types, n_types), 1.0 / n_types)
         return cls(M, mode=mode)
-
-
-def save_confusion(model: ConfusionModel, path) -> None:
-    payload = {
-        "schema_version": CONFUSION_SCHEMA_VERSION,
-        "mode": model.mode,
-        "matrix": [[float(v) for v in row] for row in model.M],
-    }
-    write_json(path, payload)
 
 
 def load_confusion(path) -> ConfusionModel:

@@ -1,10 +1,10 @@
 """Proximity reasoning over node types.
 
-Scores type distributions by how close they are to the target type through
-the proximity matrix, finds the top-K multi-hop type paths toward the
-target, and turns a path into discounted multi-step scores.  The search
-starts every path at a present type, one that some distribution holds with
-mass >= tau, so its start set is the feasibility check.
+Finds the top-K multi-hop type paths toward the target through the
+proximity matrix, and turns a path into discounted multi-step scores of
+type distributions.  The search starts every path at a present type, one
+that some distribution holds with mass >= tau, so its start set is the
+feasibility check.
 
 The top-K search runs once per start type: an exact best-first search
 whose proximity entries lie in [0, 1], so a path's confidence never rises
@@ -19,16 +19,17 @@ that work.  It also keeps each type's column P_r . e_s and, per confusion
 `rows` array, each row's score against a column, so a multi-step score is
 a weighted sum of kept floats.
 
-`proximity_scores`, `present_types_from_beliefs` and `multi_step_scores`
-are the reference definitions over plain distributions; the engine reads
-the same values from the per-KB, per-model and per-episode tables.
+The reference definitions over plain distributions, `proximity_scores`,
+`present_types_from_beliefs` and `multi_step_scores`, live in
+`tests/oracles.py`; the engine reads the same values from the per-KB,
+per-model and per-episode tables.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Collection, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,40 +76,6 @@ class TypePath:
     confidence: float
 
 
-def proximity_scores(
-    distributions: Sequence[np.ndarray], P_r: np.ndarray, Y_r: np.ndarray
-) -> list[float]:
-    """Bilinear proximity of each type distribution to the target type.
-
-    score_i = R_i . P_r . Y_r, one per distribution, in input order.  Object
-    types are scored the same way, with P_o and the target's Y_o.
-    """
-    Y_r = np.asarray(Y_r, dtype=np.float64)
-    if P_r.shape[1] != Y_r.shape[0]:
-        raise ValueError(
-            f"proximity matrix columns ({P_r.shape[1]}) do not match target vector ({Y_r.shape[0]})"
-        )
-    pulled = P_r @ Y_r
-    out = []
-    for R in distributions:
-        if R.shape[0] != P_r.shape[0]:
-            raise ValueError(
-                f"type distribution has {R.shape[0]} types, matrix has {P_r.shape[0]}"
-            )
-        out.append(float(R @ pulled))
-    return out
-
-
-def present_types_from_beliefs(
-    distributions: Sequence[np.ndarray], tau: float
-) -> set[int]:
-    """Types some distribution holds with mass >= tau."""
-    present = set()
-    for R in distributions:
-        present.update(int(t) for t in np.nonzero(R >= tau)[0])
-    return present
-
-
 class SuccessorTable:
     """Proximity rows of one KB, checked once, with sorted successor lists
     and the single-start searches already run over them.
@@ -122,10 +89,11 @@ class SuccessorTable:
     bound.
 
     For multi-step scores it keeps each type's column P_r . e_s, by the
-    one-hot matvec `multi_step_scores` makes, and for each confusion `rows`
-    array (held, so its identity stays its key) a table
-    G[r][s] = rows[r] . column_s, filled one row r at a time when a score
-    first reads that row.  At most n^2 floats per rows array.
+    one-hot matvec that the reference `multi_step_scores` in
+    `tests/oracles.py` makes, and for each confusion `rows` array (held, so
+    its identity stays its key) a table G[r][s] = rows[r] . column_s,
+    filled one row r at a time when a score first reads that row.  At most
+    n^2 floats per rows array.
     """
 
     def __init__(self, P_r: np.ndarray):
@@ -160,10 +128,11 @@ class SuccessorTable:
     def multi_step(
         self, rows: np.ndarray, indices: Iterable[int], path: TypePath, config: ReasonerConfig
     ) -> list[float]:
-        """`multi_step_scores` of rows[r] for each r in indices, in order.
+        """The multi-step score of rows[r] for each r in indices, in order.
 
-        The same products and the same left-to-right sum from 0.0, read from
-        G, so every value equals the reference bit for bit.
+        The same products and the same left-to-right sum from 0.0 as the
+        reference `multi_step_scores` in `tests/oracles.py`, read from G, so
+        every value equals the reference bit for bit.
         """
         if not path.types:
             raise ValueError("selected path is empty")
@@ -291,31 +260,3 @@ def _best_first(
                 break
     return found
 
-
-def multi_step_scores(
-    distributions: Sequence[np.ndarray],
-    path: TypePath,
-    P_r: np.ndarray,
-    config: ReasonerConfig,
-) -> list[float]:
-    """Discounted sum of proximity scores toward each sub-goal on the path.
-
-    score_i = sum_j gamma^(j-1) * omega_j * (R_i . P_r . onehot(s_j)), one
-    per distribution, in input order.  For a single-type path this reduces
-    exactly to the direct proximity score against a one-hot target.
-    """
-    if not path.types:
-        raise ValueError("selected path is empty")
-    omega = config.weights()
-    if len(path.types) > len(omega):
-        raise ValueError("path longer than configured weight list")
-    n = P_r.shape[1]
-    totals = [0.0] * len(distributions)
-    for j, sub_goal in enumerate(path.types):
-        onehot = np.zeros(n)
-        onehot[sub_goal] = 1.0
-        term = proximity_scores(distributions, P_r, onehot)
-        factor = config.gamma**j * omega[j]
-        for k, value in enumerate(term):
-            totals[k] += factor * value
-    return totals

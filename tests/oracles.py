@@ -23,19 +23,36 @@ distances from; `tests/test_scene.py` checks it against scipy) and
 breadth-first hop count from the start of every episode) are the
 package's former implementations, kept as slow references for the code
 that replaced them.
+
+`proximity_scores`, `present_types_from_beliefs` and `multi_step_scores`
+(formerly in `hspr.reasoner`: the definitions over plain type
+distributions whose values the engine reads from its per-KB, per-model and
+per-episode tables) and `save_confusion` (formerly in `hspr.perception`;
+hspr reads confusion files but never writes one) moved here because only
+tests called them.
+
+`reference_run_episode` runs a whole episode of `simulator.run_episode`
+from these definitions and `dijkstra_with_predecessors`, so one
+trajectory comparison checks every fast path of a decision step.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice, permutations
 
 import numpy as np
 
+from hspr.errors import write_json
+from hspr.fusion import STOP, balance_factor
+from hspr.perception import CONFUSION_SCHEMA_VERSION
+from hspr.reasoner import TypePath
 from hspr.scene import SceneGraph, dijkstra, hop_distances
 from hspr.seeding import derive_rng
+from hspr.simulator import Trajectory
 from hspr.synth import Episode
 
 
@@ -463,4 +480,282 @@ def sample_episode_by_hops(scene: SceneGraph, seed, episode_id: str | None = Non
         target_object=obj.object_id,
         shortest_length=shortest,
         target_type=target_record.node_type,
+    )
+
+
+def proximity_scores(
+    distributions: Sequence[np.ndarray], P_r: np.ndarray, Y_r: np.ndarray
+) -> list[float]:
+    """Bilinear proximity of each type distribution to the target type.
+
+    score_i = R_i . P_r . Y_r, one per distribution, in input order.  Object
+    types are scored the same way, with P_o and the target's Y_o.
+    """
+    Y_r = np.asarray(Y_r, dtype=np.float64)
+    if P_r.shape[1] != Y_r.shape[0]:
+        raise ValueError(
+            f"proximity matrix columns ({P_r.shape[1]}) do not match target vector ({Y_r.shape[0]})"
+        )
+    pulled = P_r @ Y_r
+    out = []
+    for R in distributions:
+        if R.shape[0] != P_r.shape[0]:
+            raise ValueError(
+                f"type distribution has {R.shape[0]} types, matrix has {P_r.shape[0]}"
+            )
+        out.append(float(R @ pulled))
+    return out
+
+
+def present_types_from_beliefs(
+    distributions: Sequence[np.ndarray], tau: float
+) -> set[int]:
+    """Types some distribution holds with mass >= tau."""
+    present = set()
+    for R in distributions:
+        present.update(int(t) for t in np.nonzero(R >= tau)[0])
+    return present
+
+
+def multi_step_scores(
+    distributions: Sequence[np.ndarray],
+    path: TypePath,
+    P_r: np.ndarray,
+    config: ReasonerConfig,
+) -> list[float]:
+    """Discounted sum of proximity scores toward each sub-goal on the path.
+
+    score_i = sum_j gamma^(j-1) * omega_j * (R_i . P_r . onehot(s_j)), one
+    per distribution, in input order.  For a single-type path this reduces
+    exactly to the direct proximity score against a one-hot target.
+    """
+    if not path.types:
+        raise ValueError("selected path is empty")
+    omega = config.weights()
+    if len(path.types) > len(omega):
+        raise ValueError("path longer than configured weight list")
+    n = P_r.shape[1]
+    totals = [0.0] * len(distributions)
+    for j, sub_goal in enumerate(path.types):
+        onehot = np.zeros(n)
+        onehot[sub_goal] = 1.0
+        term = proximity_scores(distributions, P_r, onehot)
+        factor = config.gamma**j * omega[j]
+        for k, value in enumerate(term):
+            totals[k] += factor * value
+    return totals
+
+
+def save_confusion(model: ConfusionModel, path) -> None:
+    """Write a confusion model as the JSON file `load_confusion` reads."""
+    payload = {
+        "schema_version": CONFUSION_SCHEMA_VERSION,
+        "mode": model.mode,
+        "matrix": [[float(v) for v in row] for row in model.M],
+    }
+    write_json(path, payload)
+
+
+def dijkstra_with_predecessors(adjacency, source):
+    """Shortest distances and route predecessors from source.
+
+    adjacency maps a node to {neighbor: length}; nodes missing from the
+    returned dist are unreachable.  Each round settles the unsettled node
+    with the least (distance, node id), found by a scan, and relaxes its
+    edges; a node's predecessor changes only on a strictly shorter
+    distance, so among equal-length routes it is the neighbor settled first.
+    """
+    dist = {source: 0.0}
+    prev = {}
+    settled = set()
+    while len(settled) < len(dist):
+        d, node = min((d, v) for v, d in dist.items() if v not in settled)
+        settled.add(node)
+        for nbr, length in adjacency.get(node, {}).items():
+            if d + length < dist.get(nbr, math.inf):
+                dist[nbr] = d + length
+                prev[nbr] = node
+    return dist, prev
+
+
+def reference_run_episode(scene, episode, kb, agent, policy="hspr", trace=False) -> Trajectory:
+    """One episode of `simulator.run_episode`, from the plain definitions.
+
+    The map is a belief vector per known node, the known edges and the
+    visited set; every arrival perceives the arrived node and each of its
+    neighbours again, drawing in sampled mode from its own
+    `derive_rng(seed, episode, "perceive", arrival)` with
+    `Generator.choice(p=...)`.  Each decision step routes by a fresh
+    `dijkstra_with_predecessors` over the known edges, scores every node's
+    belief with `proximity_scores` or, along the top path of
+    `enumerate_paths_exhaustive` from the `present_types_from_beliefs` of
+    the candidates, `multi_step_scores`; draws visual noise one scalar per
+    node from `derive_rng(seed, episode, label, step)`; and fuses with
+    `compose_scores` and `fuse_final`, the off-F local entries being 0 in
+    average fusion and the `route_visited_sum` in dynamic fusion.  Objects
+    are scored per instance (`object_beliefs`, `object_proximity_scores`)
+    and grounded by `ground_object`.  beta is `fusion.balance_factor` of
+    features counted on this map.  It validates nothing.
+    """
+    seed, ep = agent.seed, episode.episode_id
+    M, P_r, P_o, reasoner = agent.confusion.M, kb.P_r, kb.P_o, agent.reasoner
+    n_types, n_object_types = len(M), scene.n_object_types
+    sampled = agent.confusion.mode == "sampled"
+
+    def perceive(node_id, rng):
+        true_type = scene.node(node_id).node_type
+        if not sampled:
+            return M[true_type]
+        return np.eye(n_types)[int(rng.choice(n_types, p=M[true_type]))]
+
+    target = scene.node(episode.target_node)
+    Y_r = perceive(episode.target_node, derive_rng(seed, ep, "target"))
+    Y_o = object_beliefs(target, n_object_types, agent.object_noise).probs[episode.target_object]
+    target_type = int(np.argmax(Y_r))
+
+    beliefs = {}  # node id -> type distribution
+    edges = {}  # node id -> {neighbour: length}, both ways
+    visited = set()
+    arrivals = 0
+    current = None
+
+    def arrive(node_id):
+        nonlocal arrivals, current
+        rng = derive_rng(seed, ep, "perceive", arrivals) if sampled else None
+        beliefs[node_id] = perceive(node_id, rng)
+        for nbr, length in sorted(scene.neighbors(node_id)):
+            beliefs[nbr] = perceive(nbr, rng)
+            edges.setdefault(node_id, {})[nbr] = length
+            edges.setdefault(nbr, {})[node_id] = length
+        visited.add(node_id)
+        current = node_id
+        arrivals += 1
+
+    def status(node_id):
+        if node_id == current:
+            return "current"
+        return "visited" if node_id in visited else "navigable"
+
+    def objects_at(node_id):
+        record = scene.node(node_id)
+        return record, object_beliefs(record, n_object_types, agent.object_noise)
+
+    arrive(episode.start_node)
+    node_sequence = [episode.start_node]
+    action_sequence = []
+    total_length = 0.0
+    steps = [] if trace else None
+
+    for step in range(agent.max_actions):
+        C = sorted(set(beliefs) - visited)
+        F = [i for i in C if i in edges[current]]
+        dist, prev = dijkstra_with_predecessors(edges, current)
+        if policy == "random":
+            options = F + [STOP]
+            chosen = options[int(derive_rng(seed, ep, "random", step).integers(len(options)))]
+            step_trace = {"chosen": chosen}
+        else:
+            dynamic = agent.fusion_mode == "dynamic"
+            V = sorted(visited) if dynamic else []
+            scored = C + V
+            distributions = [beliefs[i] for i in scored]
+            paths, path = [], None
+            if policy == "hspr":
+                present = present_types_from_beliefs([beliefs[i] for i in C], reasoner.feasibility_tau)
+                paths = enumerate_paths_exhaustive(
+                    present, target_type, P_r.tolist(), reasoner.max_steps, reasoner.beam
+                )
+            if policy == "visual_only":
+                eta = [0.0] * len(scored)
+            elif paths:
+                path = TypePath(*paths[0])
+                eta = multi_step_scores(distributions, path, P_r, reasoner)
+            else:
+                eta = proximity_scores(distributions, P_r, Y_r)
+            eta = dict(zip(scored, eta))
+            alignment = {i: float(beliefs[i] @ Y_r) for i in scored + [current]}
+
+            def visual(label, view):
+                rng = derive_rng(seed, ep, label, step)
+                return visual_score_table_per_node(view, agent.visual, rng)
+
+            eps_c = visual("visual-global", [(i, dist[i], alignment[i]) for i in C])
+            eps_f = visual("visual-local", [(i, edges[current][i], alignment[i]) for i in F])
+            l_c, l_f = compose_scores(eta, eta, eps_c, eps_f, set(F), set(C), agent.eq11_literal)
+            known = len(beliefs)
+            features = {
+                "visited_fraction": len(visited) / known,
+                "frontier_fraction": len(C) / known,
+                "local_fraction": len(F) / max(len(C), 1),
+                "step": float(arrivals),
+            }
+            beta = balance_factor(agent.beta_policy, features)
+            if agent.fusion_mode == "average":
+                l_f.update((i, 0.0) for i in C if i not in F)
+            elif dynamic:
+                eps_v = visual("visual-visited", [(i, dist[i], alignment[i]) for i in V])
+                visited_scores = {i: eta[i] + eps_v[i] for i in V}
+                l_f.update((i, route_visited_sum(prev, current, i, visited_scores)) for i in C if i not in F)
+            # average fusion blends at 0.5; the trace still shows the policy's beta
+            l_final = fuse_final(l_c, l_f, 0.5 if agent.fusion_mode == "average" else beta)
+
+            w_type, w_obj = agent.stop_weights
+            stop = w_type * alignment[current]
+            mu = object_proximity_scores(objects_at(current)[1], P_o, Y_o)
+            if mu:
+                stop += w_obj * max(mu.values())
+            l_c[STOP] = l_f[STOP] = l_final[STOP] = stop
+            chosen = max([STOP] + C, key=l_final.__getitem__)
+
+            step_trace = {
+                "step": step,
+                "current": current,
+                "beta": beta,
+                "candidate_paths": [[list(t), c] for t, c in paths] if policy == "hspr" else None,
+                "selected_path": list(path.types) if path else None,
+                "path_confidence": path.confidence if path else None,
+                "scores": {
+                    "eta_c": {i: eta[i] for i in C},
+                    "eta_f": {i: eta[i] for i in F},
+                    "epsilon_c": dict(sorted(eps_c.items())),
+                    "epsilon_f": dict(sorted(eps_f.items())),
+                    "l_c": dict(sorted(l_c.items())),
+                    "l_f": dict(sorted(l_f.items())),
+                },
+                "l_final": dict(sorted(l_final.items())),
+                "chosen": chosen,
+                "map": {
+                    "step": arrivals,
+                    "nodes": {
+                        i: {"status": status(i), "type_argmax": int(np.argmax(beliefs[i]))}
+                        for i in sorted(beliefs)
+                    },
+                    "edges": sorted([a, b, length] for a, near in edges.items()
+                                    for b, length in near.items() if a < b),
+                },
+            }
+        if trace:
+            steps.append(step_trace)
+        if chosen == STOP:
+            action_sequence.append(STOP)
+            break
+        route = [chosen]
+        while route[-1] != current:
+            route.append(prev[route[-1]])
+        route.reverse()
+        for a, b in zip(route, route[1:]):
+            total_length += edges[a][b]
+            arrive(b)
+            node_sequence.append(b)
+        action_sequence.append(chosen)
+
+    return Trajectory(
+        episode_id=ep,
+        policy=policy,
+        node_sequence=node_sequence,
+        action_sequence=action_sequence,
+        stop_node=current,
+        selected_object=ground_object(*objects_at(current), P_o, Y_o),
+        total_length=total_length,
+        steps=steps,
     )

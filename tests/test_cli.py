@@ -12,12 +12,13 @@ from hspr import cli as cli_module, simulator
 from hspr.cli import dispatch
 from hspr.errors import InternalError
 from hspr.kb import load_kb
-from hspr.perception import ConfusionModel, save_confusion
+from hspr.perception import ConfusionModel
 from hspr.scene import load_scene
 from hspr.simulator import BatchResult, run_batch
 from hspr.topo import SemanticTopoMap
 
 from conftest import cli_in_process
+from oracles import save_confusion
 
 
 def cli(*args, cwd=None, env=None):
@@ -386,6 +387,20 @@ def test_engine_bug_exits_4(parallel, pipeline_dir, tmp_path, monkeypatch, capsy
         assert code == 4
         assert stderr.splitlines() == [line.format(first=first)]
         assert not (tmp_path / "t.jsonl").exists()
+
+
+def test_logistic_beta_past_float_range_is_its_limit(pipeline_dir, tmp_path):
+    # exp(800) overflows a float; the sigmoid there is 0, the same as fixed:0
+    outputs = []
+    for beta in ("logistic:bias=-800", "fixed:0"):
+        out = tmp_path / f"{beta}.jsonl"
+        code, err = cli_in_process("run", "--scenes", pipeline_dir / "scenes",
+                                   "--kb", pipeline_dir / "kb.json",
+                                   "--episodes", pipeline_dir / "episodes.json",
+                                   "--beta", beta, "--trace", "--seed", "1", "--out", out)
+        assert code == 0, err
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def _set_shortest_length(value):

@@ -9,12 +9,13 @@ import pytest
 from hspr.bench import house_generator_kb
 from hspr.errors import SchemaError
 from hspr.kb import load_kb, save_kb
-from hspr.perception import ConfusionModel, load_confusion, save_confusion
+from hspr.perception import ConfusionModel, load_confusion
 from hspr.scene import load_scene, save_scene
 from hspr.simulator import Trajectory, load_trajectories, save_trajectories
 from hspr.synth import load_episodes, sample_episodes, save_episodes
 
 from conftest import make_scene
+from oracles import save_confusion
 
 
 def _two_node_scene():

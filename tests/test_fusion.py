@@ -92,6 +92,11 @@ class TestBalanceFactor:
         got = balance_factor(policy, {"x": 1.0})
         assert math.isclose(got, 1 / (1 + math.exp(-1.0)))
 
+    def test_logistic_far_from_zero_reaches_the_sigmoid_limits(self):
+        # exp(800) overflows a float; exp(-800) underflows to 0.0
+        assert balance_factor(LogisticBeta(bias=-800.0), {}) == 0.0
+        assert balance_factor(LogisticBeta(bias=800.0), {}) == 1.0
+
     def test_fixed_builds_no_map_features(self, monkeypatch):
         def unread(topo_map):
             raise AssertionError("FixedBeta reads no map features")

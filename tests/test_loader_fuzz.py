@@ -17,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hspr.cli import EXIT_INTERNAL
-from hspr.perception import ConfusionModel, save_confusion
+from hspr.perception import ConfusionModel
 
 from conftest import cli_in_process
+from oracles import save_confusion
 
 REPLACEMENTS = [None, "x", "nan", [], [1, "a"], {}, {"k": 1}, -1, -2.5, 1e300, -1e300, 10**400]
 

@@ -56,3 +56,33 @@ def test_no_zero_based_uniform_in_the_package():
             if low is None or (isinstance(low, ast.Constant) and low.value == 0):
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+def test_every_public_name_is_named_outside_its_definition():
+    """Each public module-level function and class of hspr is named (read,
+    imported or looked up as an attribute) by the package, `demos/` or
+    `perfbench/` somewhere other than its own definition.  A name that only
+    tests use is a reference for them and lives in tests/oracles.py."""
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    package = sorted(Path(hspr.__file__).parent.glob("*.py"))
+    root = Path(hspr.__file__).resolve().parents[2]
+    readers = package + sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").rglob("*.py"))
+    owners = {}  # name -> the (file, top-level definition) of each place that names it
+    for path in readers:
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = (path, stmt.name) if isinstance(stmt, definitions) else (path, None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    owners.setdefault(node.id, set()).add(owner)
+                elif isinstance(node, ast.Attribute):
+                    owners.setdefault(node.attr, set()).add(owner)
+                elif isinstance(node, ast.alias):
+                    owners.setdefault(node.name, set()).add(owner)
+    unnamed = [
+        f"{path.stem}.{stmt.name}"
+        for path in package
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(stmt, definitions) and not stmt.name.startswith("_")
+        and not owners.get(stmt.name, set()) - {(path, stmt.name)}
+    ]
+    assert unnamed == []

@@ -11,16 +11,14 @@ from hspr.perception import (
     TypeBelief,
     VisualWeights,
     load_confusion,
-    save_confusion,
     target_spec_from_episode,
     visual_score_table,
 )
-from hspr.reasoner import present_types_from_beliefs
 from hspr.seeding import LazyRng
 from hspr.synth import sample_episode
 
 from conftest import same_float
-from oracles import visual_score_table_per_node
+from oracles import present_types_from_beliefs, save_confusion, visual_score_table_per_node
 
 
 def perceive(model, true_types, seed):
@@ -100,7 +98,8 @@ class TestConfusionModel:
         assert loaded.mode == "sampled"
 
     def test_file_bytes_are_pinned(self, tmp_path):
-        # sha256 of save_confusion's output, recorded before its writer moved to hspr.errors
+        # sha256 of the file hspr.perception.save_confusion wrote, recorded before the
+        # writer moved to tests/oracles.py: it pins hspr.errors.write_json's format
         path = tmp_path / "confusion.json"
         save_confusion(ConfusionModel.eps_uniform(10, 0.2), path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()

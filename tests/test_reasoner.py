@@ -11,13 +11,16 @@ from hspr.reasoner import (
     SuccessorTable,
     TypePath,
     enumerate_type_paths,
-    multi_step_scores,
-    present_types_from_beliefs,
-    proximity_scores,
 )
 
 import oracles
-from oracles import enumerate_paths_exhaustive, select_path
+from oracles import (
+    enumerate_paths_exhaustive,
+    multi_step_scores,
+    present_types_from_beliefs,
+    proximity_scores,
+    select_path,
+)
 
 
 def one_hot(n, i):

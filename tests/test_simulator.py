@@ -20,7 +20,6 @@ from hspr.reasoner import (
     SuccessorTable,
     TypePath,
     enumerate_type_paths,
-    proximity_scores,
 )
 from hspr.simulator import (
     AgentConfig,
@@ -36,6 +35,7 @@ from hspr.synth import Episode
 
 import oracles
 from conftest import make_scene, same_float
+from oracles import proximity_scores
 
 
 def mini_kb(n_types=4, n_objects=4):
