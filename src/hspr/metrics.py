@@ -92,9 +92,10 @@ def episode_metrics(
         )
 
     if ne_mode == "geodesic":
-        dist, _ = dijkstra(scene._adjacency, episode.target_node, target=stop_node)
-        ne = dist.get(stop_node, math.inf)
-        nearest = min(dist.get(nid, math.inf) for nid in walked)
+        index = scene._index
+        dist, _ = dijkstra(scene._nbrs, scene._ids, index[episode.target_node], index[stop_node])
+        ne = dist[index[stop_node]]
+        nearest = min(dist[index[nid]] for nid in walked)
     else:
         tp = scene.node(episode.target_node).position
         ne = math.dist(scene.node(stop_node).position, tp)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import ItemsView, Mapping
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, SchemaError, malformed, read_json, write_json
@@ -51,17 +51,21 @@ class SceneGraph:
     edges: list[tuple[str, str, float]]
     type_vocabulary: list[str]
     object_vocabulary: list[str]
-    _index: dict[str, NodeRecord] = field(default_factory=dict, repr=False)
-    # undirected edges, stored both ways in edge order: the shape dijkstra reads
-    _adjacency: dict[str, dict[str, float]] = field(default_factory=dict, repr=False)
+    # nodes are numbered by their position in `nodes`: _ids[k] is node k's id
+    _ids: list[str] = field(default_factory=list, repr=False)
+    _index: dict[str, int] = field(default_factory=dict, repr=False)
+    # undirected edges, stored both ways as (index, length) in edge order: the shape dijkstra reads
+    _nbrs: list[list[tuple[int, float]]] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        self._index = {n.node_id: n for n in self.nodes}
-        self._adjacency = {n.node_id: {} for n in self.nodes}
+        self._ids = [n.node_id for n in self.nodes]
+        self._index = {node_id: k for k, node_id in enumerate(self._ids)}
+        self._nbrs = [[] for _ in self.nodes]
+        index = self._index
         for a, b, length in self.edges:
-            if a in self._adjacency and b in self._adjacency:
-                self._adjacency[a][b] = length
-                self._adjacency[b][a] = length
+            if a in index and b in index:
+                self._nbrs[index[a]].append((index[b], length))
+                self._nbrs[index[b]].append((index[a], length))
 
     @property
     def n_types(self) -> int:
@@ -72,17 +76,18 @@ class SceneGraph:
         return len(self.object_vocabulary)
 
     def node(self, node_id: str) -> NodeRecord:
-        return self._index[node_id]
+        return self.nodes[self._index[node_id]]
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self._index
 
-    def neighbors(self, node_id: str) -> ItemsView[str, float]:
+    def neighbors(self, node_id: str) -> list[tuple[str, float]]:
         """Neighbors of a node with edge lengths, in stored edge order."""
-        return self._adjacency[node_id].items()
+        ids = self._ids
+        return [(ids[j], length) for j, length in self._nbrs[self._index[node_id]]]
 
     def node_ids(self) -> list[str]:
-        return [n.node_id for n in self.nodes]
+        return list(self._ids)
 
 
 def validate_scene(scene: SceneGraph) -> None:
@@ -293,46 +298,56 @@ def region_adjacency(scene: SceneGraph, regions: list[Region]) -> set[tuple[str,
 
 
 def dijkstra(
-    adj: Mapping[str, Mapping[str, float]], source: str, target: str | None = None
-) -> tuple[dict[str, float], dict[str, str]]:
-    """Exact shortest distances and route predecessors from source.
+    nbrs: Sequence[Sequence[tuple[int, float]]],
+    ids: Sequence[str],
+    source: int,
+    target: int | None = None,
+) -> tuple[list[float], list[int]]:
+    """Exact shortest distances and route predecessors from source, by node index.
 
-    adj maps each node to its neighbors and edge lengths; nodes missing from
-    the returned dist are unreachable.  Among equal-length routes the heap
-    order (distance, node_id) decides: a node's predecessor is its tied
-    neighbor settled first, and a later relaxation replaces it only when
-    strictly shorter.  With a target, the search stops once the target is
-    settled: dist[target] is final (lengths are >= 0), other entries may not be.
+    nbrs[k] lists node k's neighbors as (index, length) pairs and ids[k] is
+    its id; dist[k] is inf where node k is unreachable, and prev[k] is -1
+    where it has no predecessor (the source, or an unreachable node).  Among
+    equal-length routes the heap order (distance, node id) decides: a
+    node's predecessor is its tied neighbor settled first, and a later
+    relaxation replaces it only when strictly shorter.  With a target, the
+    search stops once the target is settled: dist[target] is final (lengths
+    are >= 0), other entries may not be.
     """
-    dist = {source: 0.0}
-    prev: dict[str, str] = {}
-    heap = [(0.0, source)]
-    stop = target is not None  # a bool test per pop; comparing a str to None costs more
+    heappop, heappush = heapq.heappop, heapq.heappush
+    dist = [math.inf] * len(nbrs)
+    prev = [-1] * len(nbrs)
+    dist[source] = 0.0
+    # ids are unique, so a heap entry is never compared past its id
+    heap = [(0.0, ids[source], source)]
+    stop = -1 if target is None else target
     while heap:
-        d, node = heapq.heappop(heap)
+        d, _, node = heappop(heap)
         if d > dist[node]:
             continue
-        if stop and node == target:
+        if node == stop:
             break
-        for nbr, length in adj.get(node, {}).items():
+        for nbr, length in nbrs[node]:
             nd = d + length
-            if nd < dist.get(nbr, math.inf):
+            if nd < dist[nbr]:
                 dist[nbr] = nd
                 prev[nbr] = node
-                heapq.heappush(heap, (nd, nbr))
+                heappush(heap, (nd, ids[nbr], nbr))
     return dist, prev
 
 
 def hop_distances(scene: SceneGraph, source: str) -> dict[str, int]:
     """Unweighted hop counts from source via breadth-first search."""
+    ids, nbrs = scene._ids, scene._nbrs
     dist = {source: 0}
-    frontier = [source]
+    frontier = [scene._index[source]]
     while frontier:
         nxt = []
-        for nid in frontier:
-            for nbr, _ in scene.neighbors(nid):
-                if nbr not in dist:
-                    dist[nbr] = dist[nid] + 1
-                    nxt.append(nbr)
+        for k in frontier:
+            hops = dist[ids[k]] + 1
+            for j, _ in nbrs[k]:
+                if ids[j] not in dist:
+                    dist[ids[j]] = hops
+                    nxt.append(j)
         frontier = nxt
     return dist

@@ -322,7 +322,7 @@ def run_episode(
 
         route = topo.route_to(table, chosen)
         for prev, nxt in zip(route, route[1:]):
-            total_length += topo.adj[prev][nxt]
+            total_length += topo.edge_length(prev, nxt)
             arrive(nxt)
             node_sequence.append(nxt)
         action_sequence.append(chosen)
@@ -378,19 +378,21 @@ def _scored_action(
 
     current_row = nodes[current].row
     alignment = row_scores.alignment(rows | {current_row})
-    global_view = [(i, table.distance(i), alignment[row_of[i]]) for i in candidates]
-    local_view = [(i, topo.adj[current][i], alignment[row_of[i]]) for i in sorted(F)]
+    index, dist = topo.index, table.dist
+    global_view = [(i, dist[index[i]], alignment[row_of[i]]) for i in candidates]
+    local_view = [(i, topo.edge_length(current, i), alignment[row_of[i]]) for i in sorted(F)]
     visual = agent.visual
     eps_c = visual_score_table(global_view, visual, streams.rng("visual-global", decision_step))
     eps_f = visual_score_table(local_view, visual, streams.rng("visual-local", decision_step))
 
     visited_scores = None
     if agent.fusion_mode == "dynamic":
-        visited_view = [(i, table.distance(i), alignment[row_of[i]]) for i in visited]
+        visited_view = [(i, dist[index[i]], alignment[row_of[i]]) for i in visited]
         eps_v = visual_score_table(visited_view, visual, streams.rng("visual-visited", decision_step))
         visited_scores = {i: eta_all[i] + eps_v[i] for i in visited}
 
-    beta = balance_factor(agent.beta_policy, topo)
+    # average fusion blends at a pinned 0.5, so that is the beta it records
+    beta = 0.5 if agent.fusion_mode == "average" else balance_factor(agent.beta_policy, topo)
     # one proximity score per node serves as both eta_c and eta_f
     scores = fuse_variant_table(
         agent.fusion_mode, eta_all, eta_all, eps_c, eps_f, F, C, beta,

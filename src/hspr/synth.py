@@ -277,7 +277,7 @@ def sample_episode(scene: SceneGraph, seed, episode_id: str | None = None) -> Ep
     rng = derive_rng(seed, "episode", scene.scene_id)
     order = scene.node_ids()
     start = order[int(rng.integers(len(order)))]
-    near = scene._adjacency[start]
+    near = {nbr for nbr, _ in scene.neighbors(start)}
     eligible = [nid for nid in object_nodes if nid != start and nid not in near]
     if not eligible:
         eligible = [nid for nid in object_nodes if nid != start]
@@ -286,8 +286,9 @@ def sample_episode(scene: SceneGraph, seed, episode_id: str | None = None) -> Ep
     target = eligible[int(rng.integers(len(eligible)))]
     target_record = scene.node(target)
     obj = target_record.objects[int(rng.integers(len(target_record.objects)))]
-    dist = dijkstra(scene._adjacency, start, target)[0]
-    if target not in dist:
+    source, goal = scene._index[start], scene._index[target]
+    shortest = dijkstra(scene._nbrs, scene._ids, source, goal)[0][goal]
+    if shortest == math.inf:
         raise ValueError(f"scene {scene.scene_id!r}: {target!r} cannot be reached from {start!r}")
     return Episode(
         episode_id=episode_id or f"{scene.scene_id}-ep{seed}",
@@ -295,7 +296,7 @@ def sample_episode(scene: SceneGraph, seed, episode_id: str | None = None) -> Ep
         start_node=start,
         target_node=target,
         target_object=obj.object_id,
-        shortest_length=dist[target],
+        shortest_length=shortest,
         target_type=target_record.node_type,
     )
 

@@ -5,9 +5,12 @@ makes it current, reveals its true neighbors as navigable, and perceives
 the types of the nodes new to the map (in sampled mode, of every node it
 reaches).  A node's status is not stored: it follows from `current` and
 the visited and navigable sets, which set queries read instead of scanning.
-Route planning runs single-source Dijkstra from the current node over the
-known edges, since a decision step only reads distances and routes from
-where the agent stands.
+The map numbers each node when it is first seen and keeps its known edges
+as (index, length) lists by that number.  Route planning runs the scene's
+single-source Dijkstra from the current node over those lists, since a
+decision step only reads distances and routes from where the agent stands;
+the routing table holds lists by the same number.  Node ids stay at the
+boundaries: beliefs, statuses, routes and snapshots are read by id.
 """
 
 from __future__ import annotations
@@ -32,15 +35,20 @@ NAVIGABLE = "navigable"
 class RoutingTable:
     """Shortest distances and route predecessors from one source node.
 
-    Nodes missing from `dist` are unreachable on the known map.
+    Lists by the numbering of the map the table was built on (`index`, the
+    map's own): dist[k] is inf where node k is unreachable on the known map,
+    and prev[k] is -1 where it has no predecessor.  n_edges is the map's
+    edge count when the table was built.
     """
 
-    source: str
-    dist: dict[str, float]
-    prev: dict[str, str]
+    source: int
+    dist: list[float]
+    prev: list[int]
+    index: dict[str, int]
+    n_edges: int
 
     def distance(self, goal: str) -> float:
-        return self.dist.get(goal, math.inf)
+        return self.dist[self.index[goal]]
 
 
 class SemanticTopoMap:
@@ -48,8 +56,12 @@ class SemanticTopoMap:
 
     def __init__(self):
         self.nodes: dict[str, TypeBelief] = {}
-        # undirected edges, stored both ways: adj[a][b] == adj[b][a]
-        self.adj: dict[str, dict[str, float]] = {}
+        # known nodes numbered in the order first seen: ids[k] is node k's id
+        self.ids: list[str] = []
+        self.index: dict[str, int] = {}
+        # undirected edges, stored once each way as (index, length) in insertion order
+        self.nbrs: list[list[tuple[int, float]]] = []
+        self.n_edges = 0
         self.step = 0
         self.current: str | None = None
         # status sets as insertion-ordered dicts; every known node is in exactly one
@@ -57,14 +69,36 @@ class SemanticTopoMap:
         self._navigable: dict[str, None] = {}
 
     def add_edge(self, a: str, b: str, length: float) -> None:
-        self.adj.setdefault(a, {})[b] = length
-        self.adj.setdefault(b, {})[a] = length
+        """Add the undirected edge a-b between known nodes; an edge is added once."""
+        for node_id in (a, b):
+            if node_id not in self.index:
+                raise ValueError(f"edge endpoint {node_id!r} is not on the map")
+        if self.edge_length(a, b) is not None:
+            raise ValueError(f"edge {a!r}-{b!r} is already on the map")
+        self._link(self.index[a], self.index[b], length)
+
+    def _link(self, ka: int, kb: int, length: float) -> None:
+        self.nbrs[ka].append((kb, length))
+        self.nbrs[kb].append((ka, length))
+        self.n_edges += 1
+
+    def edge_length(self, a: str, b: str) -> float | None:
+        """Length of the known edge a-b, or None if the map has no such edge."""
+        ka, kb = self.index.get(a), self.index.get(b)
+        if ka is not None:
+            for k, length in self.nbrs[ka]:
+                if k == kb:
+                    return length
+        return None
 
     def add_node(self, node_id: str, status: str, belief: TypeBelief) -> None:
-        """Add a node with its status, bypassing observe; CURRENT makes it current."""
+        """Add a node under the next number, with its status; CURRENT makes it current."""
         if node_id in self.nodes:
             raise ValueError(f"node {node_id!r} is already on the map")
         self.nodes[node_id] = belief
+        self.index[node_id] = len(self.ids)
+        self.ids.append(node_id)
+        self.nbrs.append([])
         (self._navigable if status == NAVIGABLE else self._visited)[node_id] = None
         if status == CURRENT:
             self.current = node_id
@@ -102,14 +136,14 @@ class SemanticTopoMap:
         there.  A sampled draw replaces a known belief only if it lands on
         another row.  Arrival is legal at the episode start (empty map) or
         at any already-known node; anything else is a teleport.  The arrived
-        node's edges are added on its first arrival only.
+        node's edges are added on its first arrival only, except those to
+        visited nodes: each of those nodes' first arrival added its edge.
         """
         if self.nodes and arrived_node not in self.nodes:
             raise ValueError(
                 f"cannot arrive at {arrived_node!r}: not a known node and not the start"
             )
-        # a node's edges and neighbors are all known after its first arrival,
-        # and re-assigning a known key would keep its place in adj anyway
+        # a node's edges and neighbors are all known after its first arrival
         first_arrival = arrived_node not in self._visited
         redraw = confusion.mode == "sampled"
         if redraw or arrived_node not in self.nodes:
@@ -120,24 +154,27 @@ class SemanticTopoMap:
         self.current = arrived_node
 
         for nbr_id, length in sorted(scene.neighbors(arrived_node)) if redraw or first_arrival else ():
-            if (redraw or nbr_id not in self.nodes) and self._perceive(scene.node(nbr_id), confusion, rng):
-                self._navigable[nbr_id] = None
-            if first_arrival:
-                self.add_edge(arrived_node, nbr_id, length)
+            if redraw or nbr_id not in self.nodes:
+                self._perceive(scene.node(nbr_id), confusion, rng)
+            if first_arrival and nbr_id not in self._visited:
+                self._link(self.index[arrived_node], self.index[nbr_id], length)
         self.step += 1
 
-    def _perceive(self, record, confusion: ConfusionModel, rng) -> bool:
-        """Perceive one node, replacing a known belief only if its row changed; True if new."""
+    def _perceive(self, record, confusion: ConfusionModel, rng) -> None:
+        """Perceive one node: a new one joins the map as navigable, and a known
+        one's belief is replaced only if its row changed."""
         row = confusion.perceive(record.node_type, rng)
         known = self.nodes.get(record.node_id)
-        if known is None or known.row != row:
+        if known is None:
+            self.add_node(record.node_id, NAVIGABLE, confusion.belief(record.node_id, row))
+        elif known.row != row:
             self.nodes[record.node_id] = confusion.belief(record.node_id, row)
-        return known is None
 
     def navigable_sets(self) -> tuple[set[str], KeysView[str]]:
         """(local F, global C): navigable nodes next to current, and all of them (or none)."""
         C = self.navigable_ids()
-        return C & self.adj.get(self.current, {}).keys(), C
+        near = self.nbrs[self.index[self.current]] if self.current is not None else ()
+        return {self.ids[k] for k, _ in near} & C, C
 
     def shortest_paths(self, source: str | None = None) -> RoutingTable:
         """Exact Dijkstra distances and predecessors from source (default current).
@@ -152,8 +189,9 @@ class SemanticTopoMap:
             raise ValueError("map has no current node")
         if source not in self.nodes:
             raise ValueError(f"source {source!r} is not a known node")
-        dist, prev = dijkstra(self.adj, source)
-        return RoutingTable(source=source, dist=dist, prev=prev)
+        k = self.index[source]
+        dist, prev = dijkstra(self.nbrs, self.ids, k)
+        return RoutingTable(source=k, dist=dist, prev=prev, index=self.index, n_edges=self.n_edges)
 
     def all_pairs_shortest_paths(self) -> dict[str, RoutingTable]:
         """One single-source table per known node; for checks, not per step."""
@@ -162,24 +200,31 @@ class SemanticTopoMap:
     def _check_table(self, table: RoutingTable) -> None:
         if self.current is None:
             raise ValueError("map has no current node")
-        if table.source != self.current:
+        if table.index is not self.index:
+            raise ValueError("routing table is from another map")
+        if table.source != self.index[self.current]:
             raise ValueError(
-                f"routing table is from {table.source!r}, not the current node {self.current!r}"
+                f"routing table is from {self.ids[table.source]!r}, "
+                f"not the current node {self.current!r}"
             )
+        if len(table.dist) != len(self.ids) or table.n_edges != self.n_edges:
+            raise ValueError("routing table was built before the map grew")
 
     def route_to(self, table: RoutingTable, goal: str) -> list[str]:
         """Node sequence current -> goal, walking the table's predecessors."""
         self._check_table(table)
-        if goal not in self.nodes:
+        k = self.index.get(goal)
+        if k is None:
             raise ValueError(f"goal {goal!r} is not a known node")
-        if not math.isfinite(table.distance(goal)):
+        if table.dist[k] == math.inf:
             raise ValueError(f"goal {goal!r} is unreachable on the known map")
+        prev, ids = table.prev, self.ids
         path = [goal]
-        while path[-1] != self.current:
-            hop = table.prev.get(path[-1])
-            if hop is None or len(path) > len(self.nodes):
+        while k != table.source:
+            k = prev[k]
+            if k < 0 or len(path) > len(ids):
                 raise InternalError(f"broken predecessor chain toward {goal!r}")
-            path.append(hop)
+            path.append(ids[k])
         return path[::-1]
 
     def route_sums(
@@ -192,28 +237,33 @@ class SemanticTopoMap:
         but prefixes shared down the predecessor tree are added once.
         """
         self._check_table(table)
-        source = self.current
-        # sum() starts from the integer 0, so start there too (0 + -0.0 is 0.0)
-        sums = {source: 0 + weights[source] if source in weights else 0}
+        ids, index, dist, prev = self.ids, self.index, table.dist, table.prev
+        # by node index, None until known; sum() starts from the integer 0, so
+        # start there too (0 + -0.0 is 0.0)
+        sums: list[float | None] = [None] * len(ids)
+        w = weights.get(self.current)
+        sums[table.source] = 0 if w is None else 0 + w
         for goal in goals:
-            if not math.isfinite(table.distance(goal)):
+            k = index.get(goal)
+            if k is None or dist[k] == math.inf:
                 raise ValueError(f"goal {goal!r} is unreachable on the known map")
             chain = []  # goal back to the first node with a known sum
-            node = goal
-            while node not in sums:
-                chain.append(node)
-                node = table.prev.get(node)
-                if node is None or len(chain) > len(self.nodes):
+            while sums[k] is None:
+                chain.append(k)
+                k = prev[k]
+                if k < 0 or len(chain) > len(ids):
                     raise InternalError(f"broken predecessor chain toward {goal!r}")
-            total = sums[node]
-            for node in reversed(chain):
-                if node in weights:
-                    total += weights[node]
-                sums[node] = total
-        return {goal: sums[goal] for goal in goals}
+            total = sums[k]
+            for k in reversed(chain):
+                w = weights.get(ids[k])
+                if w is not None:
+                    total += w
+                sums[k] = total
+        return {goal: sums[index[goal]] for goal in goals}
 
     def snapshot(self) -> dict:
         """JSON-friendly view of node statuses and belief argmaxes."""
+        ids = self.ids
         return {
             "step": self.step,
             "nodes": {
@@ -224,9 +274,9 @@ class SemanticTopoMap:
                 for nid, belief in sorted(self.nodes.items())
             },
             "edges": sorted(
-                [a, b, length]
-                for a, near in self.adj.items()
-                for b, length in near.items()
-                if a < b
+                [ids[a], ids[b], length]
+                for a, near in enumerate(self.nbrs)
+                for b, length in near
+                if ids[a] < ids[b]
             ),
         }

@@ -34,6 +34,10 @@ tests called them.
 `reference_run_episode` runs a whole episode of `simulator.run_episode`
 from these definitions and `dijkstra_with_predecessors`, so one
 trajectory comparison checks every fast path of a decision step.
+
+`id_keyed` reads a node-numbered scene, map, routing table or
+`scene.dijkstra` result back as the id-keyed dicts hspr kept before it
+numbered nodes, so that tests state what they expect by node id.
 """
 
 from __future__ import annotations
@@ -50,10 +54,11 @@ from hspr.errors import write_json
 from hspr.fusion import STOP, balance_factor
 from hspr.perception import CONFUSION_SCHEMA_VERSION
 from hspr.reasoner import TypePath
-from hspr.scene import SceneGraph, dijkstra, hop_distances
+from hspr.scene import SceneGraph, hop_distances
 from hspr.seeding import derive_rng
 from hspr.simulator import Trajectory
 from hspr.synth import Episode
+from hspr.topo import NAVIGABLE, RoutingTable, SemanticTopoMap
 
 
 def percentile_minmax_row(row):
@@ -110,8 +115,7 @@ def geodesic_distances(scene, source: str) -> dict[str, float]:
     """
     if not scene.has_node(source):
         raise ValueError(f"unknown node {source!r}")
-    dist, _ = dijkstra(scene._adjacency, source)
-    return {nid: dist.get(nid, math.inf) for nid in scene.node_ids()}
+    return dijkstra_single_source(scene.node_ids(), scene.edges, source)
 
 
 def connected_components_union_find(node_ids, edges):
@@ -408,17 +412,19 @@ def observe_reperceiving(topo, scene, arrived_node, confusion, rng) -> None:
     The arrived node, then each neighbor in id order, is perceived on every
     arrival, known or not and in either confusion mode.  A known node keeps
     its belief object unless it is perceived at another row; the arrived
-    node's edges are added on its first arrival only.
+    node's edges are added on its first arrival only, except those to
+    visited nodes, whose own first arrival added them.
     """
     if topo.nodes and arrived_node not in topo.nodes:
         raise ValueError(f"cannot arrive at {arrived_node!r}: not a known node and not the start")
 
-    def perceive(node_id) -> bool:
+    def perceive(node_id) -> None:
         row = confusion.perceive(scene.node(node_id).node_type, rng)
         known = topo.nodes.get(node_id)
-        if known is None or known.row != row:
+        if known is None:  # a new node joins the map as navigable
+            topo.add_node(node_id, NAVIGABLE, confusion.belief(node_id, row))
+        elif known.row != row:
             topo.nodes[node_id] = confusion.belief(node_id, row)
-        return known is None
 
     first_arrival = arrived_node not in topo._visited
     perceive(arrived_node)
@@ -426,9 +432,8 @@ def observe_reperceiving(topo, scene, arrived_node, confusion, rng) -> None:
     topo._visited[arrived_node] = None
     topo.current = arrived_node
     for nbr_id, length in sorted(scene.neighbors(arrived_node)):
-        if perceive(nbr_id):
-            topo._navigable[nbr_id] = None
-        if first_arrival:
+        perceive(nbr_id)
+        if first_arrival and nbr_id not in topo._visited:
             topo.add_edge(arrived_node, nbr_id, length)
     topo.step += 1
 
@@ -471,7 +476,7 @@ def sample_episode_by_hops(scene: SceneGraph, seed, episode_id: str | None = Non
     target = eligible[int(rng.integers(len(eligible)))]
     target_record = scene.node(target)
     obj = target_record.objects[int(rng.integers(len(target_record.objects)))]
-    shortest = dijkstra(scene._adjacency, start, target)[0][target]
+    shortest = dijkstra_single_source(scene.node_ids(), scene.edges, start)[target]
     return Episode(
         episode_id=episode_id or f"{scene.scene_id}-ep{seed}",
         scene_id=scene.scene_id,
@@ -576,6 +581,35 @@ def dijkstra_with_predecessors(adjacency, source):
                 dist[nbr] = d + length
                 prev[nbr] = node
     return dist, prev
+
+
+def id_keyed(graph, paths=None):
+    """Id-keyed dicts of a node-numbered structure, in the shapes hspr kept
+    before it numbered nodes.
+
+    A SceneGraph gives {id: {neighbor: length}} for every node, and a
+    SemanticTopoMap the same for each node with a known edge, both in
+    stored edge order.  A RoutingTable gives (dist, prev): dist holds the
+    reachable nodes, prev each node's predecessor id.  With paths, the
+    (dist, prev) lists of `scene.dijkstra` over graph's numbering read the
+    same way.
+    """
+    if isinstance(graph, RoutingTable):
+        ids, paths = list(graph.index), (graph.dist, graph.prev)
+    elif isinstance(graph, SemanticTopoMap):
+        ids, rows, keep_bare = graph.ids, graph.nbrs, False
+    else:
+        ids, rows, keep_bare = graph._ids, graph._nbrs, True
+    if paths is not None:
+        dist, prev = paths
+        return (
+            {ids[k]: d for k, d in enumerate(dist) if d < math.inf},
+            {ids[k]: ids[j] for k, j in enumerate(prev) if j >= 0},
+        )
+    return {
+        ids[k]: {ids[j]: length for j, length in row}
+        for k, row in enumerate(rows) if row or keep_bare
+    }
 
 
 def reference_run_episode(scene, episode, kb, agent, policy="hspr", trace=False) -> Trajectory:
@@ -689,15 +723,15 @@ def reference_run_episode(scene, episode, kb, agent, policy="hspr", trace=False)
                 "local_fraction": len(F) / max(len(C), 1),
                 "step": float(arrivals),
             }
-            beta = balance_factor(agent.beta_policy, features)
+            # average fusion blends at 0.5, and the trace shows that beta
+            beta = 0.5 if agent.fusion_mode == "average" else balance_factor(agent.beta_policy, features)
             if agent.fusion_mode == "average":
                 l_f.update((i, 0.0) for i in C if i not in F)
             elif dynamic:
                 eps_v = visual("visual-visited", [(i, dist[i], alignment[i]) for i in V])
                 visited_scores = {i: eta[i] + eps_v[i] for i in V}
                 l_f.update((i, route_visited_sum(prev, current, i, visited_scores)) for i in C if i not in F)
-            # average fusion blends at 0.5; the trace still shows the policy's beta
-            l_final = fuse_final(l_c, l_f, 0.5 if agent.fusion_mode == "average" else beta)
+            l_final = fuse_final(l_c, l_f, beta)
 
             w_type, w_obj = agent.stop_weights
             stop = w_type * alignment[current]

@@ -155,7 +155,7 @@ def test_criterion_3_shortest_path_equivalence(rng):
             topo.add_edge(ids[j], ids[i], float(rng.uniform(0.1, 9.0)))
         for _ in range(int(rng.integers(0, 2 * n))):
             a, b = rng.choice(n, 2, replace=False)
-            if ids[int(b)] not in topo.adj.get(ids[int(a)], {}):
+            if topo.edge_length(ids[int(a)], ids[int(b)]) is None:
                 topo.add_edge(ids[int(a)], ids[int(b)], float(rng.uniform(0.1, 9.0)))
         edges = topo.snapshot()["edges"]
         for source in ids:

@@ -18,7 +18,7 @@ from hspr.fusion import (
 from hspr.perception import TypeBelief
 from hspr.topo import CURRENT, NAVIGABLE, VISITED, SemanticTopoMap
 
-from oracles import compose_scores, fuse_final, route_visited_sum
+from oracles import compose_scores, fuse_final, id_keyed, route_visited_sum
 
 
 def random_tables(rng, n_local=3, n_global=6):
@@ -227,6 +227,7 @@ class TestVariantFusion:
                 for ids in (C, F, C, F, topo.visited_ids())
             )
             beta = float(rng.uniform())
+            prev = id_keyed(table)[1]
             for mode in FUSION_MODES:
                 for literal in (False, True):
                     got = fuse_variant_table(
@@ -239,7 +240,7 @@ class TestVariantFusion:
                         if mode == "average":
                             l_f[i] = 0.0
                         elif mode == "dynamic":
-                            l_f[i] = route_visited_sum(table.prev, topo.current, i, visited_scores)
+                            l_f[i] = route_visited_sum(prev, topo.current, i, visited_scores)
                     assert bits(got.l_c) == bits(l_c)
                     assert bits(got.l_f) == bits(l_f)
                     assert bits(got.l_final) == bits(fuse_final(l_c, l_f, want_beta))

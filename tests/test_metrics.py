@@ -21,7 +21,7 @@ from hspr.simulator import Trajectory, load_trajectories
 from hspr.synth import Episode, load_episodes
 
 from conftest import cli_in_process, make_scene, same_float
-from oracles import geodesic_distances
+from oracles import geodesic_distances, id_keyed
 
 
 def path_scene():
@@ -235,7 +235,8 @@ def random_case(rng, scene, walk):
     target_objects = [o.object_id for o in scene.node(target).objects] or ["none"]
     stop_objects = [None, *(o.object_id for o in scene.node(walk[-1]).objects)]
     L = geodesic_distances(scene, walk[0])[target]
-    total = float(sum(scene._adjacency.get(a, {}).get(b, 1.0) for a, b in zip(walk, walk[1:])))
+    adj = id_keyed(scene)
+    total = float(sum(adj.get(a, {}).get(b, 1.0) for a, b in zip(walk, walk[1:])))
     trajectory = Trajectory(
         "e0", "hspr", walk, [*walk[1:], "<stop>"], walk[-1],
         stop_objects[int(rng.integers(len(stop_objects)))], total,

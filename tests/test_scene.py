@@ -8,6 +8,7 @@ from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 from hspr.bench import house_generator_kb
 from hspr.errors import InvariantViolation, SchemaError
+from hspr.perception import TypeBelief
 from hspr.scene import (
     dijkstra,
     load_scene,
@@ -17,9 +18,16 @@ from hspr.scene import (
 )
 
 from hspr.synth import GeneratorConfig, generate_scene
+from hspr.topo import NAVIGABLE, SemanticTopoMap
 
 from conftest import make_scene
-from oracles import connected_components_union_find, dijkstra_single_source, geodesic_distances
+from oracles import (
+    connected_components_union_find,
+    dijkstra_single_source,
+    dijkstra_with_predecessors,
+    geodesic_distances,
+    id_keyed,
+)
 
 
 def write_scene(scene, tmp_path, name="scene.json"):
@@ -274,13 +282,21 @@ class TestGeodesicDistances:
 
 
 def _random_integer_graph(rng, n):
-    """Adjacency of a random graph with lengths 1-3, so equal routes tie."""
+    """A random scene with lengths 1-3, so equal routes tie."""
     adj = {f"n{i}": {} for i in range(n)}
     for _ in range(int(rng.integers(n - 1, 3 * n))):
         i, j = (int(k) for k in rng.choice(n, 2, replace=False))
         length = float(rng.integers(1, 4))
         adj[f"n{i}"][f"n{j}"] = adj[f"n{j}"][f"n{i}"] = length
-    return adj
+    edges = [(a, b, w) for a in adj for b, w in adj[a].items() if a < b]
+    return make_scene([(nid, "r0", 0) for nid in adj], edges, validate=False)
+
+
+def _search(scene, source, target=None):
+    """scene.dijkstra by node id: id-keyed (dist, prev) as id_keyed reads them."""
+    index = scene._index
+    stop = None if target is None else index[target]
+    return id_keyed(scene, dijkstra(scene._nbrs, scene._ids, index[source], stop))
 
 
 def _route(prev, source, node):
@@ -293,11 +309,12 @@ def _route(prev, source, node):
 class TestDijkstraEarlyStop:
     def test_target_distance_and_route_match_the_full_search(self, rng):
         for _ in range(150):
-            adj = _random_integer_graph(rng, int(rng.integers(2, 12)))
+            scene = _random_integer_graph(rng, int(rng.integers(2, 12)))
+            adj = id_keyed(scene)
             for source in adj:
-                dist, prev = dijkstra(adj, source)
+                dist, prev = _search(scene, source)
                 for target in adj:
-                    got_dist, got_prev = dijkstra(adj, source, target)
+                    got_dist, got_prev = _search(scene, source, target)
                     if target not in dist:  # unreachable: the search runs out
                         assert (got_dist, got_prev) == (dist, prev)
                         continue
@@ -306,11 +323,12 @@ class TestDijkstraEarlyStop:
 
     def test_full_search_keeps_distances_and_tie_broken_predecessors(self, rng):
         for _ in range(150):
-            adj = _random_integer_graph(rng, int(rng.integers(2, 12)))
+            scene = _random_integer_graph(rng, int(rng.integers(2, 12)))
+            adj = id_keyed(scene)
             ids = list(adj)
             edges = [(a, b, w) for a in adj for b, w in adj[a].items() if a < b]
             for source in ids:
-                dist, prev = dijkstra(adj, source, target=None)
+                dist, prev = _search(scene, source, target=None)
                 want = dijkstra_single_source(ids, edges, source)
                 assert dist == {nid: d for nid, d in want.items() if d < math.inf}
                 # a predecessor is the tied neighbour settled first, in (distance, id) order
@@ -320,3 +338,41 @@ class TestDijkstraEarlyStop:
                         continue
                     tied = [(dist[u], u) for u, w in adj[node].items() if dist.get(u, math.inf) + w == d]
                     assert prev[node] == min(tied)[1]
+
+
+class TestIndexOrder:
+    @pytest.mark.parametrize("graph", ["scene", "map"])
+    def test_ties_break_on_id_when_index_order_is_not_id_order(self, rng, graph):
+        # nodes are numbered in a shuffled order, so only the id can break a tie
+        # the way dijkstra_with_predecessors does
+        shuffled = 0
+        for _ in range(150):
+            n = int(rng.integers(2, 14))
+            ids = [f"n{i}" for i in range(n)]
+            pairs = {(int(rng.integers(i)), i) for i in range(1, n)}
+            for _ in range(int(rng.integers(0, 2 * n))):
+                i, j = sorted(int(k) for k in rng.choice(n, 2, replace=False))
+                pairs.add((i, j))
+            edges = [
+                (ids[i], ids[j], float(rng.choice(TIE_PRONE_LENGTHS)))
+                for i, j in sorted(pairs, key=lambda _: rng.random())
+            ]
+            order = [ids[int(k)] for k in rng.permutation(n)]
+            if graph == "scene":
+                g = make_scene([(nid, "r0", 0) for nid in order], edges)
+                numbered = g._ids
+                search = lambda source: _search(g, source)
+            else:
+                g = SemanticTopoMap()
+                for nid in order:
+                    g.add_node(nid, NAVIGABLE, TypeBelief(nid, np.array([1.0])))
+                for a, b, length in edges:
+                    g.add_edge(a, b, length)
+                numbered = g.ids
+                search = lambda source: id_keyed(g.shortest_paths(source))
+            assert numbered == order
+            shuffled += order != sorted(order)
+            adj = id_keyed(g)
+            for source in ids:
+                assert search(source) == dijkstra_with_predecessors(adj, source)
+        assert shuffled > 100

@@ -12,7 +12,7 @@ import pytest
 
 from hspr import reasoner, seeding, simulator
 from hspr.bench import standard_benchmark
-from hspr.fusion import STOP
+from hspr.fusion import STOP, FixedBeta
 from hspr.kb import ProximityKB
 from hspr.perception import ConfusionModel, TargetSpec, TypeBelief, VisualWeights, object_rows
 from hspr.reasoner import (
@@ -189,6 +189,21 @@ class TestRunEpisode:
         assert traj.steps
         step = traj.steps[0]
         assert {"step", "beta", "l_final", "chosen"} <= set(step)
+
+    def test_average_fusion_traces_the_beta_it_blends_at(self, small_bench):
+        # average fusion pins beta at 0.5, whatever the balance policy gives
+        scenes, episodes, kb = small_bench
+        agent = bench_agent(fusion_mode="average", beta_policy=FixedBeta(0.7))
+        blended = 0
+        for episode in episodes:
+            traj = run_episode(scenes[episode.scene_id], episode, kb, agent, "hspr", trace=True)
+            for step in traj.steps:
+                assert step["beta"] == 0.5
+                l_c, l_f = step["scores"]["l_c"], step["scores"]["l_f"]
+                for i, fused in step["l_final"].items():
+                    assert fused == 0.5 * l_c[i] + 0.5 * l_f[i]
+                    blended += i != STOP
+        assert blended
 
 
 def object_scores(instances, target, kb):

@@ -10,7 +10,7 @@ from hspr.perception import ConfusionModel, TypeBelief
 from hspr.topo import CURRENT, NAVIGABLE, VISITED, SemanticTopoMap
 
 from conftest import make_scene
-from oracles import dijkstra_single_source, observe_reperceiving, route_visited_sum
+from oracles import dijkstra_single_source, id_keyed, observe_reperceiving, route_visited_sum
 
 
 # identity confusion: each node believes its true type with certainty
@@ -40,7 +40,7 @@ def random_map(rng, n_nodes):
     extra = int(rng.integers(0, n_nodes))
     for _ in range(extra):
         a, b = rng.choice(n_nodes, 2, replace=False)
-        if ids[int(b)] not in topo.adj.get(ids[int(a)], {}):
+        if topo.edge_length(ids[int(a)], ids[int(b)]) is None:
             topo.add_edge(ids[int(a)], ids[int(b)], float(rng.uniform(0.5, 5.0)))
     return topo
 
@@ -65,7 +65,7 @@ class TestObserve:
         assert topo.current == "hub"
         assert topo.status("hub") == CURRENT
         assert topo.navigable_ids() == {"n1", "n2"}
-        assert topo.adj["hub"] == {"n1": 1.0, "n2": 2.0}
+        assert id_keyed(topo)["hub"] == {"n1": 1.0, "n2": 2.0}
         assert topo.step == 1
 
     def test_moving_updates_statuses(self):
@@ -76,6 +76,19 @@ class TestObserve:
         assert topo.status("hub") == VISITED
         assert topo.status("n2") == CURRENT
         assert topo.navigable_ids() == {"n1", "n3"}
+
+    def test_each_edge_is_added_once(self):
+        scene = star_scene()
+        topo = SemanticTopoMap()
+        # n2's first arrival finds hub visited: hub's own first arrival added hub-n2
+        for node in ["hub", "n2", "n3", "n2", "hub", "n1"]:
+            topo.observe(scene, node, ORACLE, None)
+        assert topo.n_edges == len(scene.edges) == len(topo.snapshot()["edges"])
+        assert sorted(len(row) for row in topo.nbrs) == sorted(len(scene.neighbors(n)) for n in topo.ids)
+        with pytest.raises(ValueError, match="already on the map"):
+            topo.add_edge("n2", "hub", 2.0)
+        with pytest.raises(ValueError, match="not on the map"):
+            topo.add_edge("hub", "ghost", 1.0)
 
     def test_revisiting_a_visited_node(self):
         scene = star_scene()
@@ -202,9 +215,10 @@ class TestObserve:
                 for nbr, length in sorted(scene.neighbors(node)):
                     oracle.setdefault(node, {})[nbr] = length
                     oracle.setdefault(nbr, {})[node] = length
-                assert list(topo.adj) == list(oracle)
+                adj = id_keyed(topo)
+                assert list(adj) == list(oracle)
                 for n, near in oracle.items():
-                    assert list(topo.adj[n].items()) == list(near.items())
+                    assert list(adj[n].items()) == list(near.items())
                 options = sorted(scene.neighbors(node))
                 node = options[int(rng.integers(len(options)))][0]
             assert revisits > 0
@@ -238,8 +252,8 @@ class TestObserve:
                     assert fast.status(nid) == slow.status(nid)
                 assert list(fast.visited_ids()) == list(slow.visited_ids())
                 assert list(fast.navigable_ids()) == list(slow.navigable_ids())
-                assert [(a, list(near.items())) for a, near in fast.adj.items()] == [
-                    (a, list(near.items())) for a, near in slow.adj.items()
+                assert [(a, list(near.items())) for a, near in id_keyed(fast).items()] == [
+                    (a, list(near.items())) for a, near in id_keyed(slow).items()
                 ]
                 assert (fast.current, fast.step) == (slow.current, slow.step)
                 # the same draws in the same order leave the same generator state
@@ -300,7 +314,7 @@ class TestShortestPaths:
             topo.observe(scene, node, ORACLE, None)
         table = topo.shortest_paths("a")
         assert table.distance("c") == 3.0
-        assert table.prev["c"] == "b"
+        assert id_keyed(table)[1]["c"] == "b"
         assert table.distance("a") == 0.0
         assert topo.route_to(topo.shortest_paths(), "a") == ["c", "b", "a"]
 
@@ -309,7 +323,7 @@ class TestShortestPaths:
         topo.add_node("island", NAVIGABLE, TypeBelief("island", np.array([1.0])))
         table = topo.shortest_paths()
         assert math.isinf(table.distance("island"))
-        assert "island" not in table.prev
+        assert "island" not in id_keyed(table)[1]
         with pytest.raises(ValueError, match="unreachable"):
             topo.route_to(table, "island")
 
@@ -369,7 +383,8 @@ class TestRouteTo:
                 continue
             route = topo.route_to(table, goal)
             assert len(set(route)) == len(route)
-            total = sum(topo.adj[a][b] for a, b in zip(route, route[1:]))
+            adj = id_keyed(topo)
+            total = sum(adj[a][b] for a, b in zip(route, route[1:]))
             assert math.isclose(total, table.distance(goal), rel_tol=1e-12, abs_tol=1e-12)
 
     def test_unknown_goal_rejected(self):
@@ -388,6 +403,32 @@ class TestRouteTo:
         topo.observe(scene, "n2", ORACLE, None)
         with pytest.raises(ValueError, match="current node"):
             topo.route_to(table, "n3")
+
+    def test_table_from_another_map_rejected(self):
+        scene = star_scene()
+        topo, twin = SemanticTopoMap(), SemanticTopoMap()
+        for m in (topo, twin):
+            m.observe(scene, "hub", ORACLE, None)
+        table = twin.shortest_paths()
+        with pytest.raises(ValueError, match="another map"):
+            topo.route_to(table, "n1")
+        with pytest.raises(ValueError, match="another map"):
+            topo.route_sums(table, {}, ["n1"])
+
+    def test_table_built_before_the_map_grew_rejected(self):
+        scene = star_scene()
+        for grow in (
+            lambda topo: topo.add_node("x", NAVIGABLE, TypeBelief("x", np.array([1.0]))),
+            lambda topo: topo.add_edge("n1", "n2", 1.0),
+        ):
+            topo = SemanticTopoMap()
+            topo.observe(scene, "hub", ORACLE, None)
+            table = topo.shortest_paths()
+            grow(topo)
+            with pytest.raises(ValueError, match="before the map grew"):
+                topo.route_to(table, "n1")
+            with pytest.raises(ValueError, match="before the map grew"):
+                topo.route_sums(table, {}, ["n1"])
 
     def test_snapshot_is_json_friendly(self):
         import json
@@ -415,20 +456,22 @@ class TestRouteSums:
             weights = visited_scores(rng, topo)
             goals = sorted(topo.nodes)
             got = topo.route_sums(table, weights, goals)
+            prev = id_keyed(table)[1]
             for goal in goals:
-                want = route_visited_sum(table.prev, topo.current, goal, weights)
+                want = route_visited_sum(prev, topo.current, goal, weights)
                 assert got[goal] == want and math.copysign(1, got[goal]) == math.copysign(1, want)
 
     def test_broken_predecessor_chain_raises(self, rng):
         topo = random_map(rng, 12)
         table = topo.shortest_paths()
         weights = visited_scores(rng, topo)
-        far = max((n for n in table.prev if table.prev[n] != topo.current), key=table.distance)
-        hop = table.prev[far]
-        del table.prev[hop]
+        prev = id_keyed(table)[1]
+        far = max((n for n in prev if prev[n] != topo.current), key=table.distance)
+        hop = prev[far]
+        table.prev[topo.index[hop]] = -1  # hop loses its predecessor
         with pytest.raises(InternalError, match="broken predecessor chain"):
             topo.route_sums(table, weights, [far])
-        table.prev[hop] = far  # a cycle that never reaches the current node
+        table.prev[topo.index[hop]] = topo.index[far]  # a cycle that never reaches the current node
         with pytest.raises(InternalError, match="broken predecessor chain"):
             topo.route_sums(table, weights, [far])
 
