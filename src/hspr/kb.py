@@ -11,6 +11,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -48,11 +49,17 @@ class CountMatrices:
 class ProximityKB:
     """Normalized proximity matrices plus per-type top co-occurring objects.
 
-    The KB also holds the `SuccessorTable` that every episode run on it
-    searches through, built from P_r on the first search; P_r is read-only
-    from then on.  The table is a cache: it takes no part in `==`, and a
-    pickled KB (a process-pool chunk) leaves it behind, so each worker
-    starts cold.
+    The KB also keeps what every episode run on it shares, so P_r and P_o
+    are read-only once an episode has run:
+    - the `SuccessorTable` that type-path searches go through, built from
+      P_r on the first search;
+    - a store of `TargetScores`, one per rows array and target
+      distribution: P_r . Y_r with each confusion row's R . Y_r and
+      R . P_r . Y_r, and P_o . Y_o with each object row's O . P_o . Y_o.
+      The two sides have keys of their own, so an episode reuses one
+      side's table whatever the other side's target is.
+    Both are caches: they take no part in `==`, and a pickled KB (a
+    process-pool chunk) leaves them behind, so each worker starts cold.
     """
 
     P_r: np.ndarray
@@ -62,6 +69,7 @@ class ProximityKB:
     object_vocabulary: list[str]
     provenance: dict = field(default_factory=dict)
     _successors: SuccessorTable | None = field(default=None, init=False, repr=False)
+    _targets: dict[tuple[bool, int, bytes], TargetScores] | None = field(default=None, init=False, repr=False)
 
     def successor_table(self) -> SuccessorTable:
         """The table of P_r; a ValueError from building it leaves nothing cached."""
@@ -69,9 +77,25 @@ class ProximityKB:
             self._successors = SuccessorTable(self.P_r)
         return self._successors
 
+    def target_scores(self, rows: np.ndarray, Y: np.ndarray, objects: bool = False) -> TargetScores:
+        """The kept scores of `rows` against Y, through P_o if objects, else P_r.
+
+        Keyed by the side, the identity of `rows` (which the table holds, so
+        the id stays that array's) and the bytes of Y.
+        """
+        if self._targets is None:
+            self._targets = {}
+        key = (objects, id(rows), Y.tobytes())
+        found = self._targets.get(key)
+        if found is None:
+            found = self._targets[key] = TargetScores(rows, self.P_o if objects else self.P_r, Y)
+        return found
+
     def __getstate__(self):
         state = self.__dict__.copy()
-        state.pop("_successors", None)  # unset, it reads the class default
+        # unset, they read the class defaults
+        state.pop("_successors", None)
+        state.pop("_targets", None)
         return state
 
     def __eq__(self, other):
@@ -85,6 +109,37 @@ class ProximityKB:
             and self.object_vocabulary == other.object_vocabulary
             and self.provenance == other.provenance
         )
+
+
+class TargetScores:
+    """Scores of the rows of one distribution array against one target
+    distribution Y through one proximity matrix P, filled a row at a time.
+
+    `alignment` maps a row index k to rows[k] . Y and `through` maps it to
+    rows[k] . P . Y, by the matvecs an episode would make afresh, so each
+    value is the same bit for bit.  Y is copied, since its bytes are the
+    table's key.
+    """
+
+    def __init__(self, rows: np.ndarray, P: np.ndarray, Y: np.ndarray):
+        self.rows = rows
+        self.Y = Y.copy()
+        self.pulled = P @ self.Y  # P . Y
+        self._alignment: dict[int, float] = {}
+        self._through: dict[int, float] = {}
+
+    def alignment(self, keys: Iterable[int]) -> dict[int, float]:
+        return self._fill(self._alignment, keys, self.Y)
+
+    def through(self, keys: Iterable[int]) -> dict[int, float]:
+        return self._fill(self._through, keys, self.pulled)
+
+    def _fill(self, table: dict[int, float], keys: Iterable[int], vector: np.ndarray) -> dict[int, float]:
+        missing = [key for key in keys if key not in table]
+        if missing:
+            rows = self.rows
+            table.update((key, float(rows[key] @ vector)) for key in missing)
+        return table
 
 
 def accumulate_scene(counts: CountMatrices, scene: SceneGraph) -> CountMatrices:

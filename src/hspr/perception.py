@@ -30,6 +30,9 @@ _SUM_TOL = 1e-9
 
 
 def _check_distribution(vec: np.ndarray, what: str) -> None:
+    # NaN fails every comparison below, so it is refused first
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{what} has a non-finite entry")
     if np.any(vec < 0):
         raise ValueError(f"{what} has a negative entry")
     if abs(float(vec.sum()) - 1.0) > _SUM_TOL:

@@ -184,7 +184,9 @@ def enumerate_type_paths(
     Every path starts at exactly one present type, and the ranking key
     (-confidence, length, types) is a total order, so the top K over the
     set are the first K of its start types' top-K lists sorted together.
-    Those lists come from the table, which searches each start once.
+    Those lists come from the table, which searches each start once.  Each
+    search emits its paths in ranking order and the beam only stops it, so
+    the list at beam 1 is the head of the list at any larger beam.
     """
     n = table.n
     if not 0 <= target_type < n:

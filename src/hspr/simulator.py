@@ -16,17 +16,22 @@ draws its noise at once, so noiseless or empty views hash nothing.
 Every belief on the map is one of the confusion model's rows, so each
 belief-dependent score is kept per row and read for every node at that
 row.  What does not depend on the episode is kept across episodes: the
-confusion model keeps each row's present types per tau, and the KB's
-successor table keeps, per confusion rows array, each row's score against
-each type's column, so a step's multi-step score of a row is a weighted
-sum of kept floats along the path.  The episode pulls P_r . Y_r and
-P_o . Y_o once and keeps the direct proximity and the visual type
-alignment per row.  Object instances are perceived as rows too, one per
-object type, so the object proximity that drives stopping and grounding
-is computed once per object type per episode.  Type-path searches go through
-the KB's one successor table, shared by every episode on the KB, which
-searches each start type once per target and config; each distinct
-present-type set sorts its starts' cached lists together once per episode.
+confusion model keeps each row's present types per tau, and the KB keeps
+- its successor table: the single-start type-path searches, and, per
+  confusion rows array, each row's score against each type's column, so a
+  step's multi-step score of a row is a weighted sum of kept floats along
+  the path;
+- its target tables: per confusion rows array and Y_r, the pulled vector
+  P_r . Y_r with each row's direct proximity and visual type alignment,
+  and per object rows array and Y_o, P_o . Y_o with each object type's
+  object proximity, which drives stopping and grounding.
+Episodes whose targets share Y_r (or Y_o) share those tables.  Type-path
+searches go through the KB's one successor table, which searches each
+start type once per target and config; each distinct present-type set
+sorts its starts' cached lists together once per episode.  A step walks
+only the top path, so an untraced episode searches with beam 1: the top
+path is the head of every beam's ranking, and only a traced step records
+the `beam` candidates.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import logging
 import math
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -183,18 +188,19 @@ class _RowScores:
     from a table is filled once, together with the other rows the set
     lacks, and every node or instance at that row then reads the same value.
 
-    Only what depends on the episode's target lives here: the pulled
-    vectors P_r . Y_r and P_o . Y_o, computed once, and the tables read
-    through them.  Work that does not depend on the episode is kept across
-    episodes: the confusion model keeps each row's present types per tau,
-    and the KB's successor table keeps the single-start path searches and
-    the row-against-column floats whose weighted sum along a path is a
-    row's multi-step score, summed afresh at each step that reads it.
+    The tables live on the KB, not here: its `TargetScores` for the
+    episode's Y_r and for its Y_o hold the pulled vectors P_r . Y_r and
+    P_o . Y_o and the scores read through them, shared by every episode
+    with the same target and rows.  The confusion model keeps each row's
+    present types per tau, and the KB's successor table keeps the
+    single-start path searches and the row-against-column floats whose
+    weighted sum along a path is a row's multi-step score, summed afresh at
+    each step that reads it.
 
-    Top-K type paths are kept per present-type set, as tuples.  A set's
-    paths are the first K of the single-start lists that the KB's successor
-    table keeps, sorted together; that is exact because each path has one
-    start and the ranking key is a total order.
+    Top-K type paths are kept per present-type set, as tuples, for this
+    episode only.  A set's paths are the first K of the single-start lists
+    that the KB's successor table keeps, sorted together; that is exact
+    because each path has one start and the ranking key is a total order.
     """
 
     def __init__(
@@ -202,32 +208,21 @@ class _RowScores:
         target: TargetSpec, reasoner: ReasonerConfig,
     ):
         self.rows = confusion.rows
-        self.object_rows = object_rows
         self.kb = kb
         self.target = target
         self.reasoner = reasoner
         self._present_of = confusion.present_types(reasoner.feasibility_tau)
-        self._pulled = kb.P_r @ target.Y_r  # P_r . Y_r
-        self._pulled_objects = kb.P_o @ target.Y_o  # P_o . Y_o
-        self._alignment: dict[int, float] = {}  # R . Y_r
-        self._direct: dict[int, float] = {}  # R . P_r . Y_r
-        self._objects: dict[int, float] = {}  # O . P_o . Y_o, by object type
+        self._types = kb.target_scores(self.rows, target.Y_r)
+        self._objects = kb.target_scores(object_rows, target.Y_o, objects=True)
         self._paths: dict[frozenset[int], tuple[TypePath, ...]] = {}
 
-    @staticmethod
-    def _fill(table: dict, keys: set[int], score) -> dict:
-        missing = [key for key in keys if key not in table]
-        if missing:
-            table.update(zip(missing, score(missing)))
-        return table
-
     def alignment(self, rows: set[int]) -> dict[int, float]:
-        R, Y_r = self.rows, self.target.Y_r
-        return self._fill(self._alignment, rows, lambda keys: [float(R[k] @ Y_r) for k in keys])
+        """R . Y_r by row."""
+        return self._types.alignment(rows)
 
     def direct(self, rows: set[int]) -> dict[int, float]:
-        R, pulled = self.rows, self._pulled
-        return self._fill(self._direct, rows, lambda keys: [float(R[k] @ pulled) for k in keys])
+        """R . P_r . Y_r by row."""
+        return self._types.through(rows)
 
     def multi_step(self, rows: set[int], path: TypePath) -> dict[int, float]:
         scores = self.kb.successor_table().multi_step(self.rows, rows, path, self.reasoner)
@@ -235,11 +230,7 @@ class _RowScores:
 
     def objects(self, node_record) -> dict[int, float]:
         """O . P_o . Y_o by object type, filled for the node's instances."""
-        O, pulled = self.object_rows, self._pulled_objects
-        return self._fill(
-            self._objects, {o.object_type for o in node_record.objects},
-            lambda keys: [float(O[k] @ pulled) for k in keys],
-        )
+        return self._objects.through({o.object_type for o in node_record.objects})
 
     def paths(self, present: set[int]) -> tuple[TypePath, ...]:
         key = frozenset(present)
@@ -273,9 +264,12 @@ def run_episode(
         LazyRng(agent.seed, ep, "target"),
     )
 
+    # a step walks only the top path, the head of every beam's ranking, so
+    # only a traced run, which records the candidates, searches a full beam
+    reasoner = agent.reasoner if trace else replace(agent.reasoner, beam=1)
     row_scores = _RowScores(
         agent.confusion, object_rows(scene.n_object_types, agent.object_noise),
-        kb, target, agent.reasoner,
+        kb, target, reasoner,
     )
     topo = SemanticTopoMap()
 

@@ -159,6 +159,11 @@ class TestReadOnlyRows:
         with pytest.raises(ValueError, match="sum to 1"):
             TypeBelief("n", np.array([0.5, 0.4]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_direct_type_belief_with_a_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="type belief for n has a non-finite entry"):
+            TypeBelief("n", np.array([bad, 1.0]))
+
 
 class TestPresentTypesPerModel:
     """Each row's present types, kept per tau, against
@@ -221,6 +226,13 @@ class TestTargetSpec:
     def test_distributions_validated(self):
         with pytest.raises(ValueError, match="sum to 1"):
             TargetSpec(Y_r=np.array([0.5, 0.4]), Y_o=np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValueError, match="target object-type distribution has a non-finite entry"):
+            TargetSpec(Y_r=[1.0], Y_o=[bad])
+        with pytest.raises(ValueError, match="target node-type distribution has a non-finite entry"):
+            TargetSpec(Y_r=[bad, 1.0], Y_o=[1.0])
 
 
 class TestVisualScores:

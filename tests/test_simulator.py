@@ -206,6 +206,43 @@ class TestRunEpisode:
         assert blended
 
 
+class TestBeam:
+    """The beam sizes only the traced candidate list; the walk takes the top path."""
+
+    @pytest.mark.parametrize("mode", ["residual", "average", "dynamic"])
+    @pytest.mark.parametrize("policy", simulator.POLICIES)
+    def test_beam_never_moves_the_walk(self, small_bench, monkeypatch, policy, mode):
+        scenes, episodes, kb = small_bench
+        beams = []
+
+        def recording(present, target_type, table, config):
+            beams.append(config.beam)
+            return enumerate_type_paths(present, target_type, table, config)
+
+        monkeypatch.setattr(simulator, "enumerate_type_paths", recording)
+        digests, widest = set(), {}
+        for beam in (1, 3, 5):
+            agent = bench_agent(
+                confusion=ConfusionModel.eps_uniform(10, 0.2), visual=VisualWeights(noise_sd=0.1),
+                fusion_mode=mode, reasoner=ReasonerConfig(max_steps=4, beam=beam),
+            )
+            for trace in (False, True):
+                beams.clear()
+                runs = [run_episode(scenes[e.scene_id], e, kb, agent, policy, trace=trace) for e in episodes]
+                assert set(beams) == (set() if policy != "hspr" else {beam if trace else 1})
+                if trace:
+                    widest[beam] = max(
+                        len(step.get("candidate_paths") or ()) for t in runs for step in t.steps
+                    )
+                digests.add(trajectory_digest([dataclasses.replace(t, steps=None) for t in runs]))
+        assert len(digests) == 1
+        # the traced candidate lists do grow with the beam
+        if policy == "hspr":
+            assert 1 == widest[1] < widest[3] < widest[5]
+        else:
+            assert set(widest.values()) == {0}
+
+
 def object_scores(instances, target, kb):
     """O . P_o . Y_o for each instance's object-type distribution."""
     return proximity_scores(instances, kb.P_o, target.Y_o)
@@ -843,8 +880,11 @@ class TestSharedPathSearch:
         before = pickle.dumps(kb)
         run_batch(scenes, episodes, kb, self.agent(), "hspr")
         assert kb.successor_table() is kb.successor_table()
+        assert kb._targets
         assert pickle.dumps(kb) == before
-        assert pickle.loads(before)._successors is None
+        loaded = pickle.loads(pickle.dumps(kb))
+        assert loaded._successors is None and loaded._targets is None
+        assert loaded == kb
 
     def test_one_kb_shared_by_several_confusion_models(self, small_bench):
         scenes, episodes, kb = small_bench
@@ -855,17 +895,26 @@ class TestSharedPathSearch:
             ConfusionModel.eps_uniform(10, 0.2, mode="sampled"),
         ]
         for _ in range(2):  # the second round reads tables the others filled
-            for confusion in confusions:
-                agent = dataclasses.replace(self.agent(), confusion=confusion)
-                got = run_batch(scenes, episodes, shared, agent, "hspr")
-                fresh = run_batch(
-                    scenes, episodes, copy.deepcopy(kb),
-                    dataclasses.replace(agent, confusion=ConfusionModel(confusion.M, confusion.mode)),
-                    "hspr",
-                )
-                assert not got.failures
-                assert trajectory_digest(got.trajectories) == trajectory_digest(fresh.trajectories)
+            for object_noise in (0.0, 0.2):
+                for confusion in confusions:
+                    agent = dataclasses.replace(
+                        self.agent(), confusion=confusion, object_noise=object_noise
+                    )
+                    got = run_batch(scenes, episodes, shared, agent, "hspr")
+                    fresh = run_batch(
+                        scenes, episodes, copy.deepcopy(kb),
+                        dataclasses.replace(agent, confusion=ConfusionModel(confusion.M, confusion.mode)),
+                        "hspr",
+                    )
+                    assert not got.failures
+                    assert trajectory_digest(got.trajectories) == trajectory_digest(fresh.trajectories)
         assert len(shared.successor_table()._gains) == len(confusions)
+        # target tables: one key per node-type rows array, one per object noise
+        n_objects = len(kb.object_vocabulary)
+        assert {(objects, rows) for objects, rows, _ in shared._targets} == (
+            {(False, id(confusion.rows)) for confusion in confusions}
+            | {(True, id(object_rows(n_objects, noise))) for noise in (0.0, 0.2)}
+        )
 
     def test_confusion_model_pickles_to_the_same_bytes_after_episodes(self, small_bench):
         scenes, episodes, kb = small_bench
@@ -879,8 +928,9 @@ class TestSharedPathSearch:
     def test_equality_ignores_the_table(self):
         warm, cold = mini_kb(), mini_kb()
         warm.successor_table().paths_from(0, 3, 3, 3)
+        warm.target_scores(np.eye(4), np.eye(4)[3]).through({0, 1})
         assert warm == cold
-        assert cold._successors is None
+        assert cold._successors is None and cold._targets is None
 
     def test_nan_proximity_fails_every_episode_alike(self, small_bench):
         scenes, episodes, kb = small_bench
