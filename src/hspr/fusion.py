@@ -1,29 +1,23 @@
-"""Action-score fusion.
+"""Action-score fusion: the fusion modes and the balance factor beta.
 
-Combines proximity and visual evidence into one score per candidate action.
-Residual fusion fills the local table's non-local entries with the global
-scores; the average and dynamic variants exist for ablation.
+Fusion blends a global and a local score per candidate action into
+beta * l_c + (1 - beta) * l_f.  Residual fusion fills the local table's
+non-local entries with the global scores; the average and dynamic variants
+exist for ablation.  `simulator._scored_action` fuses each decision's
+candidates in its one pass over them; the table-at-a-time reference
+`fuse_variant_table` is in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .topo import SemanticTopoMap, RoutingTable
+from .topo import SemanticTopoMap
 
 STOP = "<stop>"
 
 FUSION_MODES = ("residual", "average", "dynamic")
-
-
-@dataclass
-class ActionScoreTable:
-    """One decision's global, local and fused action tables."""
-
-    l_c: dict[str, float] = field(default_factory=dict)
-    l_f: dict[str, float] = field(default_factory=dict)
-    l_final: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -125,57 +119,3 @@ def balance_factor(policy: BetaPolicy, state: dict[str, float] | SemanticTopoMap
     else:
         raise ValueError(f"malformed balance policy {policy!r}")
     return min(1.0, max(0.0, beta))
-
-
-def fuse_variant_table(
-    mode: str,
-    eta_c: dict[str, float],
-    eta_f: dict[str, float],
-    epsilon_c: dict[str, float],
-    epsilon_f: dict[str, float],
-    F: set[str],
-    C: set[str],
-    beta: float,
-    topo_map: SemanticTopoMap | None = None,
-    table: RoutingTable | None = None,
-    visited_scores: dict[str, float] | None = None,
-    eq11_literal: bool = False,
-) -> ActionScoreTable:
-    """Fuse the global and local action tables in one pass over C.
-
-    Global: l_c[i] = eta_c[i] + epsilon_c[i].  Local: on F the local
-    proximity and visual scores combine (with eq11_literal the local entry
-    is the proximity score alone).  Off F the local entry depends on the
-    mode -- residual: the global entry l_c[i]; average: 0.0, with beta
-    pinned at 0.5; dynamic: the summed visited_scores along the known route
-    to i, where visited_scores holds exactly the map's visited ids (the
-    simulator builds it that way).  Fused: beta * l_c + (1 - beta) * l_f.
-    """
-    if mode not in FUSION_MODES:
-        raise ValueError(f"unknown fusion mode {mode!r}")
-    if not F <= C:
-        raise ValueError("local set F must be a subset of global set C")
-    missing = [i for i in F if i not in eta_f or i not in epsilon_f]
-    if missing:
-        raise ValueError(f"nodes in F missing local scores: {sorted(missing)}")
-    if mode == "average":
-        beta = 0.5
-    elif mode == "dynamic":
-        if topo_map is None or table is None or visited_scores is None:
-            raise ValueError("dynamic fusion needs the map, routing table, and visited scores")
-        route = topo_map.route_sums(table, visited_scores, C - F)
-    scores = ActionScoreTable()
-    l_c, l_f, l_final = scores.l_c, scores.l_f, scores.l_final
-    for i in C:
-        g = l_c[i] = eta_c[i] + epsilon_c[i]
-        if i in F:
-            local = eta_f[i] if eq11_literal else eta_f[i] + epsilon_f[i]
-        elif mode == "residual":
-            local = g
-        elif mode == "average":
-            local = 0.0
-        else:
-            local = route[i]
-        l_f[i] = local
-        l_final[i] = beta * g + (1.0 - beta) * local
-    return scores

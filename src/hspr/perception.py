@@ -3,7 +3,8 @@
 Neural predictors are replaced by distributions with controllable fidelity:
 a row-stochastic confusion model for node types, an eps-uniform confusion
 model at level object_noise for object types (the target's and every
-instance's), and a heuristic visual scorer.  Identity confusion with zero
+instance's), and the weights of a heuristic visual score, which
+`simulator._scored_action` computes for each candidate as it fuses.  Identity confusion with zero
 noise reproduces ground truth exactly (the oracle configuration).
 
 The confusion matrix is validated once, when the model is built, and then
@@ -204,7 +205,8 @@ def target_spec_from_episode(episode, scene, model: ConfusionModel, object_noise
 
 @dataclass(frozen=True)
 class VisualWeights:
-    """Heuristic visual score: distance decay + type alignment + noise."""
+    """Heuristic visual score of a node at distance d with type alignment
+    R . Y_r: w_d * exp(-d / decay) + w_t * alignment + N(0, noise_sd)."""
 
     w_d: float = 0.3
     w_t: float = 1.5
@@ -218,27 +220,3 @@ class VisualWeights:
             raise ValueError("decay length must be positive")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be >= 0")
-
-
-def visual_score_table(
-    view: list[tuple[str, float, float]],
-    weights: VisualWeights,
-    rng: Rng,
-) -> dict[str, float]:
-    """Score candidate nodes from (node id, distance, type alignment) triples.
-
-    The type alignment of a node is R . Y_r, its belief against the target
-    type.  score = w_d * exp(-d / decay) + w_t * alignment + N(0, noise_sd),
-    with the noise drawn in one sized call, the same values as one scalar
-    draw per entry, and added in view order: a fixed seed replays exactly,
-    and a repeated node id uses up a draw though its last entry wins.
-    """
-    noise = None
-    if weights.noise_sd > 0 and view:
-        noise = rng.normal(0.0, weights.noise_sd, len(view)).tolist()
-    w_d, w_t, decay, exp = weights.w_d, weights.w_t, weights.decay, np.exp
-    scores = {}
-    for k, (node_id, distance, alignment) in enumerate(view):
-        value = w_d * float(exp(-distance / decay)) + w_t * alignment
-        scores[node_id] = value if noise is None else value + noise[k]
-    return scores

@@ -8,9 +8,10 @@ order.  This is what makes batch runs reproducible under any parallelism.
 `StreamTable` gives the same generators for one key prefix and many
 (label, step) keys, but cheaper: it hashes the prefix once, and mixes all
 the digests into PCG64 seed words in one vectorised SeedSequence pass,
-the first time one of its streams draws.  Lazy handles (`LazyRng`,
-`TableRng`) derive their generator on its first draw, so streams that
-never draw cost nothing.
+the first time one of its generators is built.  A `LazyRng` handle
+derives its generator on its first draw, so a stream that never draws
+costs nothing; a table's stream costs nothing until its generator is
+asked for.
 
 Weighted draws go through `choose` and `choose_distinct`: they consume the
 same doubles and run the same cumsum/searchsorted steps as
@@ -119,9 +120,10 @@ class StreamTable:
     """The generators derive_rng(*prefix, label, step) for every label and
     step in range(n_steps), derived from one batch.
 
-    Nothing is hashed until a stream is first built; then every key's
-    digest is taken from one copy of the hashed prefix and all are mixed in
-    one `seed_state_words` pass.  Each generator is built on request.
+    Nothing is hashed until a generator is first asked for; then every
+    key's digest is taken from one copy of the hashed prefix and all are
+    mixed in one `seed_state_words` pass.  Each generator is built on
+    request, so the engine asks only for the streams it draws from.
     """
 
     def __init__(self, prefix: tuple, labels: Sequence[str], n_steps: int):
@@ -153,53 +155,32 @@ class StreamTable:
         words = self._words[self._rows[label] + step]
         return np.random.Generator(np.random.PCG64(_StateWords(words)))
 
-    def rng(self, label: str, step: int) -> TableRng:
-        """A handle that builds generator(label, step) on its first draw."""
-        return TableRng(self, label, step)
-
 
 class LazyRng:
     """Stands in for derive_rng(*parts) and derives it on the first draw.
 
-    Many keyed streams never draw (the target spec in distribution mode,
-    noiseless or empty visual views), so they never pay for the hash and
-    the generator seeding.  The first draw sees exactly the stream that
-    derive_rng(*parts) gives.
+    Some keyed streams never draw (the target spec in distribution mode),
+    so they never pay for the hash and the generator seeding.  The first
+    draw sees exactly the stream that derive_rng(*parts) gives.
     """
 
     def __init__(self, *parts):
         self._parts = parts
         self._rng = None
 
-    def _derive(self) -> np.random.Generator:
-        return derive_rng(*self._parts)
-
     def __getattr__(self, name: str):
         # reached only for names not yet on the instance: Generator methods
         if name.startswith("_"):
             raise AttributeError(name)
         if self._rng is None:
-            self._rng = self._derive()
+            self._rng = derive_rng(*self._parts)
         value = getattr(self._rng, name)
         setattr(self, name, value)  # later lookups skip __getattr__
         return value
 
 
-class TableRng(LazyRng):
-    """Stands in for derive_rng(*table prefix, label, step), and builds it
-    from its StreamTable on the first draw."""
-
-    def __init__(self, table: StreamTable, label: str, step: int):
-        self._key = (table, label, step)
-        self._rng = None
-
-    def _derive(self) -> np.random.Generator:
-        table, label, step = self._key
-        return table.generator(label, step)
-
-
 # a generator, or a lazy handle that derives one on its first draw
-Rng = np.random.Generator | LazyRng | TableRng
+Rng = np.random.Generator | LazyRng
 
 
 def choose(rng: Rng, p: np.ndarray) -> int:

@@ -1,8 +1,12 @@
 """Episode execution.
 
 Each decision step observes the current node, replans the type path,
-scores candidates with proximity + visual evidence, fuses, and either stops
-or routes to the chosen navigable node (observing every hop on the way).
+and scores the candidates in one pass (`_scored_action`): in id order, each
+candidate's proximity and type alignment are read by its belief's row, its
+global and local visual scores are computed and fused, and a running
+argmax picks the action, or STOP.  A traced step fills its score tables
+from the same values.  The agent then stops or routes to the chosen
+navigable node (observing every hop on the way).
 In distribution mode an arrival perceives only the nodes new to the map,
 so each node is perceived once per episode and no arrival builds a
 generator; in sampled mode every arrival draws once for each node it
@@ -10,8 +14,8 @@ reaches.  All randomness derives from (agent seed, episode id, step), so
 batches replay identically under any parallelism.  The per-step streams of
 the visual views (or of the random policy) come from one stream table per
 episode, whose seed words are mixed in one batch on the episode's first
-such draw; each view builds its generator only when it first draws, and
-draws its noise at once, so noiseless or empty views hash nothing.
+such draw; a view builds its generator only if it draws, and draws its
+noise in one call, so noiseless or empty views hash nothing.
 
 Every belief on the map is one of the confusion model's rows, so each
 belief-dependent score is kept per row and read for every node at that
@@ -46,13 +50,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InternalError, SchemaError, malformed, read_json_lines, write_json
-from .fusion import (
-    STOP,
-    BetaPolicy,
-    FixedBeta,
-    balance_factor,
-    fuse_variant_table,
-)
+from .fusion import FUSION_MODES, STOP, BetaPolicy, FixedBeta, balance_factor
 from .kb import ProximityKB
 from .perception import (
     ConfusionModel,
@@ -60,7 +58,6 @@ from .perception import (
     VisualWeights,
     object_rows,
     target_spec_from_episode,
-    visual_score_table,
 )
 from .reasoner import ReasonerConfig, TypePath, enumerate_type_paths
 from .scene import SceneGraph
@@ -88,6 +85,10 @@ class AgentConfig:
     eq11_literal: bool = False
 
     def __post_init__(self):
+        if self.fusion_mode not in FUSION_MODES:
+            raise ValueError(
+                f"unknown fusion mode {self.fusion_mode!r}; expected one of {', '.join(FUSION_MODES)}"
+            )
         if self.max_actions < 1:
             raise ValueError("max_actions must be >= 1")
         if not 0.0 <= self.object_noise <= 1.0:
@@ -294,17 +295,16 @@ def run_episode(
     traces: list[dict] = [] if trace else None
 
     for decision_step in range(agent.max_actions):
-        F, C = topo.navigable_sets()
         table = topo.shortest_paths()
 
         if policy == "random":
-            options = sorted(F) + [STOP]
+            options = sorted(topo.navigable_sets()[0]) + [STOP]
             rng = streams.generator("random", decision_step)
             chosen = options[int(rng.integers(len(options)))]
             step_trace = {"chosen": chosen} if trace else None
         else:
             chosen, step_trace = _scored_action(
-                scene, agent, policy, row_scores, topo, table, F, C, decision_step, streams, trace,
+                scene, agent, policy, row_scores, topo, table, decision_step, streams, trace,
             )
         if trace:
             traces.append(step_trace)
@@ -339,97 +339,142 @@ def run_episode(
     )
 
 
-def _scored_action(
-    scene, agent, policy, row_scores, topo, table, F, C, decision_step, streams, trace,
-):
-    """One fused scoring round; returns (chosen action, optional trace)."""
+def _noise(streams: StreamTable, label: str, step: int, sd: float, n: int) -> list[float] | None:
+    """One view's visual noise: n normal draws from its stream in one sized
+    call, or None when the view is noiseless or empty, which builds no
+    generator."""
+    if sd > 0 and n > 0:
+        return streams.generator(label, step).normal(0.0, sd, n).tolist()
+    return None
+
+
+def _scored_action(scene, agent, policy, row_scores, topo, table, decision_step, streams, trace):
+    """One fused scoring round in one pass over the candidates in id order;
+    returns (chosen action, optional trace).
+
+    A candidate i in C (the navigable nodes) reads its proximity eta and
+    type alignment by its belief's row.  Its global visual score is
+    w_d * exp(-d / decay) + w_t * alignment (+ noise) at its route distance
+    d, and l_c = eta + that.  On F (the candidates next to the current
+    node) the local entry is eta plus the same visual score at the edge
+    length (eta alone with eq11_literal).  Off F it is l_c in residual
+    fusion, 0.0 in average fusion, whose beta is pinned at 0.5, and in
+    dynamic fusion the sum of eta + visual over the visited nodes on the
+    known route to i.  The fused score beta * l_c + (1 - beta) * l_f picks
+    the action: the first strict maximum over STOP, then C in id order.
+    Each view (global, local, visited) draws its noise in one call, in id
+    order, from its own stream.
+    """
     current = topo.current
-    nodes = topo.nodes
-    candidates = sorted(C)
-    visited = sorted(topo.visited_ids()) if agent.fusion_mode == "dynamic" else []
-    score_ids = candidates + visited  # navigable and visited are disjoint
-    row_of = {i: nodes[i].row for i in score_ids}
-    rows = set(row_of.values())
+    nodes, index, dist = topo.nodes, topo.index, table.dist
+    candidates = sorted(topo.navigable_ids())
+    # the current node's neighbours with their edge lengths; the navigable ones are F
+    near = {topo.ids[k]: length for k, length in topo.nbrs[index[current]]}
+    n_local = sum(1 for i in candidates if i in near)
+    mode = agent.fusion_mode
+    visited = sorted(topo.visited_ids()) if mode == "dynamic" else []
+    current_row = nodes[current].row
+    candidate_rows = {nodes[i].row for i in candidates}
+    rows = candidate_rows.union(nodes[i].row for i in visited)
 
     selected_path = None
     paths = ()
-    if policy == "visual_only":
-        eta_all = dict.fromkeys(row_of, 0.0)
-    else:
-        if policy == "greedy_eta":
-            by_row = row_scores.direct(rows)
+    eta_of = None  # by row; None scores every node 0.0
+    if policy == "greedy_eta":
+        eta_of = row_scores.direct(rows)
+    elif policy == "hspr":
+        paths = row_scores.paths(row_scores.present(candidate_rows))
+        # the search starts every path at a type some candidate holds with
+        # mass >= tau, so the first feasible path is always the top one,
+        # and only an empty result falls back to direct scores
+        if paths:
+            selected_path = paths[0]
+            eta_of = row_scores.multi_step(rows, selected_path)
         else:
-            paths = row_scores.paths(row_scores.present({row_of[i] for i in candidates}))
-            # the search starts every path at a type some candidate holds with
-            # mass >= tau, so the first feasible path is always the top one,
-            # and only an empty result falls back to direct scores
-            if paths:
-                selected_path = paths[0]
-                by_row = row_scores.multi_step(rows, selected_path)
-            else:
-                by_row = row_scores.direct(rows)
-        eta_all = {i: by_row[row] for i, row in row_of.items()}
-
-    current_row = nodes[current].row
+            eta_of = row_scores.direct(rows)
     alignment = row_scores.alignment(rows | {current_row})
-    index, dist = topo.index, table.dist
-    global_view = [(i, dist[index[i]], alignment[row_of[i]]) for i in candidates]
-    local_view = [(i, topo.edge_length(current, i), alignment[row_of[i]]) for i in sorted(F)]
-    visual = agent.visual
-    eps_c = visual_score_table(global_view, visual, streams.rng("visual-global", decision_step))
-    eps_f = visual_score_table(local_view, visual, streams.rng("visual-local", decision_step))
 
-    visited_scores = None
-    if agent.fusion_mode == "dynamic":
-        visited_view = [(i, dist[index[i]], alignment[row_of[i]]) for i in visited]
-        eps_v = visual_score_table(visited_view, visual, streams.rng("visual-visited", decision_step))
-        visited_scores = {i: eta_all[i] + eps_v[i] for i in visited}
+    visual = agent.visual
+    w_d, w_t, decay, sd, exp = visual.w_d, visual.w_t, visual.decay, visual.noise_sd, np.exp
+    noise_c = _noise(streams, "visual-global", decision_step, sd, len(candidates))
+    noise_f = _noise(streams, "visual-local", decision_step, sd, n_local)
+
+    route = None
+    if mode == "dynamic":
+        noise_v = _noise(streams, "visual-visited", decision_step, sd, len(visited))
+        visited_scores = {}
+        for k, i in enumerate(visited):
+            row = nodes[i].row
+            value = w_d * float(exp(-dist[index[i]] / decay)) + w_t * alignment[row]
+            if noise_v is not None:
+                value = value + noise_v[k]
+            visited_scores[i] = (0.0 if eta_of is None else eta_of[row]) + value
+        route = topo.route_sums(table, visited_scores, [i for i in candidates if i not in near])
 
     # average fusion blends at a pinned 0.5, so that is the beta it records
-    beta = 0.5 if agent.fusion_mode == "average" else balance_factor(agent.beta_policy, topo)
-    # one proximity score per node serves as both eta_c and eta_f
-    scores = fuse_variant_table(
-        agent.fusion_mode, eta_all, eta_all, eps_c, eps_f, F, C, beta,
-        topo_map=topo, table=table, visited_scores=visited_scores,
-        eq11_literal=agent.eq11_literal,
-    )
+    beta = 0.5 if mode == "average" else balance_factor(agent.beta_policy, topo)
     record = scene.node(current)
     by_type = row_scores.objects(record)
     stop = stop_score(
         alignment[current_row], [by_type[o.object_type] for o in record.objects], agent.stop_weights
     )
-    scores.l_c[STOP] = scores.l_f[STOP] = scores.l_final[STOP] = stop
-    l_final = scores.l_final
 
-    chosen = STOP
-    best = l_final[STOP]
-    for i in candidates:
-        if l_final[i] > best:
-            best = l_final[i]
-            chosen = i
-
-    step_trace = None
     if trace:
-        step_trace = {
-            "step": decision_step,
-            "current": current,
-            "beta": beta,
-            "candidate_paths": [[list(p.types), p.confidence] for p in paths] if policy == "hspr" else None,
-            "selected_path": list(selected_path.types) if selected_path else None,
-            "path_confidence": selected_path.confidence if selected_path else None,
-            "scores": {
-                "eta_c": {i: eta_all[i] for i in candidates},
-                "eta_f": {i: eta_all[i] for i in sorted(F)},
-                "epsilon_c": dict(sorted(eps_c.items())),
-                "epsilon_f": dict(sorted(eps_f.items())),
-                "l_c": dict(sorted(scores.l_c.items())),
-                "l_f": dict(sorted(scores.l_f.items())),
-            },
-            "l_final": dict(sorted(l_final.items())),
-            "chosen": chosen,
-            "map": topo.snapshot(),
-        }
-    return chosen, step_trace
+        eta_c, eta_f, eps_c, eps_f, l_c, l_f, l_final = {}, {}, {}, {}, {}, {}, {}
+    residual, average, eq11_literal = mode == "residual", mode == "average", agent.eq11_literal
+    chosen, best = STOP, stop
+    k_local = 0
+    for k, i in enumerate(candidates):
+        row = nodes[i].row
+        eta = 0.0 if eta_of is None else eta_of[row]
+        aligned = w_t * alignment[row]
+        visual_c = w_d * float(exp(-dist[index[i]] / decay)) + aligned
+        if noise_c is not None:
+            visual_c = visual_c + noise_c[k]
+        g = eta + visual_c
+        length = near.get(i)
+        if length is not None:
+            visual_f = w_d * float(exp(-length / decay)) + aligned
+            if noise_f is not None:
+                visual_f = visual_f + noise_f[k_local]
+            k_local += 1
+            local = eta if eq11_literal else eta + visual_f
+            if trace:
+                eta_f[i], eps_f[i] = eta, visual_f
+        elif residual:
+            local = g
+        elif average:
+            local = 0.0
+        else:
+            local = route[i]
+        fused = beta * g + (1.0 - beta) * local
+        if fused > best:
+            best, chosen = fused, i
+        if trace:
+            eta_c[i], eps_c[i], l_c[i], l_f[i], l_final[i] = eta, visual_c, g, local, fused
+
+    if not trace:
+        return chosen, None
+    l_c[STOP] = l_f[STOP] = l_final[STOP] = stop
+    return chosen, {
+        "step": decision_step,
+        "current": current,
+        "beta": beta,
+        "candidate_paths": [[list(p.types), p.confidence] for p in paths] if policy == "hspr" else None,
+        "selected_path": list(selected_path.types) if selected_path else None,
+        "path_confidence": selected_path.confidence if selected_path else None,
+        "scores": {
+            "eta_c": eta_c,
+            "eta_f": eta_f,
+            "epsilon_c": eps_c,
+            "epsilon_f": eps_f,
+            "l_c": dict(sorted(l_c.items())),
+            "l_f": dict(sorted(l_f.items())),
+        },
+        "l_final": dict(sorted(l_final.items())),
+        "chosen": chosen,
+        "map": topo.snapshot(),
+    }
 
 
 @dataclass

@@ -24,6 +24,14 @@ breadth-first hop count from the start of every episode) are the
 package's former implementations, kept as slow references for the code
 that replaced them.
 
+`visual_score_table` (formerly in `hspr.perception`: one view's visual
+scores as a dict, its noise drawn in one sized call), `fuse_variant_table`
+and its `ActionScoreTable` (formerly in `hspr.fusion`: a decision's global,
+local and fused tables, built one table at a time) are the engine's former
+scoring layers.  `simulator._scored_action` now computes the same floats
+per candidate in one pass; the tests check these against the per-node and
+compose-then-blend references above.
+
 `proximity_scores`, `present_types_from_beliefs` and `multi_step_scores`
 (formerly in `hspr.reasoner`: the definitions over plain type
 distributions whose values the engine reads from its per-KB, per-model and
@@ -45,17 +53,17 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice, permutations
 
 import numpy as np
 
 from hspr.errors import write_json
-from hspr.fusion import STOP, balance_factor
-from hspr.perception import CONFUSION_SCHEMA_VERSION
+from hspr.fusion import FUSION_MODES, STOP, balance_factor
+from hspr.perception import CONFUSION_SCHEMA_VERSION, VisualWeights
 from hspr.reasoner import TypePath
 from hspr.scene import SceneGraph, hop_distances
-from hspr.seeding import derive_rng
+from hspr.seeding import Rng, derive_rng
 from hspr.simulator import Trajectory
 from hspr.synth import Episode
 from hspr.topo import NAVIGABLE, RoutingTable, SemanticTopoMap
@@ -449,6 +457,93 @@ def visual_score_table_per_node(view, weights, rng) -> dict[str, float]:
         if weights.noise_sd > 0:
             value += float(rng.normal(0.0, weights.noise_sd))
         scores[node_id] = value
+    return scores
+
+
+@dataclass
+class ActionScoreTable:
+    """One decision's global, local and fused action tables."""
+
+    l_c: dict[str, float] = field(default_factory=dict)
+    l_f: dict[str, float] = field(default_factory=dict)
+    l_final: dict[str, float] = field(default_factory=dict)
+
+
+def fuse_variant_table(
+    mode: str,
+    eta_c: dict[str, float],
+    eta_f: dict[str, float],
+    epsilon_c: dict[str, float],
+    epsilon_f: dict[str, float],
+    F: set[str],
+    C: set[str],
+    beta: float,
+    topo_map: SemanticTopoMap | None = None,
+    table: RoutingTable | None = None,
+    visited_scores: dict[str, float] | None = None,
+    eq11_literal: bool = False,
+) -> ActionScoreTable:
+    """Fuse the global and local action tables in one pass over C.
+
+    Global: l_c[i] = eta_c[i] + epsilon_c[i].  Local: on F the local
+    proximity and visual scores combine (with eq11_literal the local entry
+    is the proximity score alone).  Off F the local entry depends on the
+    mode -- residual: the global entry l_c[i]; average: 0.0, with beta
+    pinned at 0.5; dynamic: the summed visited_scores along the known route
+    to i, where visited_scores holds exactly the map's visited ids (the
+    simulator builds it that way).  Fused: beta * l_c + (1 - beta) * l_f.
+    """
+    if mode not in FUSION_MODES:
+        raise ValueError(f"unknown fusion mode {mode!r}")
+    if not F <= C:
+        raise ValueError("local set F must be a subset of global set C")
+    missing = [i for i in F if i not in eta_f or i not in epsilon_f]
+    if missing:
+        raise ValueError(f"nodes in F missing local scores: {sorted(missing)}")
+    if mode == "average":
+        beta = 0.5
+    elif mode == "dynamic":
+        if topo_map is None or table is None or visited_scores is None:
+            raise ValueError("dynamic fusion needs the map, routing table, and visited scores")
+        route = topo_map.route_sums(table, visited_scores, C - F)
+    scores = ActionScoreTable()
+    l_c, l_f, l_final = scores.l_c, scores.l_f, scores.l_final
+    for i in C:
+        g = l_c[i] = eta_c[i] + epsilon_c[i]
+        if i in F:
+            local = eta_f[i] if eq11_literal else eta_f[i] + epsilon_f[i]
+        elif mode == "residual":
+            local = g
+        elif mode == "average":
+            local = 0.0
+        else:
+            local = route[i]
+        l_f[i] = local
+        l_final[i] = beta * g + (1.0 - beta) * local
+    return scores
+
+
+def visual_score_table(
+    view: list[tuple[str, float, float]],
+    weights: VisualWeights,
+    rng: Rng,
+) -> dict[str, float]:
+    """Score candidate nodes from (node id, distance, type alignment) triples.
+
+    The type alignment of a node is R . Y_r, its belief against the target
+    type.  score = w_d * exp(-d / decay) + w_t * alignment + N(0, noise_sd),
+    with the noise drawn in one sized call, the same values as one scalar
+    draw per entry, and added in view order: a fixed seed replays exactly,
+    and a repeated node id uses up a draw though its last entry wins.
+    """
+    noise = None
+    if weights.noise_sd > 0 and view:
+        noise = rng.normal(0.0, weights.noise_sd, len(view)).tolist()
+    w_d, w_t, decay, exp = weights.w_d, weights.w_t, weights.decay, np.exp
+    scores = {}
+    for k, (node_id, distance, alignment) in enumerate(view):
+        value = w_d * float(exp(-distance / decay)) + w_t * alignment
+        scores[node_id] = value if noise is None else value + noise[k]
     return scores
 
 

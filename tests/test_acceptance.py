@@ -16,7 +16,6 @@ import pytest
 from scipy import stats
 
 from hspr.bench import recovery_generator_kb, standard_benchmark
-from hspr.fusion import fuse_variant_table
 from hspr.kb import CountMatrices, accumulate_scene, normalize_counts
 from hspr.metrics import evaluate
 from hspr.perception import ConfusionModel, TypeBelief, VisualWeights
@@ -30,6 +29,7 @@ from oracles import (
     dijkstra_single_source,
     enumerate_paths_exhaustive,
     fuse_final,
+    fuse_variant_table,
     percentile_minmax_row,
 )
 

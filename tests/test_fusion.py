@@ -12,13 +12,12 @@ from hspr.fusion import (
     VisitedFractionBeta,
     balance_factor,
     balance_features,
-    fuse_variant_table,
     parse_beta_policy,
 )
 from hspr.perception import TypeBelief
 from hspr.topo import CURRENT, NAVIGABLE, VISITED, SemanticTopoMap
 
-from oracles import compose_scores, fuse_final, id_keyed, route_visited_sum
+from oracles import compose_scores, fuse_final, fuse_variant_table, id_keyed, route_visited_sum
 
 
 def random_tables(rng, n_local=3, n_global=6):

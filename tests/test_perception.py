@@ -12,13 +12,17 @@ from hspr.perception import (
     VisualWeights,
     load_confusion,
     target_spec_from_episode,
-    visual_score_table,
 )
 from hspr.seeding import LazyRng
 from hspr.synth import sample_episode
 
 from conftest import same_float
-from oracles import present_types_from_beliefs, save_confusion, visual_score_table_per_node
+from oracles import (
+    present_types_from_beliefs,
+    save_confusion,
+    visual_score_table,
+    visual_score_table_per_node,
+)
 
 
 def perceive(model, true_types, seed):

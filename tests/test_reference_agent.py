@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from hspr import fusion, perception, simulator
+from hspr import simulator
 from hspr.bench import recovery_generator_kb, standard_benchmark
 from hspr.fusion import FUSION_MODES, FixedBeta, LogisticBeta, VisitedFractionBeta
 from hspr.perception import ConfusionModel, VisualWeights
@@ -102,9 +102,7 @@ FAST_LAYERS = {
     "SemanticTopoMap.route_to": [(SemanticTopoMap, "route_to")],
     "SemanticTopoMap.route_sums": [(SemanticTopoMap, "route_sums")],
     "StreamTable.generator": [(StreamTable, "generator")],
-    "perception.visual_score_table": [(perception, "visual_score_table"),
-                                      (simulator, "visual_score_table")],
-    "fusion.fuse_variant_table": [(fusion, "fuse_variant_table"), (simulator, "fuse_variant_table")],
+    "simulator._scored_action": [(simulator, "_scored_action")],
 }
 
 

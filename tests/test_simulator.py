@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import pickle
+import re
 from collections import Counter
 
 import numpy as np
@@ -181,6 +182,12 @@ class TestRunEpisode:
         episode = Episode("e0", "test", "a", "b", "b-obj", 3.0, 1)
         with pytest.raises(ValueError, match="policy"):
             run_episode(two_node_scene, episode, mini_kb(), oracle_agent(), "clever")
+
+    @pytest.mark.parametrize("mode", ["blend", "Residual", ""])
+    def test_unknown_fusion_mode_rejected_when_the_agent_is_built(self, mode):
+        # before any episode runs: the scoring loop reads only the three modes
+        with pytest.raises(ValueError, match=re.escape(f"unknown fusion mode {mode!r}")):
+            oracle_agent(fusion_mode=mode)
 
     def test_trace_records_steps(self, small_bench):
         scenes, episodes, kb = small_bench
@@ -693,19 +700,19 @@ class TestRowScores:
     def test_only_sampled_arrivals_build_a_generator(self, large_scenes, monkeypatch, mode):
         # in the large-scene benchmark's shape, where most arrivals revisit
         built = Counter()
-        table_rng = seeding.StreamTable.rng
+        table_generator = seeding.StreamTable.generator
 
         class CountingLazyRng(seeding.LazyRng):
             def __init__(self, *parts):
                 built[parts[2]] += 1
                 super().__init__(*parts)
 
-        def counting_table_rng(table, label, step):
+        def counting_table_generator(table, label, step):
             built[label] += 1
-            return table_rng(table, label, step)
+            return table_generator(table, label, step)
 
         monkeypatch.setattr(simulator, "LazyRng", CountingLazyRng)
-        monkeypatch.setattr(seeding.StreamTable, "rng", counting_table_rng)
+        monkeypatch.setattr(seeding.StreamTable, "generator", counting_table_generator)
         scenes, episodes, kb = large_scenes
         agent = AgentConfig(
             confusion=ConfusionModel.eps_uniform(len(kb.type_vocabulary), 0.2, mode=mode),
