@@ -119,6 +119,16 @@ def episode_metrics(
     )
 
 
+def _left_sum(values) -> float:
+    """The values added one at a time from the integer 0, rounding each
+    addition: what built-in sum() gives before Python 3.12, whose float sum
+    compensates and so would move a report's last digits."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def aggregate_report(metrics: list[EpisodeMetrics], config: dict | None = None) -> EvalReport:
     """Arithmetic means; rate metrics reported as percentages."""
     if not metrics:
@@ -126,13 +136,13 @@ def aggregate_report(metrics: list[EpisodeMetrics], config: dict | None = None) 
     n = len(metrics)
     aggregates = {
         "episodes": n,
-        "TL": sum(m.tl for m in metrics) / n,
-        "NE": sum(m.ne for m in metrics) / n,
-        "OSR": 100.0 * sum(m.oracle_success for m in metrics) / n,
-        "SR": 100.0 * sum(m.success for m in metrics) / n,
-        "SPL": 100.0 * sum(m.spl for m in metrics) / n,
-        "RGS": 100.0 * sum(m.rgs for m in metrics) / n,
-        "RGSPL": 100.0 * sum(m.rgspl for m in metrics) / n,
+        "TL": _left_sum(m.tl for m in metrics) / n,
+        "NE": _left_sum(m.ne for m in metrics) / n,
+        "OSR": 100.0 * _left_sum(m.oracle_success for m in metrics) / n,
+        "SR": 100.0 * _left_sum(m.success for m in metrics) / n,
+        "SPL": 100.0 * _left_sum(m.spl for m in metrics) / n,
+        "RGS": 100.0 * _left_sum(m.rgs for m in metrics) / n,
+        "RGSPL": 100.0 * _left_sum(m.rgspl for m in metrics) / n,
     }
     return EvalReport(episodes=metrics, aggregates=aggregates, config=dict(config or {}))
 

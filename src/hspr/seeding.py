@@ -8,7 +8,9 @@ order.  This is what makes batch runs reproducible under any parallelism.
 `StreamTable` gives the same generators for one key prefix and many
 (label, step) keys, but cheaper: it hashes the prefix once, and mixes all
 the digests into PCG64 seed words in one vectorised SeedSequence pass,
-the first time one of its generators is built.  A `LazyRng` handle
+in place on the pool with hash constants sliced at import, the first time
+one of its generators is built.  Its one seed source, checked once, then
+hands PCG64 a row of those words per generator.  A `LazyRng` handle
 derives its generator on its first draw, so a stream that never draws
 costs nothing; a table's stream costs nothing until its generator is
 asked for.
@@ -69,13 +71,31 @@ def _constants(init: int, mult: int, n: int) -> np.ndarray:
 # then 8 of generate_state(4, np.uint64), each in its call order
 _HASH_A = _constants(_INIT_A, _MULT_A, _POOL + _POOL * (_POOL - 1))
 _HASH_B = _constants(_INIT_B, _MULT_B, 2 * _POOL)
-_OTHERS = [[dst for dst in range(_POOL) if dst != src] for src in range(_POOL)]
+_SHIFT = np.uint32(16)
+_MIX_L, _MIX_R = np.uint32(_MIX_MULT_L), np.uint32(_MIX_MULT_R)
 
 
-def _hashmix(value: np.ndarray, consts: np.ndarray, start: int, n: int) -> np.ndarray:
-    """n hashes of value, one per row, the first one the start-th hash."""
-    value = (value ^ consts[start:start + n]) * consts[start + 1:start + n + 1]
-    return value ^ (value >> np.uint32(16))
+def _slices(consts: np.ndarray, start: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (xor, multiply) constants of n hashes, the first the start-th."""
+    return consts[start:start + n], consts[start + 1:start + n + 1]
+
+
+# sliced once: the first hash of each pool word; per source word, the rows
+# it mixes into and the three hashes of it they take; the 8 output hashes
+_HASH_POOL = _slices(_HASH_A, 0, _POOL)
+_MIXES = [
+    (src, np.array([dst for dst in range(_POOL) if dst != src]), _slices(_HASH_A, _POOL + 3 * src, 3))
+    for src in range(_POOL)
+]
+_HASH_OUT = tuple(c.reshape(2, _POOL, 1) for c in _slices(_HASH_B, 0, 2 * _POOL))
+
+
+def _hashmix(value: np.ndarray, consts: tuple[np.ndarray, np.ndarray], out: np.ndarray) -> None:
+    """Hash value into out, one hash per row of the constants (broadcast)."""
+    xor, mult = consts
+    np.bitwise_xor(value, xor, out=out)
+    out *= mult
+    out ^= out >> _SHIFT
 
 
 def seed_state_words(digests: bytes) -> np.ndarray:
@@ -89,31 +109,47 @@ def seed_state_words(digests: bytes) -> np.ndarray:
     """
     # pool[i] is entropy word i, least significant first, one column per digest
     pool = np.frombuffer(digests, dtype=">u4").reshape(-1, _POOL)[:, ::-1].T.astype(np.uint32)
-    pool = _hashmix(pool, _HASH_A, 0, _POOL)
-    for src, dst in enumerate(_OTHERS):
+    n = pool.shape[1]
+    _hashmix(pool, _HASH_POOL, out=pool)
+    hashed = np.empty((_POOL - 1, n), dtype=np.uint32)
+    for src, dst, consts in _MIXES:
         # the three hashes of pool[src] read it before any of them is mixed in
-        hashed = _hashmix(pool[src], _HASH_A, _POOL + 3 * src, 3)
-        mixed = np.uint32(_MIX_MULT_L) * pool[dst] - np.uint32(_MIX_MULT_R) * hashed
-        pool[dst] = mixed ^ (mixed >> np.uint32(16))
-    words = _hashmix(np.concatenate([pool, pool]), _HASH_B, 0, 2 * _POOL)
-    # two uint32 words, low first, make each uint64 (a native-order view, as numpy's)
-    return np.ascontiguousarray(words.T).view(np.uint64)
+        _hashmix(pool[src], consts, out=hashed)
+        hashed *= _MIX_R
+        mixed = pool[dst]
+        mixed *= _MIX_L
+        mixed -= hashed
+        mixed ^= mixed >> _SHIFT
+        pool[dst] = mixed
+    # each digest's 8 output words, low uint32 first: each pair of them is
+    # one native-order uint64, as numpy's
+    words = np.empty((n, 2, _POOL), dtype=np.uint32)
+    _hashmix(pool, _HASH_OUT, out=words.transpose(1, 2, 0))
+    return words.reshape(n, 2 * _POOL).view(np.uint64)
 
 
 class _StateWords(ISeedSequence):
-    """Hands PCG64 precomputed seed words in place of a SeedSequence.
+    """Hands PCG64 precomputed seed words in place of a SeedSequence, one
+    row of a table per generator.
 
-    PCG64 reads the words through a raw pointer, so a strided view would
-    seed it from the wrong memory: only a C-contiguous uint64[4] is taken.
+    PCG64 reads a row through a raw pointer, so a strided table would seed
+    it from the wrong memory: only a C-contiguous uint64 (K, 4) table is
+    taken, and then each of its rows is.
     """
 
     def __init__(self, words: np.ndarray):
-        if words.dtype != np.uint64 or words.shape != (4,) or not words.flags.c_contiguous:
-            raise ValueError("PCG64 seed words must be a C-contiguous uint64[4]")
+        if words.dtype != np.uint64 or words.shape[1:] != (_POOL,) or not words.flags.c_contiguous:
+            raise ValueError("PCG64 seed words must be a C-contiguous uint64 (K, 4) table")
         self._words = words
+        self._row = 0
+
+    def pcg64(self, row: int) -> np.random.PCG64:
+        """A PCG64 seeded with the words of the given row."""
+        self._row = row
+        return np.random.PCG64(self)
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return self._words
+        return self._words[self._row]
 
 
 class StreamTable:
@@ -122,17 +158,18 @@ class StreamTable:
 
     Nothing is hashed until a generator is first asked for; then every
     key's digest is taken from one copy of the hashed prefix and all are
-    mixed in one `seed_state_words` pass.  Each generator is built on
-    request, so the engine asks only for the streams it draws from.
+    mixed in one `seed_state_words` pass into the table's seed source.  Each
+    generator is built on request from its row, so the engine asks only for
+    the streams it draws from.
     """
 
     def __init__(self, prefix: tuple, labels: Sequence[str], n_steps: int):
         self._prefix = prefix
         self._rows = {label: k * n_steps for k, label in enumerate(labels)}
         self._n_steps = n_steps
-        self._words: np.ndarray | None = None
+        self._words: _StateWords | None = None
 
-    def _mix(self) -> np.ndarray:
+    def _mix(self) -> _StateWords:
         h = hashlib.sha256()
         _hash_parts(h, self._prefix)
         steps = [repr(step).encode("utf-8") + b"\x1f" for step in range(self._n_steps)]
@@ -144,7 +181,7 @@ class StreamTable:
                 key = h.copy()
                 key.update(head + step)
                 digests.append(key.digest()[:16])
-        return seed_state_words(b"".join(digests))
+        return _StateWords(seed_state_words(b"".join(digests)))
 
     def generator(self, label: str, step: int) -> np.random.Generator:
         """derive_rng(*prefix, label, step), built from the table's words."""
@@ -152,8 +189,7 @@ class StreamTable:
             raise IndexError(f"step {step} is outside the table's {self._n_steps} steps")
         if self._words is None:
             self._words = self._mix()
-        words = self._words[self._rows[label] + step]
-        return np.random.Generator(np.random.PCG64(_StateWords(words)))
+        return np.random.Generator(self._words.pcg64(self._rows[label] + step))
 
 
 class LazyRng:

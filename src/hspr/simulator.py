@@ -5,8 +5,10 @@ and scores the candidates in one pass (`_scored_action`): in id order, each
 candidate's proximity and type alignment are read by its belief's row, its
 global and local visual scores are computed and fused, and a running
 argmax picks the action, or STOP.  A traced step fills its score tables
-from the same values.  The agent then stops or routes to the chosen
-navigable node (observing every hop on the way).
+from the same values.  Dynamic fusion keeps its visited scores, and reads
+its route sums, in lists by map node index.  The agent then stops or
+routes to the chosen navigable node, observing every hop on the way and
+reading each hop's length from the map's (index, length) lists.
 In distribution mode an arrival perceives only the nodes new to the map,
 so each node is perceived once per episode and no arrival builds a
 generator; in sampled mode every arrival draws once for each node it
@@ -273,6 +275,7 @@ def run_episode(
         kb, target, reasoner,
     )
     topo = SemanticTopoMap()
+    index, nbrs = topo.index, topo.nbrs
 
     sampled = agent.confusion.mode == "sampled"
     if policy == "random":
@@ -314,11 +317,20 @@ def run_episode(
             stopped = True
             break
 
-        route = topo.route_to(table, chosen)
-        for prev, nxt in zip(route, route[1:]):
-            total_length += topo.edge_length(prev, nxt)
+        # each hop's length from its tail's (index, length) list; the map
+        # grows in place as the walk observes, so index and nbrs stay its own
+        k = table.source
+        for nxt in topo.route_to(table, chosen)[1:]:
+            k_next = index[nxt]
+            for j, length in nbrs[k]:
+                if j == k_next:
+                    break
+            else:
+                raise InternalError(f"route hop {topo.ids[k]!r}-{nxt!r} is not a known edge")
+            total_length += length
             arrive(nxt)
             node_sequence.append(nxt)
+            k = k_next
         action_sequence.append(chosen)
 
     stop_node = topo.current
@@ -402,13 +414,14 @@ def _scored_action(scene, agent, policy, row_scores, topo, table, decision_step,
     route = None
     if mode == "dynamic":
         noise_v = _noise(streams, "visual-visited", decision_step, sd, len(visited))
-        visited_scores = {}
+        # by node index, None where the node is not visited
+        visited_scores: list[float | None] = [None] * len(topo.ids)
         for k, i in enumerate(visited):
-            row = nodes[i].row
-            value = w_d * float(exp(-dist[index[i]] / decay)) + w_t * alignment[row]
+            row, ki = nodes[i].row, index[i]
+            value = w_d * float(exp(-dist[ki] / decay)) + w_t * alignment[row]
             if noise_v is not None:
                 value = value + noise_v[k]
-            visited_scores[i] = (0.0 if eta_of is None else eta_of[row]) + value
+            visited_scores[ki] = (0.0 if eta_of is None else eta_of[row]) + value
         route = topo.route_sums(table, visited_scores, [i for i in candidates if i not in near])
 
     # average fusion blends at a pinned 0.5, so that is the beta it records
@@ -446,7 +459,7 @@ def _scored_action(scene, agent, policy, row_scores, topo, table, decision_step,
         elif average:
             local = 0.0
         else:
-            local = route[i]
+            local = route[index[i]]
         fused = beta * g + (1.0 - beta) * local
         if fused > best:
             best, chosen = fused, i
@@ -519,14 +532,17 @@ def run_batch(
         jobs.append((scene, episode, kb, agent, policy, trace))
 
     trajectories: list[Trajectory] = []
+    # a fork-started pool forks all its workers at the first submit, so start
+    # no more than there are jobs
+    workers = min(parallelism, len(jobs))
     with contextlib.ExitStack() as stack:
-        if parallelism <= 1:
+        if workers <= 1:
             results = map(_run_one, jobs)
         else:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=parallelism))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             # ~4 chunks per worker, each pickled as one message: the KB, the agent
             # and each scene (ids sort by scene) travel once per chunk, not per job
-            chunksize = max(1, math.ceil(len(jobs) / (4 * parallelism)))
+            chunksize = max(1, math.ceil(len(jobs) / (4 * workers)))
             results = pool.map(_run_one, jobs, chunksize=chunksize)
         for job, (traj, error) in zip(jobs, results):
             if error is None:

@@ -118,7 +118,9 @@ def _sample_region_types(config: GeneratorConfig, rng: np.random.Generator) -> t
             raise ValueError(
                 "config infeasible: no positive-probability region type can extend the tree"
             )
-        probs = np.array(weights) / sum(weights)
+        w = np.array(weights)
+        # cumsum adds left to right, as sum() did before Python 3.12 compensated
+        probs = w / w.cumsum()[-1]
         pick = choose(rng, probs)
         parent, new_type = candidates[pick]
         links.append((parent, len(types)))
@@ -137,7 +139,8 @@ def _sample_region_types(config: GeneratorConfig, rng: np.random.Generator) -> t
                 extra_candidates.append((a, b))
                 extra_weights.append(w)
     for _ in range(min(config.extra_region_links, len(extra_candidates))):
-        probs = np.array(extra_weights) / sum(extra_weights)
+        w = np.array(extra_weights)
+        probs = w / w.cumsum()[-1]
         pick = choose(rng, probs)
         links.append(extra_candidates[pick])
         del extra_candidates[pick]

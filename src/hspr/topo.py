@@ -9,14 +9,15 @@ The map numbers each node when it is first seen and keeps its known edges
 as (index, length) lists by that number.  Route planning runs the scene's
 single-source Dijkstra from the current node over those lists, since a
 decision step only reads distances and routes from where the agent stands;
-the routing table holds lists by the same number.  Node ids stay at the
+the routing table holds lists by the same number, and so do dynamic
+fusion's route sums, weights in and sums out.  Node ids stay at the
 boundaries: beliefs, statuses, routes and snapshots are read by id.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Collection, KeysView
+from collections.abc import Iterable, KeysView
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,20 +229,22 @@ class SemanticTopoMap:
         return path[::-1]
 
     def route_sums(
-        self, table: RoutingTable, weights: dict[str, float], goals: Collection[str]
-    ) -> dict[str, float]:
+        self, table: RoutingTable, weights: list[float | None], goals: Iterable[str]
+    ) -> list[float | None]:
         """Per goal, the weights of the nodes on its route, summed from current.
 
-        Equals sum(weights[v] for v in route_to(table, goal) if v in weights)
-        bit for bit: each sum is built left to right from the current node,
-        but prefixes shared down the predecessor tree are added once.
+        weights and the result are lists by node index; a node without a
+        weight holds None.  Each goal's entry is the left fold, from the
+        integer 0, of the weights along route_to(table, goal), so 0 + -0.0
+        gives 0.0; prefixes shared down the predecessor tree are added once.
+        Entries off every goal's route stay None.
         """
         self._check_table(table)
         ids, index, dist, prev = self.ids, self.index, table.dist, table.prev
-        # by node index, None until known; sum() starts from the integer 0, so
-        # start there too (0 + -0.0 is 0.0)
+        if len(weights) != len(ids):
+            raise ValueError(f"{len(weights)} weights for a map of {len(ids)} nodes")
         sums: list[float | None] = [None] * len(ids)
-        w = weights.get(self.current)
+        w = weights[table.source]
         sums[table.source] = 0 if w is None else 0 + w
         for goal in goals:
             k = index.get(goal)
@@ -255,11 +258,11 @@ class SemanticTopoMap:
                     raise InternalError(f"broken predecessor chain toward {goal!r}")
             total = sums[k]
             for k in reversed(chain):
-                w = weights.get(ids[k])
+                w = weights[k]
                 if w is not None:
                     total += w
                 sums[k] = total
-        return {goal: sums[index[goal]] for goal in goals}
+        return sums
 
     def snapshot(self) -> dict:
         """JSON-friendly view of node statuses and belief argmaxes."""

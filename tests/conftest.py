@@ -1,7 +1,9 @@
 import contextlib
+import importlib
 import io
 import math
 import os
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -14,6 +16,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
+import hspr
 from hspr.bench import house_generator_kb
 from hspr.cli import dispatch
 from hspr.scene import NodeRecord, ObjectInstance, SceneGraph, validate_scene
@@ -27,6 +30,34 @@ def cli_in_process(*argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = dispatch([str(a) for a in argv])
     return code, err.getvalue()
+
+
+def compensated_sum(values):
+    """Built-in sum() as Python 3.12 and later compute it: ints add exactly,
+    and once the total is a float each addition is Neumaier-compensated."""
+    total, comp = 0, 0.0
+    for value in values:
+        if isinstance(total, float) and isinstance(value, (int, float)):
+            step = total + value
+            if abs(total) >= abs(value):
+                comp += (total - step) + value
+            else:
+                comp += (value - step) + total
+            total = step
+        else:
+            total = total + value
+    if isinstance(total, float) and comp and math.isfinite(comp):
+        total += comp
+    return total
+
+
+@pytest.fixture
+def python312_sum(monkeypatch):
+    """Every hspr module's sum() replaced by Python 3.12's compensated one for
+    the test: what hspr writes must not depend on the Python version."""
+    for info in pkgutil.iter_modules(hspr.__path__):
+        module = importlib.import_module(f"hspr.{info.name}")
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
 
 
 def same_float(a, b):

@@ -238,14 +238,19 @@ def route_visited_sum(prev, source, goal, visited_scores):
     """Visited scores along one route, summed left to right from the source.
 
     Walks the predecessor map from goal back to source and applies the
-    per-candidate formula of dynamic fusion:
-    sum(visited_scores[v] for v in route if v in visited_scores).
+    per-candidate formula of dynamic fusion: the visited scores on the
+    route, added one at a time from the integer 0 (so 0 + -0.0 is 0.0), as
+    built-in sum() adds floats before Python 3.12 compensates.
     """
     route = [goal]
     while route[-1] != source:
         route.append(prev[route[-1]])
     route.reverse()
-    return sum(visited_scores[v] for v in route if v in visited_scores)
+    total = 0
+    for v in route:
+        if v in visited_scores:
+            total += visited_scores[v]
+    return total
 
 
 def compose_scores(
@@ -505,7 +510,8 @@ def fuse_variant_table(
     elif mode == "dynamic":
         if topo_map is None or table is None or visited_scores is None:
             raise ValueError("dynamic fusion needs the map, routing table, and visited scores")
-        route = topo_map.route_sums(table, visited_scores, C - F)
+        prev = id_keyed(table)[1]
+        route = {i: route_visited_sum(prev, topo_map.current, i, visited_scores) for i in C - F}
     scores = ActionScoreTable()
     l_c, l_f, l_final = scores.l_c, scores.l_f, scores.l_final
     for i in C:

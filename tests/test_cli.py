@@ -28,6 +28,10 @@ def cli(*args, cwd=None, env=None):
     )
 
 
+# recorded before the report writer moved to hspr.errors
+REPORT_JSON_SHA256 = "21f7213359b3e8bc07d84c053a767107059f42b1c34b19b6dc30c06d2645ded9"
+
+
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -68,13 +72,25 @@ class TestSubcommands:
         assert (pipeline_dir / "report" / "report.txt").exists()
         header = ev.stdout.splitlines()[0].split()
         assert header[1:] == ["TL", "NE", "OSR", "SR", "SPL", "RGS", "RGSPL"]
-        # recorded before the report writer moved to hspr.errors
-        assert _sha256(pipeline_dir / "report" / "report.json") == (
-            "21f7213359b3e8bc07d84c053a767107059f42b1c34b19b6dc30c06d2645ded9"
-        )
+        assert _sha256(pipeline_dir / "report" / "report.json") == REPORT_JSON_SHA256
         assert _sha256(pipeline_dir / "report" / "report.txt") == (
             "2ac3e6957ad8b1f5cea2733fa94b84b03ed13d3b856991eda54db3baf23470e8"
         )
+
+    def test_report_pin_holds_under_python312_sum(self, pipeline_dir, tmp_path, python312_sum):
+        # the run and eval above, in this process, so that a patched sum() reaches hspr
+        code, stderr = cli_in_process(
+            "run", "--scenes", pipeline_dir / "scenes", "--kb", pipeline_dir / "kb.json",
+            "--episodes", pipeline_dir / "episodes.json", "--policy", "hspr", "--seed", "11",
+            "--out", tmp_path / "traj.jsonl",
+        )
+        assert code == 0, stderr
+        code, stderr = cli_in_process(
+            "eval", "--scenes", pipeline_dir / "scenes", "--episodes", pipeline_dir / "episodes.json",
+            "--traj", tmp_path / "traj.jsonl", "--out", tmp_path / "report",
+        )
+        assert code == 0, stderr
+        assert _sha256(tmp_path / "report" / "report.json") == REPORT_JSON_SHA256
 
     def test_pipeline_reproducible_and_parallel_invariant(self, tmp_path):
         outputs = []

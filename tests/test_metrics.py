@@ -354,6 +354,12 @@ class TestAggregateReport:
         assert math.isclose(report.aggregates["SPL"], 100 * sum(m.spl for m in ms) / n)
         assert math.isclose(report.aggregates["RGS"], 100 * sum(m.rgs for m in ms) / n)
 
+    def test_means_do_not_depend_on_python312_sum(self, python312_sum):
+        # 1e16 + 1.0 rounds back to 1e16: an addition at a time loses the 1.0
+        # that a compensated sum keeps
+        ms = [dataclasses.replace(fake_metric(i, True, 1.0), tl=tl) for i, tl in enumerate((1e16, 1.0, -1e16))]
+        assert aggregate_report(ms).aggregates["TL"] == 0.0
+
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             aggregate_report([])

@@ -141,6 +141,20 @@ class TestStreamTable:
                 assert fast.normal(0.0, 0.1, 3).tolist() == slow.normal(0.0, 0.1, 3).tolist()
                 assert fast.integers(1000) == slow.integers(1000)
 
+    def test_large_scene_shape_matches_derive_rng(self):
+        # dynamic fusion's three views over 40 actions; generators are built
+        # in shuffled order through the table's one seed source, and each
+        # draws only after all are built
+        labels = ("visual-global", "visual-local", "visual-visited")
+        table = StreamTable((1, "ep-17"), labels, 40)
+        keys = [(label, step) for label in labels for step in range(40)]
+        order = np.random.default_rng(5).permutation(len(keys))
+        built = {keys[k]: table.generator(*keys[k]) for k in order}
+        for key in keys:
+            slow = derive_rng(1, "ep-17", *key)
+            assert built[key].bit_generator.state == slow.bit_generator.state
+            assert built[key].normal(0.0, 0.2, 4).tolist() == slow.normal(0.0, 0.2, 4).tolist()
+
     def test_handles_hash_nothing_until_one_draws(self):
         table = StreamTable((4, "ep"), ("visual-global", "visual-local"), 3)
         assert table._words is None
@@ -150,12 +164,14 @@ class TestStreamTable:
 
     def test_strided_words_cannot_seed_pcg64(self):
         words = self.words_of([12345, 2**100 + 1])
-        # a row of a Fortran-ordered copy holds the same values, but strided
-        strided = np.asfortranarray(words)[0]
-        assert strided.tolist() == words[0].tolist() and not strided.flags.c_contiguous
+        # a Fortran-ordered copy holds the same values, but its rows are strided
+        strided = np.asfortranarray(words)
+        assert strided.tolist() == words.tolist() and not strided.flags.c_contiguous
         with pytest.raises(ValueError, match="C-contiguous"):
-            np.random.PCG64(_StateWords(strided))
-        for bad in (words[0].astype(np.int64), words[:, :2].copy()):
+            _StateWords(strided)
+        for bad in (words.astype(np.int64), words[:, :2].copy(), words[0].copy(), words[:, :, None]):
             with pytest.raises(ValueError):
                 _StateWords(bad)
-        assert np.random.PCG64(_StateWords(words[0])).state == np.random.PCG64(12345).state
+        source = _StateWords(words)
+        assert source.pcg64(0).state == np.random.PCG64(12345).state
+        assert source.pcg64(1).state == np.random.PCG64(2**100 + 1).state

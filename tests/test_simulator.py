@@ -13,6 +13,7 @@ import pytest
 
 from hspr import reasoner, seeding, simulator
 from hspr.bench import standard_benchmark
+from hspr.errors import InternalError
 from hspr.fusion import STOP, FixedBeta
 from hspr.kb import ProximityKB
 from hspr.perception import ConfusionModel, TargetSpec, TypeBelief, VisualWeights, object_rows
@@ -33,6 +34,7 @@ from hspr.simulator import (
     trajectory_to_payload,
 )
 from hspr.synth import Episode
+from hspr.topo import SemanticTopoMap
 
 import oracles
 from conftest import make_scene, same_float
@@ -115,6 +117,21 @@ class TestRunEpisode:
                 assert key in lengths
                 total += lengths[key]
             assert math.isclose(total, traj.total_length, rel_tol=1e-12, abs_tol=1e-12)
+
+    def test_hop_off_the_known_edges_is_an_internal_error(self, small_bench, monkeypatch):
+        scenes, episodes, kb = small_bench
+        episode = episodes[0]
+        original = SemanticTopoMap.route_to
+
+        def stutter(topo, table, goal):
+            # the current node twice: its first hop is no edge of the map
+            route = original(topo, table, goal)
+            return route[:1] + route
+
+        monkeypatch.setattr(SemanticTopoMap, "route_to", stutter)
+        start = episode.start_node
+        with pytest.raises(InternalError, match=f"route hop '{start}'-'{start}' is not a known edge"):
+            run_episode(scenes[episode.scene_id], episode, kb, bench_agent(), "hspr")
 
     def test_forced_stop_uses_exactly_max_actions(self, small_bench):
         scenes, episodes, kb = small_bench
@@ -312,6 +329,36 @@ class TestRunBatch:
             trajectory_to_payload(t) for t in parallel.trajectories
         ]
 
+    def test_pool_starts_no_more_workers_than_jobs(self, small_bench, monkeypatch):
+        scenes, episodes, kb = small_bench
+        agent = bench_agent(visual=VisualWeights(noise_sd=0.15))
+        started = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor: records its size, starts no process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", RecordingPool)
+        for parallelism, n_jobs, pools in ((500, 3, [3]), (2, 1, []), (500, 1, []), (2, 3, [2])):
+            started.clear()
+            batch = run_batch(scenes, episodes[:n_jobs], kb, agent, "hspr", parallelism=parallelism)
+            assert started == pools, (parallelism, n_jobs)
+            serial = run_batch(scenes, episodes[:n_jobs], kb, agent, "hspr", parallelism=1)
+            assert [trajectory_to_payload(t) for t in batch.trajectories] == [
+                trajectory_to_payload(t) for t in serial.trajectories
+            ]
+
     def test_failures_are_captured_not_raised(self, small_bench):
         scenes, episodes, kb = small_bench
         orphan = Episode("orphan", "nowhere", "a", "b", "o", 1.0, 0)
@@ -504,6 +551,16 @@ class TestRandomStreams:
         batch = run_batch(scenes, episodes, kb, agent, "random")
         assert not batch.failures
         assert trajectory_digest(batch.trajectories) == self.RANDOM_POLICY
+
+    def test_pins_hold_under_python312_sum(self, small_bench, large_scenes, python312_sum):
+        for case in sorted(self.DISTRIBUTION_TRACED):
+            self.test_distribution_mode_scores_pinned(small_bench, case)
+        for case in sorted(self.OBJECT_NOISE_TRACED):
+            self.test_object_noise_scores_pinned(small_bench, case)
+        for mode in sorted(self.LARGE_SCENE_TRACED):
+            self.test_large_scene_scores_pinned(large_scenes, mode)
+        self.test_sampled_mode_streams_pinned(small_bench)
+        self.test_random_policy_streams_pinned(small_bench)
 
     def test_distribution_mode_derives_only_generators_that_draw(self, small_bench, monkeypatch):
         scenes, episodes, kb = small_bench

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from hspr import synth
 from hspr.bench import benchmark_scene_config, house_generator_kb, recovery_generator_kb
 from hspr.kb import ProximityKB
 from hspr.scene import region_adjacency, save_scene, scene_to_payload, segment_regions
@@ -352,3 +353,31 @@ def test_generator_floats_are_pinned():
                 digest.update(repr(length).encode())
     digest.update(recovery_generator_kb(20).P_r.tobytes())
     assert digest.hexdigest() == PINNED_FLOATS
+
+
+# sha256 over the probability arrays that the region-tree draws of the pinned
+# configs (seeds 0-2) pass to choose; Python 3.12's compensated sum() can
+# round their totals differently, so these pin a left-to-right total
+PINNED_REGION_WEIGHTS = "760bb0807ddd9c1c58ca8e24048952864a6d792f0572507b483242f01b316aec"
+
+
+def test_region_type_weights_are_pinned(monkeypatch):
+    drawn = hashlib.sha256()
+    original = synth.choose
+
+    def recording(rng, p):
+        drawn.update(p.tobytes())
+        return original(rng, p)
+
+    monkeypatch.setattr(synth, "choose", recording)
+    for name, make in sorted(_pinned_configs().items()):
+        for seed in (0, 1, 2):
+            _sample_region_types(make(seed), np.random.default_rng(seed))
+    assert drawn.hexdigest() == PINNED_REGION_WEIGHTS
+
+
+def test_generator_pins_hold_under_python312_sum(tmp_path, monkeypatch, python312_sum):
+    for name in sorted(PINNED_DIGESTS):
+        test_generator_output_is_pinned(name, tmp_path)
+    test_generator_floats_are_pinned()
+    test_region_type_weights_are_pinned(monkeypatch)

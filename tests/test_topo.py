@@ -413,7 +413,7 @@ class TestRouteTo:
         with pytest.raises(ValueError, match="another map"):
             topo.route_to(table, "n1")
         with pytest.raises(ValueError, match="another map"):
-            topo.route_sums(table, {}, ["n1"])
+            topo.route_sums(table, [], ["n1"])
 
     def test_table_built_before_the_map_grew_rejected(self):
         scene = star_scene()
@@ -428,7 +428,7 @@ class TestRouteTo:
             with pytest.raises(ValueError, match="before the map grew"):
                 topo.route_to(table, "n1")
             with pytest.raises(ValueError, match="before the map grew"):
-                topo.route_sums(table, {}, ["n1"])
+                topo.route_sums(table, [], ["n1"])
 
     def test_snapshot_is_json_friendly(self):
         import json
@@ -441,11 +441,16 @@ class TestRouteTo:
 
 def visited_scores(rng, topo):
     """Scores of mixed sign and magnitude, so that a changed addition order
-    shows in the last bits; some are -0.0, which sum() turns into 0.0."""
+    shows in the last bits; some are -0.0, which a sum from 0 turns into 0.0."""
     scores = {}
     for nid in sorted(topo.visited_ids()):
         scores[nid] = -0.0 if rng.random() < 0.1 else float(rng.normal() * 10.0 ** rng.integers(-6, 7))
     return scores
+
+
+def by_index(topo, scores):
+    """An id-keyed score dict as route_sums' list by node index."""
+    return [scores.get(nid) for nid in topo.ids]
 
 
 class TestRouteSums:
@@ -455,16 +460,23 @@ class TestRouteSums:
             table = topo.shortest_paths()
             weights = visited_scores(rng, topo)
             goals = sorted(topo.nodes)
-            got = topo.route_sums(table, weights, goals)
+            sums = topo.route_sums(table, by_index(topo, weights), goals)
             prev = id_keyed(table)[1]
             for goal in goals:
+                got = sums[topo.index[goal]]
                 want = route_visited_sum(prev, topo.current, goal, weights)
-                assert got[goal] == want and math.copysign(1, got[goal]) == math.copysign(1, want)
+                assert got == want and math.copysign(1, got) == math.copysign(1, want)
+
+    def test_weights_must_cover_the_map(self, rng):
+        topo = random_map(rng, 6)
+        table = topo.shortest_paths()
+        with pytest.raises(ValueError, match="5 weights for a map of 6 nodes"):
+            topo.route_sums(table, [0.0] * 5, ["n1"])
 
     def test_broken_predecessor_chain_raises(self, rng):
         topo = random_map(rng, 12)
         table = topo.shortest_paths()
-        weights = visited_scores(rng, topo)
+        weights = by_index(topo, visited_scores(rng, topo))
         prev = id_keyed(table)[1]
         far = max((n for n in prev if prev[n] != topo.current), key=table.distance)
         hop = prev[far]
@@ -482,4 +494,4 @@ class TestRouteSums:
         table = topo.shortest_paths()
         topo.observe(scene, "n2", ORACLE, None)
         with pytest.raises(ValueError, match="current node"):
-            topo.route_sums(table, {}, ["n3"])
+            topo.route_sums(table, [], ["n3"])
