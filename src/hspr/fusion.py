@@ -84,10 +84,10 @@ def parse_beta_policy(spec: str) -> BetaPolicy:
 
 
 def balance_features(topo_map: SemanticTopoMap) -> dict[str, float]:
-    known = max(len(topo_map.nodes), 1)
+    known = max(len(topo_map.ids), 1)
     F, C = topo_map.navigable_sets()
     values = (
-        len(topo_map.visited_ids()) / known,
+        len(topo_map.visited) / known,
         len(C) / known,
         len(F) / max(len(C), 1),
         float(topo_map.step),

@@ -4,6 +4,10 @@ Counts three kinds of co-occurrence over annotated scenes — region-type
 adjacency, object-type co-presence per view, and node-type/object-type
 correlation — then turns the count rows into probabilities in [0, 0.95]
 by clamping each row at its 95th percentile and min-max normalizing.
+
+A KB also keeps what every episode run on it shares: the successor table
+of its P_r, and `TargetScores`, whole lists of every perception row's
+score against one target distribution, computed when first asked for.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from __future__ import annotations
 import datetime
 import hashlib
 import json
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -54,8 +57,8 @@ class ProximityKB:
     - the `SuccessorTable` that type-path searches go through, built from
       P_r on the first search;
     - a store of `TargetScores`, one per rows array and target
-      distribution: P_r . Y_r with each confusion row's R . Y_r and
-      R . P_r . Y_r, and P_o . Y_o with each object row's O . P_o . Y_o.
+      distribution: each confusion row's R . Y_r and R . P_r . Y_r, and
+      each object row's O . P_o . Y_o.
       The two sides have keys of their own, so an episode reuses one
       side's table whatever the other side's target is.
     Both are caches: they take no part in `==`, and a pickled KB (a
@@ -112,34 +115,20 @@ class ProximityKB:
 
 
 class TargetScores:
-    """Scores of the rows of one distribution array against one target
-    distribution Y through one proximity matrix P, filled a row at a time.
+    """Scores of every row of one distribution array against one target
+    distribution Y through one proximity matrix P, computed when built.
 
-    `alignment` maps a row index k to rows[k] . Y and `through` maps it to
-    rows[k] . P . Y, by the matvecs an episode would make afresh, so each
-    value is the same bit for bit.  Y is copied, since its bytes are the
-    table's key.
+    `alignment[k]` is rows[k] . Y and `through[k]` is rows[k] . P . Y, by the
+    per-row matvecs an episode would make afresh, so each value is the same
+    bit for bit (one rows @ vector product could round differently).  The
+    table holds rows, so the array's id stays its key on the KB.
     """
 
     def __init__(self, rows: np.ndarray, P: np.ndarray, Y: np.ndarray):
         self.rows = rows
-        self.Y = Y.copy()
-        self.pulled = P @ self.Y  # P . Y
-        self._alignment: dict[int, float] = {}
-        self._through: dict[int, float] = {}
-
-    def alignment(self, keys: Iterable[int]) -> dict[int, float]:
-        return self._fill(self._alignment, keys, self.Y)
-
-    def through(self, keys: Iterable[int]) -> dict[int, float]:
-        return self._fill(self._through, keys, self.pulled)
-
-    def _fill(self, table: dict[int, float], keys: Iterable[int], vector: np.ndarray) -> dict[int, float]:
-        missing = [key for key in keys if key not in table]
-        if missing:
-            rows = self.rows
-            table.update((key, float(rows[key] @ vector)) for key in missing)
-        return table
+        pulled = P @ Y  # P . Y
+        self.alignment = [float(row @ Y) for row in rows]
+        self.through = [float(row @ pulled) for row in rows]
 
 
 def accumulate_scene(counts: CountMatrices, scene: SceneGraph) -> CountMatrices:

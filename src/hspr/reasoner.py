@@ -91,9 +91,8 @@ class SuccessorTable:
     For multi-step scores it keeps each type's column P_r . e_s, by the
     one-hot matvec that the reference `multi_step_scores` in
     `tests/oracles.py` makes, and for each confusion `rows` array (held, so
-    its identity stays its key) a table G[r][s] = rows[r] . column_s,
-    filled one row r at a time when a score first reads that row.  At most
-    n^2 floats per rows array.
+    its identity stays its key) a table G[r][s] = rows[r] . column_s, built
+    whole when a score first reads that array: n^2 floats per rows array.
     """
 
     def __init__(self, P_r: np.ndarray):
@@ -105,7 +104,7 @@ class SuccessorTable:
         self._sorted: dict[int, list[tuple[int, float]]] = {}
         self._searched: dict[tuple[int, int, int, int], list[TypePath]] = {}
         self._columns = [P_r @ onehot for onehot in np.eye(P_r.shape[1])]
-        self._gains: dict[int, tuple[np.ndarray, list[list[float] | None]]] = {}
+        self._gains: dict[int, tuple[np.ndarray, list[list[float]]]] = {}
 
     def successors(self, t: int) -> list[tuple[int, float]]:
         """Nonzero (type, p) of row t, by p descending, then type."""
@@ -144,22 +143,23 @@ class SuccessorTable:
         out = []
         for r in indices:
             row_gains = gains[r]
-            if row_gains is None:
-                row_gains = gains[r] = [float(rows[r] @ column) for column in self._columns]
             total = 0.0
             for factor, s in terms:
                 total += factor * row_gains[s]
             out.append(total)
         return out
 
-    def _gains_of(self, rows: np.ndarray) -> list[list[float] | None]:
+    def _gains_of(self, rows: np.ndarray) -> list[list[float]]:
         entry = self._gains.get(id(rows))
         if entry is None:
             if rows.ndim != 2 or rows.shape[1] != self.n:
                 raise ValueError(
                     f"type distributions have {rows.shape[-1]} types, matrix has {self.n}"
                 )
-            entry = self._gains[id(rows)] = (rows, [None] * len(rows))
+            columns = self._columns
+            entry = self._gains[id(rows)] = (
+                rows, [[float(row @ column) for column in columns] for row in rows]
+            )
         return entry[1]
 
 

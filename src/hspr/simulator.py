@@ -1,16 +1,22 @@
 """Episode execution.
 
 Each decision step observes the current node, replans the type path,
-and scores the candidates in one pass (`_scored_action`): in id order, each
-candidate's proximity and type alignment are read by its belief's row, its
+and scores the candidates in one pass (`_scored_action`).  A step's state
+is read by map node index: the candidates are the map's navigable index
+list, already in id order, the visited nodes its visited list, a node's
+belief row is the map's row list entry, its distance the routing table's,
+and F is the current node's (index, length) list.  Each candidate's
+proximity and type alignment are read from whole tables by its row, its
 global and local visual scores are computed and fused, and a running
-argmax picks the action, or STOP.  A traced step fills its score tables
-from the same values.  Dynamic fusion keeps its visited scores, and reads
-its route sums, in lists by map node index.  The agent then stops or
-routes to the chosen navigable node, observing every hop on the way and
-reading each hop's length from the map's (index, length) lists.
-In distribution mode an arrival perceives only the nodes new to the map,
-so each node is perceived once per episode and no arrival builds a
+argmax picks the action, or STOP.  Only trace keys, the chosen action,
+trajectories and snapshots name nodes by id; a traced step fills its score
+tables from the same values.  Dynamic fusion keeps its visited scores, and
+reads its route sums, in lists by map node index.  The agent then stops
+or routes to the chosen navigable node along the map's `route_to`,
+observing every hop on the way and reading each hop's length from the
+map's (index, length) lists.  In distribution mode an arrival perceives
+only the nodes new to the map, so each node is perceived once per episode,
+a repeat arrival only moves the current node, and no arrival builds a
 generator; in sampled mode every arrival draws once for each node it
 reaches.  All randomness derives from (agent seed, episode id, step), so
 batches replay identically under any parallelism.  The per-step streams of
@@ -20,17 +26,19 @@ such draw; a view builds its generator only if it draws, and draws its
 noise in one call, so noiseless or empty views hash nothing.
 
 Every belief on the map is one of the confusion model's rows, so each
-belief-dependent score is kept per row and read for every node at that
-row.  What does not depend on the episode is kept across episodes: the
-confusion model keeps each row's present types per tau, and the KB keeps
+belief-dependent score is kept per row, as a list over every row, and read
+for every node at that row.  The multi-step scores of a path are summed for
+every row once per episode, on the first step that selects the path.  What
+does not depend on the episode is kept across episodes: the confusion
+model keeps each row's present types per tau, and the KB keeps
 - its successor table: the single-start type-path searches, and, per
   confusion rows array, each row's score against each type's column, so a
-  step's multi-step score of a row is a weighted sum of kept floats along
-  the path;
-- its target tables: per confusion rows array and Y_r, the pulled vector
-  P_r . Y_r with each row's direct proximity and visual type alignment,
-  and per object rows array and Y_o, P_o . Y_o with each object type's
-  object proximity, which drives stopping and grounding.
+  row's multi-step score is a weighted sum of kept floats along the path;
+- its target tables, computed whole when first asked for: per confusion
+  rows array and Y_r, each row's direct proximity R . P_r . Y_r and visual
+  type alignment R . Y_r, and per object rows array and Y_o, each object
+  type's object proximity O . P_o . Y_o, which drives stopping and
+  grounding.
 Episodes whose targets share Y_r (or Y_o) share those tables.  Type-path
 searches go through the KB's one successor table, which searches each
 start type once per target and config; each distinct present-type set
@@ -45,7 +53,7 @@ from __future__ import annotations
 import contextlib
 import logging
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -184,21 +192,18 @@ def _check_compatible(scene: SceneGraph, episode: Episode, kb: ProximityKB, agen
 class _RowScores:
     """One episode's belief-dependent scores, one entry per confusion row.
 
-    Each table maps a row index to the score of the distribution at that
-    row of the confusion model, or, for objects, an object type to the score
-    of its object-perception row.  Every method takes a set of row indices
-    (`objects` takes a node and reads its instances' types); a row missing
-    from a table is filled once, together with the other rows the set
-    lacks, and every node or instance at that row then reads the same value.
+    Each table is a list by row index of the score of the distribution at
+    that row of the confusion model, or, for `objects`, by object type of
+    the score of its object-perception row, so every node or instance at a
+    row reads the same value.
 
-    The tables live on the KB, not here: its `TargetScores` for the
-    episode's Y_r and for its Y_o hold the pulled vectors P_r . Y_r and
-    P_o . Y_o and the scores read through them, shared by every episode
-    with the same target and rows.  The confusion model keeps each row's
-    present types per tau, and the KB's successor table keeps the
-    single-start path searches and the row-against-column floats whose
-    weighted sum along a path is a row's multi-step score, summed afresh at
-    each step that reads it.
+    The direct and alignment tables live on the KB, not here: its
+    `TargetScores` for the episode's Y_r and for its Y_o hold every row's
+    score through the pulled vectors P_r . Y_r and P_o . Y_o, shared by every
+    episode with the same target and rows.  The multi-step table of a path
+    is summed once per episode, on the first step that selects the path,
+    from the row-against-column floats that the KB's successor table keeps.
+    The confusion model keeps each row's present types per tau.
 
     Top-K type paths are kept per present-type set, as tuples, for this
     episode only.  A set's paths are the first K of the single-start lists
@@ -215,25 +220,22 @@ class _RowScores:
         self.target = target
         self.reasoner = reasoner
         self._present_of = confusion.present_types(reasoner.feasibility_tau)
-        self._types = kb.target_scores(self.rows, target.Y_r)
-        self._objects = kb.target_scores(object_rows, target.Y_o, objects=True)
+        types = kb.target_scores(self.rows, target.Y_r)
+        self.alignment: list[float] = types.alignment  # R . Y_r
+        self.direct: list[float] = types.through  # R . P_r . Y_r
+        # O . P_o . Y_o by object type
+        self.objects: list[float] = kb.target_scores(object_rows, target.Y_o, objects=True).through
+        self._multi_step: dict[tuple[int, ...], list[float]] = {}
         self._paths: dict[frozenset[int], tuple[TypePath, ...]] = {}
 
-    def alignment(self, rows: set[int]) -> dict[int, float]:
-        """R . Y_r by row."""
-        return self._types.alignment(rows)
-
-    def direct(self, rows: set[int]) -> dict[int, float]:
-        """R . P_r . Y_r by row."""
-        return self._types.through(rows)
-
-    def multi_step(self, rows: set[int], path: TypePath) -> dict[int, float]:
-        scores = self.kb.successor_table().multi_step(self.rows, rows, path, self.reasoner)
-        return dict(zip(rows, scores))
-
-    def objects(self, node_record) -> dict[int, float]:
-        """O . P_o . Y_o by object type, filled for the node's instances."""
-        return self._objects.through({o.object_type for o in node_record.objects})
+    def multi_step(self, path: TypePath) -> list[float]:
+        """The multi-step score of every row along path."""
+        found = self._multi_step.get(path.types)
+        if found is None:
+            found = self._multi_step[path.types] = self.kb.successor_table().multi_step(
+                self.rows, range(len(self.rows)), path, self.reasoner
+            )
+        return found
 
     def paths(self, present: set[int]) -> tuple[TypePath, ...]:
         key = frozenset(present)
@@ -244,7 +246,8 @@ class _RowScores:
             ))
         return found
 
-    def present(self, rows: set[int]) -> set[int]:
+    def present(self, rows: Iterable[int]) -> set[int]:
+        """The types that some row of rows holds with mass >= tau."""
         return set().union(*(self._present_of[row] for row in rows))
 
 
@@ -301,7 +304,7 @@ def run_episode(
         table = topo.shortest_paths()
 
         if policy == "random":
-            options = sorted(topo.navigable_sets()[0]) + [STOP]
+            options = topo.navigable_sets()[0] + [STOP]
             rng = streams.generator("random", decision_step)
             chosen = options[int(rng.integers(len(options)))]
             step_trace = {"chosen": chosen} if trace else None
@@ -334,7 +337,7 @@ def run_episode(
         action_sequence.append(chosen)
 
     stop_node = topo.current
-    selected = ground_object(scene.node(stop_node), row_scores.objects(scene.node(stop_node)))
+    selected = ground_object(scene.node(stop_node), row_scores.objects)
     log.debug(
         "episode %s policy %s: stop=%s actions=%d voluntary=%s",
         ep, policy, stop_node, len(action_sequence), stopped,
@@ -364,12 +367,12 @@ def _scored_action(scene, agent, policy, row_scores, topo, table, decision_step,
     """One fused scoring round in one pass over the candidates in id order;
     returns (chosen action, optional trace).
 
-    A candidate i in C (the navigable nodes) reads its proximity eta and
-    type alignment by its belief's row.  Its global visual score is
-    w_d * exp(-d / decay) + w_t * alignment (+ noise) at its route distance
-    d, and l_c = eta + that.  On F (the candidates next to the current
-    node) the local entry is eta plus the same visual score at the edge
-    length (eta alone with eq11_literal).  Off F it is l_c in residual
+    A candidate i in C (the map's navigable index list, in id order)
+    reads its proximity eta and type alignment by its belief's row.  Its
+    global visual score is w_d * exp(-d / decay) + w_t * alignment (+ noise)
+    at its route distance d, and l_c = eta + that.  On F (the candidates
+    next to the current node) the local entry is eta plus the same visual
+    score at the edge length (eta alone with eq11_literal).  Off F it is l_c in residual
     fusion, 0.0 in average fusion, whose beta is pinned at 0.5, and in
     dynamic fusion the sum of eta + visual over the visited nodes on the
     known route to i.  The fused score beta * l_c + (1 - beta) * l_f picks
@@ -378,33 +381,30 @@ def _scored_action(scene, agent, policy, row_scores, topo, table, decision_step,
     order, from its own stream.
     """
     current = topo.current
-    nodes, index, dist = topo.nodes, topo.index, table.dist
-    candidates = sorted(topo.navigable_ids())
-    # the current node's neighbours with their edge lengths; the navigable ones are F
-    near = {topo.ids[k]: length for k, length in topo.nbrs[index[current]]}
-    n_local = sum(1 for i in candidates if i in near)
+    ids, rows, dist = topo.ids, topo.rows, table.dist
+    candidates = topo.navigable  # node indices in id order
+    # the current node's neighbours by index, with their edge lengths; the navigable ones are F
+    near = dict(topo.nbrs[table.source])
+    n_local = sum(1 for k in candidates if k in near)
     mode = agent.fusion_mode
-    visited = sorted(topo.visited_ids()) if mode == "dynamic" else []
-    current_row = nodes[current].row
-    candidate_rows = {nodes[i].row for i in candidates}
-    rows = candidate_rows.union(nodes[i].row for i in visited)
+    current_row = rows[table.source]
 
     selected_path = None
     paths = ()
     eta_of = None  # by row; None scores every node 0.0
     if policy == "greedy_eta":
-        eta_of = row_scores.direct(rows)
+        eta_of = row_scores.direct
     elif policy == "hspr":
-        paths = row_scores.paths(row_scores.present(candidate_rows))
+        paths = row_scores.paths(row_scores.present([rows[k] for k in candidates]))
         # the search starts every path at a type some candidate holds with
         # mass >= tau, so the first feasible path is always the top one,
         # and only an empty result falls back to direct scores
         if paths:
             selected_path = paths[0]
-            eta_of = row_scores.multi_step(rows, selected_path)
+            eta_of = row_scores.multi_step(selected_path)
         else:
-            eta_of = row_scores.direct(rows)
-    alignment = row_scores.alignment(rows | {current_row})
+            eta_of = row_scores.direct
+    alignment = row_scores.alignment
 
     visual = agent.visual
     w_d, w_t, decay, sd, exp = visual.w_d, visual.w_t, visual.decay, visual.noise_sd, np.exp
@@ -413,21 +413,22 @@ def _scored_action(scene, agent, policy, row_scores, topo, table, decision_step,
 
     route = None
     if mode == "dynamic":
+        visited = topo.visited  # node indices in id order
         noise_v = _noise(streams, "visual-visited", decision_step, sd, len(visited))
         # by node index, None where the node is not visited
-        visited_scores: list[float | None] = [None] * len(topo.ids)
-        for k, i in enumerate(visited):
-            row, ki = nodes[i].row, index[i]
-            value = w_d * float(exp(-dist[ki] / decay)) + w_t * alignment[row]
+        visited_scores: list[float | None] = [None] * len(ids)
+        for j, k in enumerate(visited):
+            row = rows[k]
+            value = w_d * float(exp(-dist[k] / decay)) + w_t * alignment[row]
             if noise_v is not None:
-                value = value + noise_v[k]
-            visited_scores[ki] = (0.0 if eta_of is None else eta_of[row]) + value
-        route = topo.route_sums(table, visited_scores, [i for i in candidates if i not in near])
+                value = value + noise_v[j]
+            visited_scores[k] = (0.0 if eta_of is None else eta_of[row]) + value
+        route = topo.route_sums(table, visited_scores, [k for k in candidates if k not in near])
 
     # average fusion blends at a pinned 0.5, so that is the beta it records
     beta = 0.5 if mode == "average" else balance_factor(agent.beta_policy, topo)
     record = scene.node(current)
-    by_type = row_scores.objects(record)
+    by_type = row_scores.objects
     stop = stop_score(
         alignment[current_row], [by_type[o.object_type] for o in record.objects], agent.stop_weights
     )
@@ -436,34 +437,35 @@ def _scored_action(scene, agent, policy, row_scores, topo, table, decision_step,
         eta_c, eta_f, eps_c, eps_f, l_c, l_f, l_final = {}, {}, {}, {}, {}, {}, {}
     residual, average, eq11_literal = mode == "residual", mode == "average", agent.eq11_literal
     chosen, best = STOP, stop
-    k_local = 0
-    for k, i in enumerate(candidates):
-        row = nodes[i].row
+    j_local = 0
+    for j, k in enumerate(candidates):
+        row = rows[k]
         eta = 0.0 if eta_of is None else eta_of[row]
         aligned = w_t * alignment[row]
-        visual_c = w_d * float(exp(-dist[index[i]] / decay)) + aligned
+        visual_c = w_d * float(exp(-dist[k] / decay)) + aligned
         if noise_c is not None:
-            visual_c = visual_c + noise_c[k]
+            visual_c = visual_c + noise_c[j]
         g = eta + visual_c
-        length = near.get(i)
+        length = near.get(k)
         if length is not None:
             visual_f = w_d * float(exp(-length / decay)) + aligned
             if noise_f is not None:
-                visual_f = visual_f + noise_f[k_local]
-            k_local += 1
+                visual_f = visual_f + noise_f[j_local]
+            j_local += 1
             local = eta if eq11_literal else eta + visual_f
             if trace:
-                eta_f[i], eps_f[i] = eta, visual_f
+                eta_f[ids[k]], eps_f[ids[k]] = eta, visual_f
         elif residual:
             local = g
         elif average:
             local = 0.0
         else:
-            local = route[index[i]]
+            local = route[k]
         fused = beta * g + (1.0 - beta) * local
         if fused > best:
-            best, chosen = fused, i
+            best, chosen = fused, ids[k]
         if trace:
+            i = ids[k]
             eta_c[i], eps_c[i], l_c[i], l_f[i], l_final[i] = eta, visual_c, g, local, fused
 
     if not trace:

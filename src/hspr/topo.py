@@ -3,21 +3,27 @@
 Grows incrementally as nodes are physically visited: arriving at a node
 makes it current, reveals its true neighbors as navigable, and perceives
 the types of the nodes new to the map (in sampled mode, of every node it
-reaches).  A node's status is not stored: it follows from `current` and
-the visited and navigable sets, which set queries read instead of scanning.
-The map numbers each node when it is first seen and keeps its known edges
-as (index, length) lists by that number.  Route planning runs the scene's
-single-source Dijkstra from the current node over those lists, since a
-decision step only reads distances and routes from where the agent stands;
-the routing table holds lists by the same number, and so do dynamic
-fusion's route sums, weights in and sums out.  Node ids stay at the
-boundaries: beliefs, statuses, routes and snapshots are read by id.
+reaches).  In distribution mode a repeat arrival perceives and reveals
+nothing, so it only moves the current node and counts the step.
+
+The map numbers each node when it is first seen and keeps, by that number,
+what a decision step reads: the known edges as (index, length) lists, each
+node's confusion row, and whether it was ever arrived at.  The navigable
+and the visited nodes are also kept as index lists in id order, updated
+where a status changes, so a step reads its candidates in id order without
+sorting.  Route planning runs the scene's single-source Dijkstra from the
+current node over the edge lists, since a decision step only reads
+distances and routes from where the agent stands; the routing table holds
+lists by the same number, and so do dynamic fusion's route sums, goals and
+weights in and sums out.  Node ids stay at the boundaries: beliefs,
+statuses, routes and snapshots are read by id.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, KeysView
+from bisect import insort
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,12 +68,17 @@ class SemanticTopoMap:
         self.index: dict[str, int] = {}
         # undirected edges, stored once each way as (index, length) in insertion order
         self.nbrs: list[list[tuple[int, float]]] = []
+        # by node index: the confusion row of its belief (None for a belief
+        # built directly), and whether it is visited (the current node is)
+        self.rows: list[int | None] = []
+        self._is_visited: list[bool] = []
+        # the navigable and the visited nodes by index, each list in id order;
+        # every known node is in exactly one
+        self.navigable: list[int] = []
+        self.visited: list[int] = []
         self.n_edges = 0
         self.step = 0
         self.current: str | None = None
-        # status sets as insertion-ordered dicts; every known node is in exactly one
-        self._visited: dict[str, None] = {}
-        self._navigable: dict[str, None] = {}
 
     def add_edge(self, a: str, b: str, length: float) -> None:
         """Add the undirected edge a-b between known nodes; an edge is added once."""
@@ -96,29 +107,33 @@ class SemanticTopoMap:
         """Add a node under the next number, with its status; CURRENT makes it current."""
         if node_id in self.nodes:
             raise ValueError(f"node {node_id!r} is already on the map")
+        k = self.index[node_id] = len(self.ids)
         self.nodes[node_id] = belief
-        self.index[node_id] = len(self.ids)
         self.ids.append(node_id)
         self.nbrs.append([])
-        (self._navigable if status == NAVIGABLE else self._visited)[node_id] = None
+        self.rows.append(belief.row)
+        visited = status != NAVIGABLE
+        self._is_visited.append(visited)
+        insort(self.visited if visited else self.navigable, k, key=self.ids.__getitem__)
         if status == CURRENT:
             self.current = node_id
 
     def status(self, node_id: str) -> str:
-        """CURRENT, NAVIGABLE or VISITED, read from `current` and the status sets."""
-        if node_id not in self.nodes:
+        """CURRENT, NAVIGABLE or VISITED, read from `current` and the visited flags."""
+        k = self.index.get(node_id)
+        if k is None:
             raise ValueError(f"node {node_id!r} is not on the map")
         if node_id == self.current:
             return CURRENT
-        return NAVIGABLE if node_id in self._navigable else VISITED
+        return VISITED if self._is_visited[k] else NAVIGABLE
 
-    def visited_ids(self) -> KeysView[str]:
-        """Visited nodes, the current one included, as a read-only view that follows the map."""
-        return self._visited.keys()
+    def visited_ids(self) -> frozenset[str]:
+        """Visited nodes, the current one included, read from the visited flags."""
+        return frozenset(nid for nid, seen in zip(self.ids, self._is_visited) if seen)
 
-    def navigable_ids(self) -> KeysView[str]:
-        """Navigable nodes, as a read-only view that follows the map."""
-        return self._navigable.keys()
+    def navigable_ids(self) -> frozenset[str]:
+        """Navigable nodes, read from the visited flags."""
+        return frozenset(nid for nid, seen in zip(self.ids, self._is_visited) if not seen)
 
     def observe(
         self,
@@ -131,51 +146,63 @@ class SemanticTopoMap:
 
         The arrived node, then each neighbor in id order, is perceived
         through confusion with rng if it is new to the map or the model is
-        sampled: in distribution mode a known node's perception draws nothing
-        and returns the row it holds, so a repeat arrival only moves the
-        current node; distribution mode never draws, so rng may be None
-        there.  A sampled draw replaces a known belief only if it lands on
-        another row.  Arrival is legal at the episode start (empty map) or
-        at any already-known node; anything else is a teleport.  The arrived
-        node's edges are added on its first arrival only, except those to
-        visited nodes: each of those nodes' first arrival added its edge.
+        sampled: distribution mode never draws, so rng may be None there,
+        and a repeat arrival, whose node and neighbors are all known,
+        returns at once after moving the current node and counting the step.
+        A sampled draw replaces a known belief only if it lands on another
+        row.  Arrival is legal at the episode start (empty map) or at any
+        already-known node; anything else is a teleport.  The arrived node's
+        edges are added on its first arrival only, except those to visited
+        nodes: each of those nodes' first arrival added its edge.
         """
-        if self.nodes and arrived_node not in self.nodes:
+        k = self.index.get(arrived_node)
+        if k is None and self.nodes:
             raise ValueError(
                 f"cannot arrive at {arrived_node!r}: not a known node and not the start"
             )
-        # a node's edges and neighbors are all known after its first arrival
-        first_arrival = arrived_node not in self._visited
         redraw = confusion.mode == "sampled"
-        if redraw or arrived_node not in self.nodes:
+        # a node's edges and neighbors are all known after its first arrival
+        first_arrival = k is None or not self._is_visited[k]
+        if not (redraw or first_arrival):
+            self.current = arrived_node
+            self.step += 1
+            return
+        if redraw or k is None:
             self._perceive(scene.node(arrived_node), confusion, rng)
-        # the previous current node is in _visited already
-        self._navigable.pop(arrived_node, None)
-        self._visited[arrived_node] = None
+            k = self.index[arrived_node]
+        if first_arrival:
+            # the previous current node is visited already
+            self.navigable.remove(k)
+            self._is_visited[k] = True
+            insort(self.visited, k, key=self.ids.__getitem__)
         self.current = arrived_node
 
-        for nbr_id, length in sorted(scene.neighbors(arrived_node)) if redraw or first_arrival else ():
-            if redraw or nbr_id not in self.nodes:
+        index, is_visited = self.index, self._is_visited
+        for nbr_id, length in sorted(scene.neighbors(arrived_node)):
+            if redraw or nbr_id not in index:
                 self._perceive(scene.node(nbr_id), confusion, rng)
-            if first_arrival and nbr_id not in self._visited:
-                self._link(self.index[arrived_node], self.index[nbr_id], length)
+            j = index[nbr_id]
+            if first_arrival and not is_visited[j]:
+                self._link(k, j, length)
         self.step += 1
 
     def _perceive(self, record, confusion: ConfusionModel, rng) -> None:
         """Perceive one node: a new one joins the map as navigable, and a known
-        one's belief is replaced only if its row changed."""
+        one's belief and row are replaced only if its row changed."""
         row = confusion.perceive(record.node_type, rng)
-        known = self.nodes.get(record.node_id)
-        if known is None:
+        k = self.index.get(record.node_id)
+        if k is None:
             self.add_node(record.node_id, NAVIGABLE, confusion.belief(record.node_id, row))
-        elif known.row != row:
+        elif self.rows[k] != row:
             self.nodes[record.node_id] = confusion.belief(record.node_id, row)
+            self.rows[k] = row
 
-    def navigable_sets(self) -> tuple[set[str], KeysView[str]]:
-        """(local F, global C): navigable nodes next to current, and all of them (or none)."""
-        C = self.navigable_ids()
-        near = self.nbrs[self.index[self.current]] if self.current is not None else ()
-        return {self.ids[k] for k, _ in near} & C, C
+    def navigable_sets(self) -> tuple[list[str], list[str]]:
+        """(local F, global C) as id lists in id order: the navigable nodes
+        next to current, and all of them (or none)."""
+        ids = self.ids
+        near = {k for k, _ in self.nbrs[self.index[self.current]]} if self.current is not None else ()
+        return [ids[k] for k in self.navigable if k in near], [ids[k] for k in self.navigable]
 
     def shortest_paths(self, source: str | None = None) -> RoutingTable:
         """Exact Dijkstra distances and predecessors from source (default current).
@@ -229,33 +256,34 @@ class SemanticTopoMap:
         return path[::-1]
 
     def route_sums(
-        self, table: RoutingTable, weights: list[float | None], goals: Iterable[str]
+        self, table: RoutingTable, weights: list[float | None], goals: Iterable[int]
     ) -> list[float | None]:
         """Per goal, the weights of the nodes on its route, summed from current.
 
-        weights and the result are lists by node index; a node without a
-        weight holds None.  Each goal's entry is the left fold, from the
-        integer 0, of the weights along route_to(table, goal), so 0 + -0.0
-        gives 0.0; prefixes shared down the predecessor tree are added once.
-        Entries off every goal's route stay None.
+        goals are node indices, and weights and the result are lists by
+        node index; a node without a weight holds None.  Each goal's entry
+        is the left fold, from the integer 0, of the weights along
+        route_to(table, goal's id), so 0 + -0.0 gives 0.0; prefixes shared
+        down the predecessor tree are added once.  Entries off every goal's
+        route stay None.
         """
         self._check_table(table)
-        ids, index, dist, prev = self.ids, self.index, table.dist, table.prev
+        ids, dist, prev = self.ids, table.dist, table.prev
         if len(weights) != len(ids):
             raise ValueError(f"{len(weights)} weights for a map of {len(ids)} nodes")
         sums: list[float | None] = [None] * len(ids)
         w = weights[table.source]
         sums[table.source] = 0 if w is None else 0 + w
         for goal in goals:
-            k = index.get(goal)
-            if k is None or dist[k] == math.inf:
-                raise ValueError(f"goal {goal!r} is unreachable on the known map")
+            k = goal
+            if dist[k] == math.inf:
+                raise ValueError(f"goal {ids[goal]!r} is unreachable on the known map")
             chain = []  # goal back to the first node with a known sum
             while sums[k] is None:
                 chain.append(k)
                 k = prev[k]
                 if k < 0 or len(chain) > len(ids):
-                    raise InternalError(f"broken predecessor chain toward {goal!r}")
+                    raise InternalError(f"broken predecessor chain toward {ids[goal]!r}")
             total = sums[k]
             for k in reversed(chain):
                 w = weights[k]

@@ -426,7 +426,9 @@ def observe_reperceiving(topo, scene, arrived_node, confusion, rng) -> None:
     arrival, known or not and in either confusion mode.  A known node keeps
     its belief object unless it is perceived at another row; the arrived
     node's edges are added on its first arrival only, except those to
-    visited nodes, whose own first arrival added them.
+    visited nodes, whose own first arrival added them.  The map's row list
+    is rewritten from its beliefs, and its navigable and visited index
+    lists are re-sorted from its visited flags, after every arrival.
     """
     if topo.nodes and arrived_node not in topo.nodes:
         raise ValueError(f"cannot arrive at {arrived_node!r}: not a known node and not the start")
@@ -439,15 +441,17 @@ def observe_reperceiving(topo, scene, arrived_node, confusion, rng) -> None:
         elif known.row != row:
             topo.nodes[node_id] = confusion.belief(node_id, row)
 
-    first_arrival = arrived_node not in topo._visited
+    first_arrival = arrived_node not in topo.visited_ids()
     perceive(arrived_node)
-    topo._navigable.pop(arrived_node, None)
-    topo._visited[arrived_node] = None
+    topo._is_visited[topo.index[arrived_node]] = True
     topo.current = arrived_node
     for nbr_id, length in sorted(scene.neighbors(arrived_node)):
         perceive(nbr_id)
-        if first_arrival and nbr_id not in topo._visited:
+        if first_arrival and nbr_id not in topo.visited_ids():
             topo.add_edge(arrived_node, nbr_id, length)
+    topo.rows = [topo.nodes[nid].row for nid in topo.ids]
+    topo.visited = [topo.index[nid] for nid in sorted(topo.visited_ids())]
+    topo.navigable = [topo.index[nid] for nid in sorted(topo.navigable_ids())]
     topo.step += 1
 
 

@@ -17,7 +17,7 @@ from hspr.fusion import (
 from hspr.perception import TypeBelief
 from hspr.topo import CURRENT, NAVIGABLE, VISITED, SemanticTopoMap
 
-from oracles import compose_scores, fuse_final, fuse_variant_table, id_keyed, route_visited_sum
+from oracles import compose_scores, fuse_final, fuse_variant_table
 
 
 def random_tables(rng, n_local=3, n_global=6):
@@ -220,13 +220,17 @@ class TestVariantFusion:
         for _ in range(500):
             topo = random_map(rng)
             table = topo.shortest_paths()
-            F, C = topo.navigable_sets()
+            F, C = (set(ids) for ids in topo.navigable_sets())
             eta_c, eta_f, eps_c, eps_f, visited_scores = (
                 {i: float(rng.normal()) for i in ids}
                 for ids in (C, F, C, F, topo.visited_ids())
             )
             beta = float(rng.uniform())
-            prev = id_keyed(table)[1]
+            # the engine's route sums, read by index, for the off-F entries
+            # that the oracle sums with route_visited_sum
+            sums = topo.route_sums(
+                table, [visited_scores.get(i) for i in topo.ids], [topo.index[i] for i in C - F]
+            )
             for mode in FUSION_MODES:
                 for literal in (False, True):
                     got = fuse_variant_table(
@@ -239,7 +243,7 @@ class TestVariantFusion:
                         if mode == "average":
                             l_f[i] = 0.0
                         elif mode == "dynamic":
-                            l_f[i] = route_visited_sum(prev, topo.current, i, visited_scores)
+                            l_f[i] = sums[topo.index[i]]
                     assert bits(got.l_c) == bits(l_c)
                     assert bits(got.l_f) == bits(l_f)
                     assert bits(got.l_final) == bits(fuse_final(l_c, l_f, want_beta))

@@ -15,6 +15,7 @@ import pytest
 from hspr import simulator
 from hspr.bench import recovery_generator_kb, standard_benchmark
 from hspr.fusion import FUSION_MODES, FixedBeta, LogisticBeta, VisitedFractionBeta
+from hspr.kb import ProximityKB
 from hspr.perception import ConfusionModel, VisualWeights
 from hspr.reasoner import SuccessorTable
 from hspr.seeding import StreamTable, stable_digest
@@ -96,8 +97,11 @@ def test_engine_matches_reference_agent_over_the_grid(worlds):
 
 # every fast layer of a decision step, with each name the engine reads it by
 FAST_LAYERS = {
+    "ProximityKB.target_scores": [(ProximityKB, "target_scores")],
     "SuccessorTable.multi_step": [(SuccessorTable, "multi_step")],
+    "_RowScores.multi_step": [(simulator._RowScores, "multi_step")],
     "SuccessorTable.paths_from": [(SuccessorTable, "paths_from")],
+    "SemanticTopoMap.observe": [(SemanticTopoMap, "observe")],
     "SemanticTopoMap.shortest_paths": [(SemanticTopoMap, "shortest_paths")],
     "SemanticTopoMap.route_to": [(SemanticTopoMap, "route_to")],
     "SemanticTopoMap.route_sums": [(SemanticTopoMap, "route_sums")],

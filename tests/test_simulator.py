@@ -644,20 +644,20 @@ class TestRowScores:
                 for i in range(int(rng.integers(1, 15)))
             ]
             table = simulator._RowScores(confusion, np.eye(1), kb, target, config)
-            # fill from a prefix first, so later reads mix old and new rows
+            assert len(table.direct) == len(table.alignment) == n
+            for b in beliefs:
+                assert same_float(table.direct[b.row], float(b.R @ (P_r @ target.Y_r)))
+                assert same_float(table.alignment[b.row], float(b.R @ target.Y_r))
             for view in (beliefs[: len(beliefs) // 2], beliefs):
-                rows = {b.row for b in view}
-                direct = table.direct(rows)
-                alignment = table.alignment(rows)
-                for b in view:
-                    assert same_float(direct[b.row], float(b.R @ (P_r @ target.Y_r)))
-                    assert same_float(alignment[b.row], float(b.R @ target.Y_r))
                 tau = config.feasibility_tau
-                assert table.present(rows) == {
+                assert table.present([b.row for b in view]) == {
                     t for b in view for t in range(n) if b.R[t] >= tau
                 }
             for types in all_type_paths(n, 4):
-                got = table.multi_step({b.row for b in beliefs}, TypePath(types, 1.0))
+                got = table.multi_step(TypePath(types, 1.0))
+                assert len(got) == n
+                # kept per episode by the path's types, which are all it reads
+                assert table.multi_step(TypePath(types, 0.5)) is got
                 for b in beliefs:
                     want = 0.0
                     for j, sub_goal in enumerate(types):
@@ -683,13 +683,8 @@ class TestRowScores:
             Y_o = O[int(rng.integers(m))] if trial % 2 else rng.dirichlet(np.ones(m))
             target = TargetSpec(Y_r=confusion.row(int(rng.integers(n)), rng), Y_o=Y_o)
             table = simulator._RowScores(confusion, O, kb, target, ReasonerConfig())
-            direct = table.direct(set(range(n)))
-            assert [direct[r] for r in range(n)] == proximity_scores(list(confusion.rows), P_r, target.Y_r)
-            node = make_scene(
-                [("a", "r0", 0, (0.0, 0.0, 0.0), [(f"obj{k}", k, 0) for k in range(m)])], [], 1, m
-            ).node("a")
-            by_type = table.objects(node)
-            assert [by_type[k] for k in range(m)] == proximity_scores(list(O), P_o, Y_o)
+            assert table.direct == proximity_scores(list(confusion.rows), P_r, target.Y_r)
+            assert table.objects == proximity_scores(list(O), P_o, Y_o)
 
     def test_distribution_mode_builds_one_belief_per_known_node(self, small_bench, monkeypatch):
         scenes, episodes, kb = small_bench
@@ -840,10 +835,9 @@ class TestObjectScores:
             count = int(rng.integers(0, 7))
             ids = [f"obj{k}" for k in rng.permutation(count)]
             objects = [(oid, int(rng.integers(n)), 0) for oid in ids]
-            # fill from a prefix first, so later reads mix old and new types
+            by_type = table.objects
             for view in (objects[: count // 2], objects):
                 node = make_scene([("a", "r0", 0, (0.0, 0.0, 0.0), view)], [], 1, n).node("a")
-                by_type = table.objects(node)
                 beliefs = oracles.object_beliefs(node, n, noise)
                 mu = oracles.object_proximity_scores(beliefs, P_o, Y_o)
                 scores = [by_type[o.object_type] for o in node.objects]
@@ -992,7 +986,7 @@ class TestSharedPathSearch:
     def test_equality_ignores_the_table(self):
         warm, cold = mini_kb(), mini_kb()
         warm.successor_table().paths_from(0, 3, 3, 3)
-        warm.target_scores(np.eye(4), np.eye(4)[3]).through({0, 1})
+        warm.target_scores(np.eye(4), np.eye(4)[3])
         assert warm == cold
         assert cold._successors is None and cold._targets is None
 

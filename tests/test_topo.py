@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hspr.bench import standard_benchmark
 from hspr.errors import InternalError
@@ -164,15 +166,18 @@ class TestObserve:
     def test_status_sets_are_read_only(self):
         topo = SemanticTopoMap()
         topo.observe(star_scene(), "hub", ORACLE, None)
-        for ids in (topo.visited_ids(), topo.navigable_ids(), topo.navigable_sets()[1]):
+        for ids in (topo.visited_ids(), topo.navigable_ids()):
             with pytest.raises(AttributeError):
                 ids.add("n9")
             with pytest.raises(AttributeError):
                 ids.discard("hub")
-            with pytest.raises(TypeError):
-                ids.mapping["n9"] = None
+        # navigable_sets hands out new lists, so changing them leaves the map alone
+        F, C = topo.navigable_sets()
+        F.append("n9")
+        C.clear()
         assert topo.visited_ids() == {"hub"}
         assert topo.navigable_ids() == {"n1", "n2"}
+        assert topo.navigable_sets() == (["n1", "n2"], ["n1", "n2"])
 
     def test_known_node_keeps_its_belief_until_its_row_changes(self):
         scene = star_scene()
@@ -250,8 +255,9 @@ class TestObserve:
                     # a belief object is kept or replaced on the same arrivals
                     assert (belief is fast_before.get(nid)) == (slow.nodes[nid] is slow_before.get(nid))
                     assert fast.status(nid) == slow.status(nid)
-                assert list(fast.visited_ids()) == list(slow.visited_ids())
-                assert list(fast.navigable_ids()) == list(slow.navigable_ids())
+                assert fast.visited_ids() == slow.visited_ids()
+                assert fast.navigable_ids() == slow.navigable_ids()
+                assert (fast.visited, fast.navigable, fast.rows) == (slow.visited, slow.navigable, slow.rows)
                 assert [(a, list(near.items())) for a, near in id_keyed(fast).items()] == [
                     (a, list(near.items())) for a, near in id_keyed(slow).items()
                 ]
@@ -263,11 +269,78 @@ class TestObserve:
             assert revisits > 100
 
 
+@st.composite
+def scene_walks(draw):
+    """(scene, start, hop choices, sampled-model choices): a connected random
+    scene whose ids are numbers in shuffled order ("x10" sorts before "x2"),
+    so the map's index order is not its id order."""
+    n = draw(st.integers(2, 12))
+    n_types = draw(st.integers(2, 4))
+    ids = [f"x{p}" for p in draw(st.permutations(range(n)))]
+    nodes = [(nid, "r0", draw(st.integers(0, n_types - 1))) for nid in ids]
+    pairs = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs |= {
+        (a, b) for a, b in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n))
+        if a < b
+    }
+    edges = [(ids[a], ids[b], draw(st.floats(0.5, 5.0))) for a, b in sorted(pairs)]
+    scene = make_scene(nodes, edges, n_types=n_types)
+    hops = draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=25))
+    shifted = draw(st.lists(st.booleans(), min_size=len(hops) + 1, max_size=len(hops) + 1))
+    return scene, ids[draw(st.integers(0, n - 1))], hops, shifted
+
+
+class TestIndexedState:
+    """The map's index lists and row list against their slow definitions."""
+
+    @staticmethod
+    def assert_state_matches_definition(topo, arrived, known):
+        index = topo.index
+        assert topo.navigable == [index[i] for i in sorted(topo.navigable_ids())]
+        assert topo.visited == [index[i] for i in sorted(topo.visited_ids())]
+        assert topo.rows == [topo.nodes[i].row for i in topo.ids]
+        # the statuses themselves, from the walk alone
+        assert topo.visited_ids() == arrived
+        assert topo.navigable_ids() == known - arrived
+
+    @pytest.mark.parametrize("mode", ["distribution", "sampled"])
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(walk=scene_walks())
+    def test_lists_follow_every_arrival(self, mode, walk):
+        scene, node, hops, shifted = walk
+        n_types = scene.n_types
+        if mode == "distribution":
+            models = [ConfusionModel.eps_uniform(n_types, 0.3)] * 2
+            shifted = [False] * len(shifted)
+        else:
+            # the second model perceives type t as t + 1, so an arrival under it
+            # moves every node it reaches that the first model perceived onto
+            # another row; the walk starts under the first and moves under the second
+            models = [ConfusionModel.identity(n_types, "sampled"),
+                      ConfusionModel(np.roll(np.eye(n_types), 1, axis=1), "sampled")]
+            shifted = [False, True] + shifted[2:]
+        rng = np.random.default_rng(0)
+        topo = SemanticTopoMap()
+        arrived, known, moved = set(), set(), 0
+        for k in range(len(hops) + 1):
+            rows_before = list(topo.rows)
+            topo.observe(scene, node, models[shifted[k]], rng)
+            moved += sum(a != b for a, b in zip(rows_before, topo.rows))
+            arrived.add(node)
+            known |= {node} | {nbr for nbr, _ in scene.neighbors(node)}
+            assert (topo.current, topo.step) == (node, k + 1)
+            self.assert_state_matches_definition(topo, arrived, known)
+            if k < len(hops):
+                options = sorted(scene.neighbors(node))
+                node = options[hops[k] % len(options)][0]
+        assert moved > 0 if mode == "sampled" else moved == 0
+
+
 class TestNavigableSets:
     def test_empty_map_has_empty_sets(self):
         topo = SemanticTopoMap()
         F, C = topo.navigable_sets()
-        assert F == set() and C == set()
+        assert F == [] and C == []
         assert balance_features(topo) == dict.fromkeys(BALANCE_FEATURES, 0.0)
 
     def test_first_step_local_equals_global(self):
@@ -275,7 +348,7 @@ class TestNavigableSets:
         topo = SemanticTopoMap()
         topo.observe(scene, "hub", ORACLE, None)
         F, C = topo.navigable_sets()
-        assert F == C == {"n1", "n2"}
+        assert F == C == ["n1", "n2"]
 
     def test_frontier_left_behind_is_global_only(self):
         scene = star_scene()
@@ -293,8 +366,9 @@ class TestNavigableSets:
             topo.observe(scene, "hub", ORACLE, None)
             for _ in range(6):
                 F, C = topo.navigable_sets()
-                assert F <= C
-                options = sorted(F) or sorted(C)
+                assert set(F) <= set(C)
+                assert F == sorted(F) and C == sorted(C)
+                options = F or C
                 if not options:
                     break
                 nxt = options[int(rng.integers(len(options)))]
@@ -413,7 +487,7 @@ class TestRouteTo:
         with pytest.raises(ValueError, match="another map"):
             topo.route_to(table, "n1")
         with pytest.raises(ValueError, match="another map"):
-            topo.route_sums(table, [], ["n1"])
+            topo.route_sums(table, [], [topo.index["n1"]])
 
     def test_table_built_before_the_map_grew_rejected(self):
         scene = star_scene()
@@ -428,7 +502,7 @@ class TestRouteTo:
             with pytest.raises(ValueError, match="before the map grew"):
                 topo.route_to(table, "n1")
             with pytest.raises(ValueError, match="before the map grew"):
-                topo.route_sums(table, [], ["n1"])
+                topo.route_sums(table, [], [topo.index["n1"]])
 
     def test_snapshot_is_json_friendly(self):
         import json
@@ -460,7 +534,7 @@ class TestRouteSums:
             table = topo.shortest_paths()
             weights = visited_scores(rng, topo)
             goals = sorted(topo.nodes)
-            sums = topo.route_sums(table, by_index(topo, weights), goals)
+            sums = topo.route_sums(table, by_index(topo, weights), [topo.index[g] for g in goals])
             prev = id_keyed(table)[1]
             for goal in goals:
                 got = sums[topo.index[goal]]
@@ -471,7 +545,14 @@ class TestRouteSums:
         topo = random_map(rng, 6)
         table = topo.shortest_paths()
         with pytest.raises(ValueError, match="5 weights for a map of 6 nodes"):
-            topo.route_sums(table, [0.0] * 5, ["n1"])
+            topo.route_sums(table, [0.0] * 5, [1])
+
+    def test_unreachable_goal_rejected(self, rng):
+        topo = random_map(rng, 4)
+        topo.add_node("island", NAVIGABLE, TypeBelief("island", np.array([1.0])))
+        table = topo.shortest_paths()
+        with pytest.raises(ValueError, match="goal 'island' is unreachable"):
+            topo.route_sums(table, [0.0] * 5, [topo.index["island"]])
 
     def test_broken_predecessor_chain_raises(self, rng):
         topo = random_map(rng, 12)
@@ -482,10 +563,10 @@ class TestRouteSums:
         hop = prev[far]
         table.prev[topo.index[hop]] = -1  # hop loses its predecessor
         with pytest.raises(InternalError, match="broken predecessor chain"):
-            topo.route_sums(table, weights, [far])
+            topo.route_sums(table, weights, [topo.index[far]])
         table.prev[topo.index[hop]] = topo.index[far]  # a cycle that never reaches the current node
         with pytest.raises(InternalError, match="broken predecessor chain"):
-            topo.route_sums(table, weights, [far])
+            topo.route_sums(table, weights, [topo.index[far]])
 
     def test_stale_table_rejected(self):
         scene = star_scene()
@@ -494,4 +575,4 @@ class TestRouteSums:
         table = topo.shortest_paths()
         topo.observe(scene, "n2", ORACLE, None)
         with pytest.raises(ValueError, match="current node"):
-            topo.route_sums(table, [], ["n3"])
+            topo.route_sums(table, [], [topo.index["n3"]])
