@@ -224,12 +224,23 @@ def _best_first(
     type order, but only siblings of one parent can fall between their keys,
     at most one of those ends at the target, and every descendant is longer,
     so the completed paths still leave in ranking order.
+
+    A child of length max_steps - 1 that is not the target can only grow
+    into the target, so it is pushed only when its P_r entry at the target
+    is nonzero: a dead end would be popped and dropped without ever
+    completing, and skipping it leaves every completed path and its order
+    as they were.
     """
     # entries are (-confidence, length, types, -parent confidence, parent's
     # successor list, index in it); types are unique, so the tail never
     # takes part in a comparison.  Negation is exact, so products match
     # conf * p bit for bit.  A path without siblings to advance (the start
     # type, or a full-length child) has no successor list.
+    rows = table.rows
+
+    def can_complete(t: int, length: int) -> bool:
+        return length < max_steps - 1 or t == target_type or rows[t][target_type] != 0.0
+
     heap = [(-1.0, 1, (start,), 0.0, None, 0)]
     found: list[TypePath] = []
     while heap and len(found) < beam:
@@ -238,7 +249,7 @@ def _best_first(
             parent = types[:-1]
             for j in range(k + 1, len(siblings)):
                 t, p = siblings[j]
-                if t not in parent:
+                if t not in parent and can_complete(t, length):
                     heapq.heappush(heap, (
                         parent_neg_conf * p, length, parent + (t,), parent_neg_conf, siblings, j
                     ))
@@ -251,13 +262,13 @@ def _best_first(
             continue
         if length + 1 == max_steps:
             # a full-length child completes only at the target
-            p = table.rows[last][target_type]
+            p = rows[last][target_type]
             if p != 0.0:
                 heapq.heappush(heap, (neg_conf * p, length + 1, types + (target_type,), 0.0, None, 0))
             continue
         children = table.successors(last)
         for j, (t, p) in enumerate(children):
-            if t not in types:
+            if t not in types and can_complete(t, length + 1):
                 heapq.heappush(heap, (neg_conf * p, length + 1, types + (t,), neg_conf, children, j))
                 break
     return found

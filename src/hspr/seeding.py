@@ -22,6 +22,13 @@ same, but they skip its per-call argument checks.  The weights are checked
 where they are built instead.  A draw in [0, x) is `x * rng.random()`: the
 double and state `uniform(0, x)` gives, fused multiply-add or not.  Keep
 `uniform(lo, hi)` when lo != 0: a fused `lo + (hi - lo) * d` can round otherwise.
+
+`below(rng, n)` is `int(rng.integers(n))`, integer and state, for
+1 <= n <= 2**32: numpy's bounded method run on the bit generator's 32-bit
+words, at about half the cost of a scalar `integers` call.  Scene
+generation draws all its bounded integers through it.  Reaching the words
+costs 5-10 us once per generator, so generators that draw only a few times
+(episode sampling, the random policy) keep `integers`.
 """
 
 from __future__ import annotations
@@ -237,13 +244,42 @@ def choose_distinct(rng: Rng, p: np.ndarray, k: int) -> list[int]:
     Each round draws one double per missing index and keeps each new index
     at its first occurrence; found indices have zero weight in later rounds.
     """
-    p = p.copy()
     found: list[int] = []
     while len(found) < k:
         x = rng.random(k - len(found))
         if found:
+            p = p.copy()  # the caller's weights stay as they are
             p[found] = 0
         cdf = p.cumsum()
         cdf /= cdf[-1]
         found.extend(dict.fromkeys(cdf.searchsorted(x, side="right").tolist()))
     return found
+
+
+_WORD = 1 << 32
+
+
+def below(rng: Rng, n: int) -> int:
+    """The integer `int(rng.integers(n))` gives, leaving the same generator state.
+
+    For 1 <= n <= 2**32.  numpy draws a one-value range without a word and
+    any other such range by Lemire's bounded method on 32-bit words: the
+    high half of word * n, redrawn while the low half falls under
+    2**32 mod n.  This runs the same method on the words of the bit
+    generator's `ctypes.next_uint32`, the function numpy calls, without
+    `integers`' per-call argument handling.  The first `ctypes` access
+    costs 5-10 us per generator, so a generator that draws only a few times
+    keeps `integers`.
+    """
+    if not 1 <= n <= _WORD:
+        raise ValueError(f"below draws from 1 to 2**32 values, got n={n}")
+    if n == 1:
+        return 0
+    words = rng.bit_generator.ctypes
+    next_word, state = words.next_uint32, words.state
+    m = next_word(state) * n
+    if m & 0xFFFFFFFF < n:
+        threshold = (_WORD - n) % n
+        while m & 0xFFFFFFFF < threshold:
+            m = next_word(state) * n
+    return m >> 32

@@ -7,7 +7,10 @@ objects are placed per node from type-conditioned weights.  Statistics of
 the generated population therefore follow the generating KB, which lets the
 KB builder be validated closed-loop.  A draw in [0, x) is `x * rng.random()`;
 one with lo != 0 keeps `uniform(lo, hi)`, because a fused multiply-add would
-round `lo + (hi - lo) * rng.random()` differently (see seeding).
+round `lo + (hi - lo) * rng.random()` differently (see seeding).  Scene
+generation's bounded integers come from `seeding.below`, the integers and
+state `rng.integers` gives; episode sampling draws three times per
+generator, too few to repay `below`'s first access, so it keeps `integers`.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .scene import (
     dijkstra,
     validate_scene,
 )
-from .seeding import choose, choose_distinct, derive_rng
+from .seeding import below, choose, choose_distinct, derive_rng
 
 _INTRA_SHORTCUT_P = 0.3
 
@@ -51,6 +54,8 @@ class GeneratorConfig:
             lo, hi = getattr(self, name)
             if lo > hi or lo < 0:
                 raise ValueError(f"{name} must satisfy 0 <= min <= max, got {(lo, hi)}")
+            if hi - lo >= 2**32:  # the most that seeding.below draws from
+                raise ValueError(f"{name} must be at most 2**32 counts wide, got {(lo, hi)}")
         if self.nodes_per_region[0] < 1:
             raise ValueError("nodes_per_region: each region needs at least one node")
         if not (math.isfinite(self.region_extent) and self.region_extent > 0):
@@ -98,7 +103,7 @@ def _sample_region_types(config: GeneratorConfig, rng: np.random.Generator) -> t
             f"config infeasible: {config.region_count} unique regions exceed "
             f"{n_types} region types"
         )
-    types = [int(rng.integers(n_types))]
+    types = [below(rng, n_types)]
     links: list[tuple[int, int]] = []
     candidates: list[tuple[int, int]] = []
     weights: list[float] = []
@@ -156,13 +161,42 @@ def _object_type_weights(config: GeneratorConfig, node_type: int, n_objects: int
     return np.full(n_objects, 1.0 / n_objects)
 
 
+def _node_objects(
+    rng: np.random.Generator, config: GeneratorConfig, row: np.ndarray, nonzero: int, used: set[int]
+) -> list[int]:
+    """Draw one node's object types from its region type's row, which holds
+    `nonzero` nonzero weights, and add them to the region's used set.
+
+    With unique objects per region the used objects are masked out of the
+    row and it is renormalized.  Every pick has a positive weight, so the
+    masked row holds len(used) fewer nonzero weights, and it is built only
+    when the node takes an object.
+    """
+    lo, hi = config.objects_per_node
+    count = lo + below(rng, hi + 1 - lo)
+    if config.unique_objects_per_region and used:
+        count = min(count, nonzero - len(used))
+        if count > 0:
+            row = row.copy()
+            row[list(used)] = 0.0
+            row = row / row.sum()
+    else:
+        count = min(count, nonzero)
+    chosen = choose_distinct(rng, row, count)
+    used.update(chosen)
+    return chosen
+
+
 def generate_scene(config: GeneratorConfig, scene_id: str | None = None) -> SceneGraph:
     """Generate one scene, deterministic in the config seed."""
     rng = derive_rng(config.seed, "generate-scene")
     kb = config.generator_kb
     n_objects = len(kb.object_vocabulary)
     region_types, region_links = _sample_region_types(config, rng)
-    type_weights = {t: _object_type_weights(config, t, n_objects) for t in set(region_types)}
+    type_weights = {}
+    for t in set(region_types):
+        row = _object_type_weights(config, t, n_objects)
+        type_weights[t] = (row, int(np.count_nonzero(row)))
 
     cols = math.ceil(math.sqrt(len(region_types)))
     extent = config.region_extent
@@ -176,7 +210,8 @@ def generate_scene(config: GeneratorConfig, scene_id: str | None = None) -> Scen
     lo, hi = config.nodes_per_region
     for ri, rtype in enumerate(region_types):
         origin = ((ri % cols) * pitch, (ri // cols) * pitch)
-        count = int(rng.integers(lo, hi + 1))
+        count = lo + below(rng, hi + 1 - lo)
+        row, nonzero = type_weights[rtype]
         ids = []
         used_in_region: set[int] = set()
         for j in range(count):
@@ -185,27 +220,16 @@ def generate_scene(config: GeneratorConfig, scene_id: str | None = None) -> Scen
             positions[node_id] = pos
             ids.append(node_id)
 
-            obj_count = int(rng.integers(config.objects_per_node[0], config.objects_per_node[1] + 1))
-            weights = type_weights[rtype]
-            if config.unique_objects_per_region and used_in_region:
-                weights = weights.copy()
-                weights[list(used_in_region)] = 0.0
-                total = weights.sum()
-                if total > 0:
-                    weights = weights / total
-            available = int(np.count_nonzero(weights))
-            obj_count = min(obj_count, available)
-            chosen = choose_distinct(rng, weights, obj_count)
-            used_in_region.update(chosen)
+            chosen = _node_objects(rng, config, row, nonzero, used_in_region)
             # objects cluster in view sectors, so view-level co-occurrence
             # counts have signal
             views_here: list[int] = []
             objects = []
             for k, ot in enumerate(chosen):
                 if views_here and rng.random() < 0.5:
-                    view = views_here[int(rng.integers(len(views_here)))]
+                    view = views_here[below(rng, len(views_here))]
                 else:
-                    view = int(rng.integers(36))
+                    view = below(rng, 36)
                 views_here.append(view)
                 objects.append(
                     ObjectInstance(
@@ -231,7 +255,7 @@ def generate_scene(config: GeneratorConfig, scene_id: str | None = None) -> Scen
         # random spanning tree over the region's nodes, plus shortcuts
         tree_pairs = set()
         for j in range(1, count):
-            anchor = int(rng.integers(j))
+            anchor = below(rng, j)
             edges.append((ids[anchor], ids[j], _dist(positions, ids[anchor], ids[j])))
             tree_pairs.add((anchor, j))
         for a in range(count):
@@ -242,8 +266,8 @@ def generate_scene(config: GeneratorConfig, scene_id: str | None = None) -> Scen
                     edges.append((ids[a], ids[b], _dist(positions, ids[a], ids[b])))
 
     for ra, rb in region_links:
-        a = region_nodes[ra][int(rng.integers(len(region_nodes[ra])))]
-        b = region_nodes[rb][int(rng.integers(len(region_nodes[rb])))]
+        a = region_nodes[ra][below(rng, len(region_nodes[ra]))]
+        b = region_nodes[rb][below(rng, len(region_nodes[rb]))]
         edges.append((a, b, _dist(positions, a, b)))
 
     scene = SceneGraph(

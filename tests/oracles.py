@@ -8,7 +8,9 @@ are frozen from these oracles, not from the implementation under test.
 code (`ObjectBelief`, `object_beliefs`, `object_proximity_scores`,
 `ground_object`), `sample_region_types` (formerly
 `synth._sample_region_types`, which rebuilt its candidate list for every
-new region), `observe_reperceiving` (formerly
+new region), `node_objects` (formerly the per-node object block of
+`synth.generate_scene`, which masked, summed, renormalized and counted its
+region type's object weights at every node), `observe_reperceiving` (formerly
 `SemanticTopoMap.observe`, which perceived every node an arrival reached
 in both confusion modes), `enumerate_paths_best_first` (formerly the
 body of `reasoner.enumerate_type_paths`, which searched from every present
@@ -63,7 +65,7 @@ from hspr.fusion import FUSION_MODES, STOP, balance_factor
 from hspr.perception import CONFUSION_SCHEMA_VERSION, VisualWeights
 from hspr.reasoner import TypePath
 from hspr.scene import SceneGraph, hop_distances
-from hspr.seeding import Rng, derive_rng
+from hspr.seeding import Rng, choose_distinct, derive_rng
 from hspr.simulator import Trajectory
 from hspr.synth import Episode
 from hspr.topo import NAVIGABLE, RoutingTable, SemanticTopoMap
@@ -417,6 +419,23 @@ def sample_region_types(config: GeneratorConfig, rng: np.random.Generator) -> tu
         del extra_candidates[pick]
         del extra_weights[pick]
     return types, links
+
+
+def node_objects(config: GeneratorConfig, rng, type_weights, rtype: int, used_in_region: set[int]) -> list[int]:
+    """One node's object types, drawn and added to the region's used set."""
+    obj_count = int(rng.integers(config.objects_per_node[0], config.objects_per_node[1] + 1))
+    weights = type_weights[rtype]
+    if config.unique_objects_per_region and used_in_region:
+        weights = weights.copy()
+        weights[list(used_in_region)] = 0.0
+        total = weights.sum()
+        if total > 0:
+            weights = weights / total
+    available = int(np.count_nonzero(weights))
+    obj_count = min(obj_count, available)
+    chosen = choose_distinct(rng, weights, obj_count)
+    used_in_region.update(chosen)
+    return chosen
 
 
 def observe_reperceiving(topo, scene, arrived_node, confusion, rng) -> None:

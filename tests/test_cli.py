@@ -303,6 +303,7 @@ def test_gen_scenes_rejects_non_integer_pair(pair, tmp_path, capsys):
     ("--extent", "-1", "region_extent"),
     ("--extent", "0", "region_extent"),
     ("--extra-links", "-3", "extra_region_links"),
+    ("--nodes-per-region", "1,5000000000", "nodes_per_region"),
     ("--n", "-2", "--n"),
     ("--n", "0", "--n"),
     ("--regions", "12", "infeasible"),

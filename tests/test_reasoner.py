@@ -1,3 +1,4 @@
+import heapq
 import math
 from itertools import combinations
 
@@ -213,6 +214,36 @@ class TestEnumerateTypePaths:
             ((0, 3, 2), 0.1 * 0.7), ((0, 3, 1, 2), 0.1 * 0.7)
         ]
         assert paths[0].confidence == 0.1 * P[3, 1]
+
+    @pytest.mark.parametrize("beam", [1, 3])
+    def test_search_pops_no_dead_end(self, beam, monkeypatch):
+        # a path of length M-1 that is not at the target and has a zero entry
+        # at it can never complete; on the large-vocab KB such paths were
+        # ~13% of the pops before the search stopped pushing them; the paths
+        # stay those of the one-heap search that still pushed them
+        P = recovery_generator_kb(n_types=20).P_r
+        rows, max_steps = P.tolist(), 4
+        popped = []
+        heappop = heapq.heappop
+
+        def counting_pop(heap):
+            entry = heappop(heap)
+            popped.append(entry[2])
+            return entry
+
+        monkeypatch.setattr(heapq, "heappop", counting_pop)
+        for start in range(20):
+            for target in range(20):
+                want = oracles.enumerate_paths_best_first({start}, target, rows, max_steps, beam)
+                popped.clear()
+                got = SuccessorTable(P).paths_from(start, target, max_steps, beam)
+                assert [(p.types, p.confidence) for p in got] == want
+                dead = [
+                    types for types in popped
+                    if len(types) == max_steps - 1 and types[-1] != target
+                    and rows[types[-1]][target] == 0.0
+                ]
+                assert popped and not dead, (start, target, dead)
 
     def test_successor_table_sorts_nonzero_entries_by_value_then_type(self):
         P = np.array([[0.0, 0.5, 0.9, 0.5], [0.2, 0.0, -0.0, 0.0], [0.0] * 4, [1.0] * 4])

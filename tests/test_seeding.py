@@ -7,6 +7,7 @@ from hspr.seeding import (
     LazyRng,
     StreamTable,
     _StateWords,
+    below,
     choose,
     choose_distinct,
     derive_rng,
@@ -36,6 +37,15 @@ def test_weighted_draws_match_generator_choice():
         assert choose(fast, p) == int(slow.choice(n, p=p))
         assert choose_distinct(fast, p, k) == slow.choice(n, size=k, replace=False, p=p).tolist()
         assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_choose_distinct_leaves_the_callers_weights_alone():
+    # 0.3 and 0.35 both land on index 1, so a second round zeroes it
+    p = np.array([0.2, 0.5, 0.3])
+    kept = p.copy()
+    rng = ScriptedRng([0.3, 0.35, 0.1])
+    assert choose_distinct(rng, p, 2) == [1, 0]
+    assert rng.doubles == [] and p.tolist() == kept.tolist()
 
 
 def test_choose_distinct_of_nothing_draws_nothing():
@@ -94,11 +104,67 @@ class TestZeroBasedDraws:
                 steps = (
                     (lambda: slow.uniform(0, x), lambda: x * fast.random()),
                     (lambda: slow.uniform(), lambda: fast.random()),
-                    (lambda: slow.integers(36), lambda: fast.integers(36)),
+                    (lambda: int(slow.integers(36)), lambda: below(fast, 36)),
                 )
                 for want, got in steps:
                     assert want() == got(), (seed, x)  # both >= 0, so no signed zeros
                     assert slow.bit_generator.state == fast.bit_generator.state
+
+
+class TestBelow:
+    """below(rng, n) against Generator.integers(n), its oracle."""
+
+    # 2**31 + 1 rejects about half the words, 2**32 takes each word as it is
+    BOUNDS = (1, 2, 3, 36, 2**31 + 1, 2**32)
+    # doubles between the words, so a buffered half-word is carried over
+    OTHERS = (
+        lambda rng: rng.random(),
+        lambda rng: rng.random(3).tolist(),
+        lambda rng: rng.uniform(-0.5, 0.5),
+        lambda rng: rng.normal(size=2).tolist(),
+    )
+
+    def test_same_integers_and_state_over_seeds(self):
+        for seed in range(300):
+            if seed % 2:
+                fast, slow = LazyRng(seed, "below"), derive_rng(seed, "below")
+            else:
+                fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            for k, n in enumerate(self.BOUNDS * 4):
+                got = below(fast, n)
+                assert got == int(slow.integers(n)), (seed, n)
+                assert type(got) is int and 0 <= got < n
+                assert fast.bit_generator.state == slow.bit_generator.state, (seed, n)
+                if k % 3 == 0:
+                    other = self.OTHERS[(seed + k) % len(self.OTHERS)]
+                    assert other(fast) == other(slow)
+
+    def test_rejection_redraws_as_integers_does(self):
+        # at n = 2**31 + 1 the first word is rejected about half the time;
+        # a draw that took one word leaves the state one word gives
+        redraws = 0
+        for seed in range(200):
+            fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert below(fast, 2**31 + 1) == int(slow.integers(2**31 + 1))
+            assert fast.bit_generator.state == slow.bit_generator.state
+            one_word = np.random.default_rng(seed)
+            one_word.integers(2**32)
+            redraws += fast.bit_generator.state != one_word.bit_generator.state
+        assert 60 <= redraws <= 140
+
+    def test_one_value_draws_nothing(self):
+        rng, untouched = np.random.default_rng(8), np.random.default_rng(8)
+        # both hold the other half of one 64-bit word, which n = 1 leaves
+        assert below(rng, 2**32) == untouched.integers(2**32)
+        assert below(rng, 1) == 0
+        assert rng.bit_generator.state == untouched.bit_generator.state
+
+    @pytest.mark.parametrize("n", [0, -1, 2**32 + 1])
+    def test_out_of_range_is_refused(self, n):
+        rng, untouched = np.random.default_rng(8), np.random.default_rng(8)
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            below(rng, n)
+        assert rng.bit_generator.state == untouched.bit_generator.state
 
 
 class TestStreamTable:

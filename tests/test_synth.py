@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from hspr import synth
@@ -20,7 +22,7 @@ from hspr.synth import (
 )
 
 from conftest import make_scene
-from oracles import dijkstra_single_source, sample_episode_by_hops, sample_region_types
+from oracles import dijkstra_single_source, node_objects, sample_episode_by_hops, sample_region_types
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +107,8 @@ class TestGenerateScene:
         ("region_extent", -1.0),
         ("region_extent", 0.0),
         ("extra_region_links", -1),
+        ("nodes_per_region", (1, 2**32 + 1)),
+        ("objects_per_node", (0, 2**32)),
     ])
     def test_config_rejects_bad_setting(self, gen_kb, field, value):
         with pytest.raises(ValueError, match=f"{field} must be"):
@@ -204,6 +208,50 @@ class TestRegionTreeOracle:
                 outcomes["grown"] += 1
             assert fast.bit_generator.state == slow.bit_generator.state
         assert min(outcomes.values()) >= 100
+
+
+# zeros, subnormals, weights that normalising against a huge one flushes
+# to zero, and ordinary ones
+_WEIGHT = st.one_of(
+    st.just(0.0),
+    st.sampled_from([5e-324, 1e-310, 1e-300, 1e-17, 1e300]),
+    st.floats(min_value=5e-324, max_value=10.0, allow_subnormal=True),
+)
+
+
+class TestNodeObjectsOracle:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_former_block(self, gen_kb, data):
+        """_node_objects picks what the former per-node block picked and
+        leaves the same generator state, node after node of one region."""
+        n_types, n_objects = len(gen_kb.type_vocabulary), len(gen_kb.object_vocabulary)
+        weights = np.array(data.draw(st.lists(
+            st.lists(_WEIGHT, min_size=n_objects, max_size=n_objects),
+            min_size=n_types, max_size=n_types,
+        )))
+        zero_rows = data.draw(st.lists(st.integers(0, n_types - 1), max_size=2))
+        weights[zero_rows] = 0.0
+        lo = data.draw(st.integers(0, 3))
+        config = config_for(
+            gen_kb, 1,
+            # 2**32 - 1 draws from the widest span the config allows
+            objects_per_node=(lo, data.draw(st.integers(lo, n_objects + 2) | st.just(2**32 - 1))),
+            unique_objects_per_region=data.draw(st.booleans()),
+            object_weights=weights if data.draw(st.booleans()) else None,
+        )
+        rtype = data.draw(st.integers(0, n_types - 1))
+        row = synth._object_type_weights(config, rtype, n_objects)
+        kept = row.copy()
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        used_fast, used_slow = set(), set()
+        for _ in range(data.draw(st.integers(1, 8))):
+            got = synth._node_objects(fast, config, row, int(np.count_nonzero(row)), used_fast)
+            assert got == node_objects(config, slow, {rtype: kept.copy()}, rtype, used_slow)
+            assert used_fast == used_slow
+            assert fast.bit_generator.state == slow.bit_generator.state
+        assert row.tolist() == kept.tolist()
 
 
 class TestSampleEpisode:
