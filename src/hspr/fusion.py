@@ -85,11 +85,15 @@ def parse_beta_policy(spec: str) -> BetaPolicy:
 
 def balance_features(topo_map: SemanticTopoMap) -> dict[str, float]:
     known = max(len(topo_map.ids), 1)
-    F, C = topo_map.navigable_sets()
+    n_global = len(topo_map.navigable)
+    n_local = 0
+    if topo_map.current is not None:
+        near = topo_map.nbrs[topo_map.index[topo_map.current]]
+        n_local = sum(not topo_map.is_visited[k] for k, _ in near)
     values = (
         len(topo_map.visited) / known,
-        len(C) / known,
-        len(F) / max(len(C), 1),
+        n_global / known,
+        n_local / max(n_global, 1),
         float(topo_map.step),
     )
     return dict(zip(BALANCE_FEATURES, values))

@@ -24,7 +24,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import malformed, read_json
-from .seeding import Rng, choose
+from .seeding import choose
 
 CONFUSION_SCHEMA_VERSION = 1
 _SUM_TOL = 1e-9
@@ -117,7 +117,7 @@ class ConfusionModel:
     def n_types(self) -> int:
         return self.M.shape[0]
 
-    def perceive(self, true_type: int, rng: Rng | None) -> int:
+    def perceive(self, true_type: int, rng: np.random.Generator | None) -> int:
         """Index into `rows` of the perceived type distribution.
 
         distribution mode returns true_type and draws nothing, so rng may be
@@ -129,8 +129,8 @@ class ConfusionModel:
             raise ValueError("sampled confusion mode needs a generator to perceive with")
         return choose(rng, self.M[true_type])
 
-    def row(self, true_type: int, rng: Rng) -> np.ndarray:
-        """The perceived type distribution, a read-only row."""
+    def row(self, true_type: int, rng: np.random.Generator | None) -> np.ndarray:
+        """The perceived type distribution, a read-only row; rng as in `perceive`."""
         return self.rows[self.perceive(true_type, rng)]
 
     def present_types(self, tau: float) -> list[frozenset[int]]:
@@ -184,11 +184,14 @@ def object_rows(n_object_types: int, object_noise: float) -> np.ndarray:
     return ConfusionModel.eps_uniform(n_object_types, object_noise).rows
 
 
-def target_spec_from_episode(episode, scene, model: ConfusionModel, object_noise: float, rng) -> TargetSpec:
+def target_spec_from_episode(
+    episode, scene, model: ConfusionModel, object_noise: float, rng: np.random.Generator | None
+) -> TargetSpec:
     """Build the believed target spec for an episode.
 
     The node-type side passes the target's true type through the confusion
-    model, drawing from the generator `rng`; the object-type side is the
+    model, drawing from the generator `rng` in sampled mode (distribution
+    mode draws nothing, so rng may be None); the object-type side is the
     object-perception row of the true object type.
     """
     target = scene.node(episode.target_node)

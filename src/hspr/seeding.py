@@ -10,10 +10,10 @@ order.  This is what makes batch runs reproducible under any parallelism.
 the digests into PCG64 seed words in one vectorised SeedSequence pass,
 in place on the pool with hash constants sliced at import, the first time
 one of its generators is built.  Its one seed source, checked once, then
-hands PCG64 a row of those words per generator.  A `LazyRng` handle
-derives its generator on its first draw, so a stream that never draws
-costs nothing; a table's stream costs nothing until its generator is
-asked for.
+hands PCG64 a row of those words per generator, so a table's stream
+costs nothing until its generator is asked for.  A caller derives a
+keyed generator only where it draws from it: the engine derives its
+perception streams only in sampled mode, and passes None otherwise.
 
 Weighted draws go through `choose` and `choose_distinct`: they consume the
 same doubles and run the same cumsum/searchsorted steps as
@@ -199,34 +199,7 @@ class StreamTable:
         return np.random.Generator(self._words.pcg64(self._rows[label] + step))
 
 
-class LazyRng:
-    """Stands in for derive_rng(*parts) and derives it on the first draw.
-
-    Some keyed streams never draw (the target spec in distribution mode),
-    so they never pay for the hash and the generator seeding.  The first
-    draw sees exactly the stream that derive_rng(*parts) gives.
-    """
-
-    def __init__(self, *parts):
-        self._parts = parts
-        self._rng = None
-
-    def __getattr__(self, name: str):
-        # reached only for names not yet on the instance: Generator methods
-        if name.startswith("_"):
-            raise AttributeError(name)
-        if self._rng is None:
-            self._rng = derive_rng(*self._parts)
-        value = getattr(self._rng, name)
-        setattr(self, name, value)  # later lookups skip __getattr__
-        return value
-
-
-# a generator, or a lazy handle that derives one on its first draw
-Rng = np.random.Generator | LazyRng
-
-
-def choose(rng: Rng, p: np.ndarray) -> int:
+def choose(rng: np.random.Generator, p: np.ndarray) -> int:
     """The index `int(rng.choice(len(p), p=p))` gives, drawing the same double.
 
     p must be a 1-D float64 array of finite, nonnegative weights with a
@@ -237,7 +210,7 @@ def choose(rng: Rng, p: np.ndarray) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def choose_distinct(rng: Rng, p: np.ndarray, k: int) -> list[int]:
+def choose_distinct(rng: np.random.Generator, p: np.ndarray, k: int) -> list[int]:
     """The indices `rng.choice(len(p), size=k, replace=False, p=p)` gives, in its order.
 
     p is checked as in `choose`, and needs at least k nonzero entries.
@@ -259,7 +232,7 @@ def choose_distinct(rng: Rng, p: np.ndarray, k: int) -> list[int]:
 _WORD = 1 << 32
 
 
-def below(rng: Rng, n: int) -> int:
+def below(rng: np.random.Generator, n: int) -> int:
     """The integer `int(rng.integers(n))` gives, leaving the same generator state.
 
     For 1 <= n <= 2**32.  numpy draws a one-value range without a word and

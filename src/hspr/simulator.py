@@ -16,9 +16,10 @@ or routes to the chosen navigable node along the map's `route_to`,
 observing every hop on the way and reading each hop's length from the
 map's (index, length) lists.  In distribution mode an arrival perceives
 only the nodes new to the map, so each node is perceived once per episode,
-a repeat arrival only moves the current node, and no arrival builds a
-generator; in sampled mode every arrival draws once for each node it
-reaches.  All randomness derives from (agent seed, episode id, step), so
+a repeat arrival only moves the current node, and neither an arrival nor
+the target builds a generator; in sampled mode the target draws once, and
+every arrival once for each node it reaches, each from its own keyed
+generator.  All randomness derives from (agent seed, episode id, step), so
 batches replay identically under any parallelism.  The per-step streams of
 the visual views (or of the random policy) come from one stream table per
 episode, whose seed words are mixed in one batch on the episode's first
@@ -71,7 +72,7 @@ from .perception import (
 )
 from .reasoner import ReasonerConfig, TypePath, enumerate_type_paths
 from .scene import SceneGraph
-from .seeding import LazyRng, StreamTable
+from .seeding import StreamTable, derive_rng
 from .synth import Episode
 from .topo import SemanticTopoMap
 
@@ -265,9 +266,10 @@ def run_episode(
     _check_compatible(scene, episode, kb, agent)
 
     ep = episode.episode_id
+    sampled = agent.confusion.mode == "sampled"
     target = target_spec_from_episode(
         episode, scene, agent.confusion, agent.object_noise,
-        LazyRng(agent.seed, ep, "target"),
+        derive_rng(agent.seed, ep, "target") if sampled else None,
     )
 
     # a step walks only the top path, the head of every beam's ranking, so
@@ -280,7 +282,6 @@ def run_episode(
     topo = SemanticTopoMap()
     index, nbrs = topo.index, topo.nbrs
 
-    sampled = agent.confusion.mode == "sampled"
     if policy == "random":
         labels = ("random",)
     elif agent.fusion_mode == "dynamic":
@@ -290,7 +291,7 @@ def run_episode(
     streams = StreamTable((agent.seed, ep), labels, agent.max_actions)
 
     def arrive(node_id: str) -> None:  # topo.step counts arrivals
-        rng = LazyRng(agent.seed, ep, "perceive", topo.step) if sampled else None
+        rng = derive_rng(agent.seed, ep, "perceive", topo.step) if sampled else None
         topo.observe(scene, node_id, agent.confusion, rng)
 
     arrive(episode.start_node)

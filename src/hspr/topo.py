@@ -31,7 +31,6 @@ import numpy as np
 from .errors import InternalError
 from .perception import ConfusionModel, TypeBelief
 from .scene import SceneGraph, dijkstra
-from .seeding import Rng
 
 CURRENT = "current"
 VISITED = "visited"
@@ -71,7 +70,7 @@ class SemanticTopoMap:
         # by node index: the confusion row of its belief (None for a belief
         # built directly), and whether it is visited (the current node is)
         self.rows: list[int | None] = []
-        self._is_visited: list[bool] = []
+        self.is_visited: list[bool] = []
         # the navigable and the visited nodes by index, each list in id order;
         # every known node is in exactly one
         self.navigable: list[int] = []
@@ -113,7 +112,7 @@ class SemanticTopoMap:
         self.nbrs.append([])
         self.rows.append(belief.row)
         visited = status != NAVIGABLE
-        self._is_visited.append(visited)
+        self.is_visited.append(visited)
         insort(self.visited if visited else self.navigable, k, key=self.ids.__getitem__)
         if status == CURRENT:
             self.current = node_id
@@ -125,22 +124,14 @@ class SemanticTopoMap:
             raise ValueError(f"node {node_id!r} is not on the map")
         if node_id == self.current:
             return CURRENT
-        return VISITED if self._is_visited[k] else NAVIGABLE
-
-    def visited_ids(self) -> frozenset[str]:
-        """Visited nodes, the current one included, read from the visited flags."""
-        return frozenset(nid for nid, seen in zip(self.ids, self._is_visited) if seen)
-
-    def navigable_ids(self) -> frozenset[str]:
-        """Navigable nodes, read from the visited flags."""
-        return frozenset(nid for nid, seen in zip(self.ids, self._is_visited) if not seen)
+        return VISITED if self.is_visited[k] else NAVIGABLE
 
     def observe(
         self,
         scene: SceneGraph,
         arrived_node: str,
         confusion: ConfusionModel,
-        rng: Rng | None,
+        rng: np.random.Generator | None,
     ) -> None:
         """Arrive at a node: make it current, reveal neighbors, refresh beliefs.
 
@@ -162,7 +153,7 @@ class SemanticTopoMap:
             )
         redraw = confusion.mode == "sampled"
         # a node's edges and neighbors are all known after its first arrival
-        first_arrival = k is None or not self._is_visited[k]
+        first_arrival = k is None or not self.is_visited[k]
         if not (redraw or first_arrival):
             self.current = arrived_node
             self.step += 1
@@ -173,11 +164,11 @@ class SemanticTopoMap:
         if first_arrival:
             # the previous current node is visited already
             self.navigable.remove(k)
-            self._is_visited[k] = True
+            self.is_visited[k] = True
             insort(self.visited, k, key=self.ids.__getitem__)
         self.current = arrived_node
 
-        index, is_visited = self.index, self._is_visited
+        index, is_visited = self.index, self.is_visited
         for nbr_id, length in sorted(scene.neighbors(arrived_node)):
             if redraw or nbr_id not in index:
                 self._perceive(scene.node(nbr_id), confusion, rng)

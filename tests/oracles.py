@@ -65,7 +65,7 @@ from hspr.fusion import FUSION_MODES, STOP, balance_factor
 from hspr.perception import CONFUSION_SCHEMA_VERSION, VisualWeights
 from hspr.reasoner import TypePath
 from hspr.scene import SceneGraph, hop_distances
-from hspr.seeding import Rng, choose_distinct, derive_rng
+from hspr.seeding import choose_distinct, derive_rng
 from hspr.simulator import Trajectory
 from hspr.synth import Episode
 from hspr.topo import NAVIGABLE, RoutingTable, SemanticTopoMap
@@ -438,6 +438,16 @@ def node_objects(config: GeneratorConfig, rng, type_weights, rtype: int, used_in
     return chosen
 
 
+def visited_ids(topo: SemanticTopoMap) -> frozenset[str]:
+    """The map's visited nodes, the current one included, read from `status`."""
+    return frozenset(nid for nid in topo.nodes if topo.status(nid) != NAVIGABLE)
+
+
+def navigable_ids(topo: SemanticTopoMap) -> frozenset[str]:
+    """The map's navigable nodes, read from `status`."""
+    return frozenset(nid for nid in topo.nodes if topo.status(nid) == NAVIGABLE)
+
+
 def observe_reperceiving(topo, scene, arrived_node, confusion, rng) -> None:
     """Arrive at a node of a SemanticTopoMap, perceiving every node reached.
 
@@ -460,17 +470,17 @@ def observe_reperceiving(topo, scene, arrived_node, confusion, rng) -> None:
         elif known.row != row:
             topo.nodes[node_id] = confusion.belief(node_id, row)
 
-    first_arrival = arrived_node not in topo.visited_ids()
+    first_arrival = arrived_node not in visited_ids(topo)
     perceive(arrived_node)
-    topo._is_visited[topo.index[arrived_node]] = True
+    topo.is_visited[topo.index[arrived_node]] = True
     topo.current = arrived_node
     for nbr_id, length in sorted(scene.neighbors(arrived_node)):
         perceive(nbr_id)
-        if first_arrival and nbr_id not in topo.visited_ids():
+        if first_arrival and nbr_id not in visited_ids(topo):
             topo.add_edge(arrived_node, nbr_id, length)
     topo.rows = [topo.nodes[nid].row for nid in topo.ids]
-    topo.visited = [topo.index[nid] for nid in sorted(topo.visited_ids())]
-    topo.navigable = [topo.index[nid] for nid in sorted(topo.navigable_ids())]
+    topo.visited = [topo.index[nid] for nid in sorted(visited_ids(topo))]
+    topo.navigable = [topo.index[nid] for nid in sorted(navigable_ids(topo))]
     topo.step += 1
 
 
@@ -555,7 +565,7 @@ def fuse_variant_table(
 def visual_score_table(
     view: list[tuple[str, float, float]],
     weights: VisualWeights,
-    rng: Rng,
+    rng: np.random.Generator,
 ) -> dict[str, float]:
     """Score candidate nodes from (node id, distance, type alignment) triples.
 

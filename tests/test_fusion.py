@@ -17,7 +17,7 @@ from hspr.fusion import (
 from hspr.perception import TypeBelief
 from hspr.topo import CURRENT, NAVIGABLE, VISITED, SemanticTopoMap
 
-from oracles import compose_scores, fuse_final, fuse_variant_table
+from oracles import compose_scores, fuse_final, fuse_variant_table, visited_ids
 
 
 def random_tables(rng, n_local=3, n_global=6):
@@ -223,7 +223,7 @@ class TestVariantFusion:
             F, C = (set(ids) for ids in topo.navigable_sets())
             eta_c, eta_f, eps_c, eps_f, visited_scores = (
                 {i: float(rng.normal()) for i in ids}
-                for ids in (C, F, C, F, topo.visited_ids())
+                for ids in (C, F, C, F, visited_ids(topo))
             )
             beta = float(rng.uniform())
             # the engine's route sums, read by index, for the off-F entries

@@ -59,30 +59,43 @@ def test_no_zero_based_uniform_in_the_package():
 
 
 def test_every_public_name_is_named_outside_its_definition():
-    """Each public module-level function and class of hspr is named (read,
-    imported or looked up as an attribute) by the package, `demos/` or
-    `perfbench/` somewhere other than its own definition.  A name that only
+    """Each public module-level function and class of hspr, and each public
+    method of its public classes, is named (read, imported or looked up as an
+    attribute) by the package, `demos/`, `perfbench/` or the acceptance
+    criteria somewhere other than its own definition.  A name that only
     tests use is a reference for them and lives in tests/oracles.py."""
     definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     package = sorted(Path(hspr.__file__).parent.glob("*.py"))
     root = Path(hspr.__file__).resolve().parents[2]
-    readers = package + sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").rglob("*.py"))
-    owners = {}  # name -> the (file, top-level definition) of each place that names it
+    readers = (package + sorted((root / "demos").glob("*.py")) + sorted((root / "perfbench").rglob("*.py"))
+               + [root / "tests" / "test_acceptance.py"])
+    sites = {}  # name -> the (file, enclosing definitions) of each place that names it
+
+    def visit(path, node, scope):
+        if isinstance(node, definitions):
+            scope += (node.name,)
+        elif isinstance(node, ast.Name):
+            sites.setdefault(node.id, set()).add((path, scope))
+        elif isinstance(node, ast.Attribute):
+            sites.setdefault(node.attr, set()).add((path, scope))
+        elif isinstance(node, ast.alias):
+            sites.setdefault(node.name, set()).add((path, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(path, child, scope)
+
     for path in readers:
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            owner = (path, stmt.name) if isinstance(stmt, definitions) else (path, None)
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    owners.setdefault(node.id, set()).add(owner)
-                elif isinstance(node, ast.Attribute):
-                    owners.setdefault(node.attr, set()).add(owner)
-                elif isinstance(node, ast.alias):
-                    owners.setdefault(node.name, set()).add(owner)
-    unnamed = [
-        f"{path.stem}.{stmt.name}"
-        for path in package
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(stmt, definitions) and not stmt.name.startswith("_")
-        and not owners.get(stmt.name, set()) - {(path, stmt.name)}
-    ]
+        visit(path, ast.parse(path.read_text(encoding="utf-8")), ())
+
+    def public(body):
+        return [stmt for stmt in body if isinstance(stmt, definitions) and not stmt.name.startswith("_")]
+
+    unnamed = []
+    for path in package:
+        for stmt in public(ast.parse(path.read_text(encoding="utf-8")).body):
+            methods = public(stmt.body) if isinstance(stmt, ast.ClassDef) else []
+            for scope in [(stmt.name,)] + [(stmt.name, method.name) for method in methods]:
+                # a site inside the definition itself does not count
+                if all(site_path == path and site[:len(scope)] == scope
+                       for site_path, site in sites.get(scope[-1], ())):
+                    unnamed.append(".".join((path.stem,) + scope))
     assert unnamed == []

@@ -13,7 +13,7 @@ from hspr.perception import (
     load_confusion,
     target_spec_from_episode,
 )
-from hspr.seeding import LazyRng
+from hspr.seeding import derive_rng
 from hspr.synth import sample_episode
 
 from conftest import same_float
@@ -270,8 +270,8 @@ class TestVisualScores:
         assert a != c
 
     @pytest.mark.parametrize("noise_sd", [0.0, 0.1, 2.5])
-    @pytest.mark.parametrize("lazy", [False, True])
-    def test_matches_per_node_oracle_bit_for_bit(self, noise_sd, lazy):
+    @pytest.mark.parametrize("keyed", [False, True])
+    def test_matches_per_node_oracle_bit_for_bit(self, noise_sd, keyed):
         # one sized draw per view gives the values of one scalar draw per
         # entry, and leaves the generator where the scalar draws leave it
         weights = VisualWeights(w_d=0.3, w_t=1.5, decay=10.0, noise_sd=noise_sd)
@@ -285,8 +285,8 @@ class TestVisualScores:
             view = [(i, float(views.exponential(8.0)), float(views.uniform(-0.1, 1.0))) for i in ids]
 
             def make():
-                if lazy:
-                    return LazyRng(4, "ep", "visual-global", length)
+                if keyed:  # a view's stream, as the engine derives it
+                    return derive_rng(4, "ep", "visual-global", length)
                 return np.random.default_rng(length)
 
             fast_rng, slow_rng = make(), make()
@@ -295,8 +295,6 @@ class TestVisualScores:
             assert list(fast) == list(slow)
             for node_id, value in fast.items():
                 assert same_float(value, slow[node_id])
-            if lazy and (noise_sd == 0 or not view):
-                assert fast_rng._rng is None  # nothing drew, so nothing was derived
             assert fast_rng.normal() == slow_rng.normal()
         assert repeats >= 15
 

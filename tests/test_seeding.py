@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hspr.seeding import (
-    LazyRng,
     StreamTable,
     _StateWords,
     below,
@@ -20,7 +19,7 @@ def test_weighted_draws_match_generator_choice():
 
     Weights are cubed and ~40% zero, so some entries are tiny and zero
     entries sit anywhere, first and last included; k runs up to the number
-    of nonzero entries.  Odd trials draw through a LazyRng.
+    of nonzero entries.  Odd trials draw from a derive_rng generator.
     """
     rng = np.random.default_rng(19)
     for trial in range(10_000):
@@ -31,7 +30,7 @@ def test_weighted_draws_match_generator_choice():
         p = weights / weights.sum()
         k = int(rng.integers(1, np.count_nonzero(p) + 1))
         if trial % 2:
-            fast, slow = LazyRng(trial, "oracle"), derive_rng(trial, "oracle")
+            fast, slow = derive_rng(trial, "oracle"), derive_rng(trial, "oracle")
         else:
             fast, slow = np.random.default_rng(trial), np.random.default_rng(trial)
         assert choose(fast, p) == int(slow.choice(n, p=p))
@@ -127,7 +126,7 @@ class TestBelow:
     def test_same_integers_and_state_over_seeds(self):
         for seed in range(300):
             if seed % 2:
-                fast, slow = LazyRng(seed, "below"), derive_rng(seed, "below")
+                fast, slow = derive_rng(seed, "below"), derive_rng(seed, "below")
             else:
                 fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
             for k, n in enumerate(self.BOUNDS * 4):

@@ -422,6 +422,12 @@ def trajectory_digest(trajectories):
     return h.hexdigest()
 
 
+def patch_derive_rng(monkeypatch, derive):
+    """Replace derive_rng under every name the engine reads it by."""
+    for module in (seeding, simulator):
+        monkeypatch.setattr(module, "derive_rng", derive)
+
+
 def count_derivations(monkeypatch):
     """Count derived generators by label, wherever the engine derives one:
     through derive_rng, or from an episode's stream table."""
@@ -437,7 +443,7 @@ def count_derivations(monkeypatch):
         labels[label] += 1
         return original_generator(table, label, step)
 
-    monkeypatch.setattr(seeding, "derive_rng", counting)
+    patch_derive_rng(monkeypatch, counting)
     monkeypatch.setattr(seeding.StreamTable, "generator", from_table)
     return labels
 
@@ -576,6 +582,18 @@ class TestRandomStreams:
         # one batch per episode: three visual labels for every decision step
         assert mixes == [3 * agent.max_actions] * 4
 
+    @pytest.mark.parametrize("policy", simulator.POLICIES)
+    def test_distribution_mode_derives_no_keyed_generator(self, small_bench, monkeypatch, policy):
+        # every stream it draws from comes from the episode's stream table
+        derived = []
+        patch_derive_rng(monkeypatch, lambda *parts: derived.append(parts))
+        scenes, episodes, kb = small_bench
+        agent = bench_agent(confusion=ConfusionModel.eps_uniform(10, 0.2), object_noise=0.2,
+                            visual=VisualWeights(noise_sd=0.1), fusion_mode="dynamic")
+        for episode in episodes[:4]:
+            run_episode(scenes[episode.scene_id], episode, kb, agent, policy)
+        assert derived == []
+
     def test_noiseless_visual_scores_derive_nothing(self, small_bench, monkeypatch):
         scenes, episodes, kb = small_bench
         labels = count_derivations(monkeypatch)
@@ -593,15 +611,6 @@ class TestRandomStreams:
         traj = run_episode(scenes[episode.scene_id], episode, kb, agent, "hspr")
         assert labels["target"] == 1
         assert labels["perceive"] == len(traj.node_sequence)
-
-    def test_lazy_generator_draws_the_derived_stream(self, monkeypatch):
-        labels = count_derivations(monkeypatch)
-        lazy = seeding.LazyRng(4, "ep", "visual-local", 2)
-        assert not labels
-        want = seeding.derive_rng(4, "ep", "visual-local", 2)
-        assert [lazy.normal(0.0, 1.0) for _ in range(5)] == [want.normal(0.0, 1.0) for _ in range(5)]
-        assert lazy.integers(1000) == want.integers(1000)
-        assert labels["visual-local"] == 2
 
 
 def all_type_paths(n_types, max_steps):
@@ -725,7 +734,7 @@ class TestRowScores:
                 self.arrivals = []  # (repeat arrival, perceptions it made)
 
             def observe(self, scene, arrived_node, confusion, rng):
-                before, repeat = perceptions[0], arrived_node in self.visited_ids()
+                before, repeat = perceptions[0], arrived_node in oracles.visited_ids(self)
                 super().observe(scene, arrived_node, confusion, rng)
                 self.arrivals.append((repeat, perceptions[0] - before))
 
@@ -751,20 +760,7 @@ class TestRowScores:
     @pytest.mark.parametrize("mode", ["distribution", "sampled"])
     def test_only_sampled_arrivals_build_a_generator(self, large_scenes, monkeypatch, mode):
         # in the large-scene benchmark's shape, where most arrivals revisit
-        built = Counter()
-        table_generator = seeding.StreamTable.generator
-
-        class CountingLazyRng(seeding.LazyRng):
-            def __init__(self, *parts):
-                built[parts[2]] += 1
-                super().__init__(*parts)
-
-        def counting_table_generator(table, label, step):
-            built[label] += 1
-            return table_generator(table, label, step)
-
-        monkeypatch.setattr(simulator, "LazyRng", CountingLazyRng)
-        monkeypatch.setattr(seeding.StreamTable, "generator", counting_table_generator)
+        built = count_derivations(monkeypatch)
         scenes, episodes, kb = large_scenes
         agent = AgentConfig(
             confusion=ConfusionModel.eps_uniform(len(kb.type_vocabulary), 0.2, mode=mode),
@@ -773,8 +769,10 @@ class TestRowScores:
         arrivals = 0
         for episode in episodes:
             arrivals += len(run_episode(scenes[episode.scene_id], episode, kb, agent).node_sequence)
-        assert built["perceive"] == (arrivals if mode == "sampled" else 0)
-        assert built["target"] == len(episodes) and built["visual-global"] > 0
+        sampled = mode == "sampled"
+        assert built["perceive"] == (arrivals if sampled else 0)
+        assert built["target"] == (len(episodes) if sampled else 0)
+        assert built["visual-global"] > 0
 
     def test_sampled_mode_draws_once_per_perceived_node(self, small_bench, monkeypatch):
         scenes, episodes, kb = small_bench
@@ -791,7 +789,7 @@ class TestRowScores:
             generator.key = parts
             return generator
 
-        monkeypatch.setattr(seeding, "derive_rng", derive)
+        patch_derive_rng(monkeypatch, derive)
         agent = bench_agent(confusion=ConfusionModel.eps_uniform(10, 0.3, mode="sampled"))
         for episode in episodes[:6]:
             draws.clear()

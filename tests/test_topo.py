@@ -12,7 +12,14 @@ from hspr.perception import ConfusionModel, TypeBelief
 from hspr.topo import CURRENT, NAVIGABLE, VISITED, SemanticTopoMap
 
 from conftest import make_scene
-from oracles import dijkstra_single_source, id_keyed, observe_reperceiving, route_visited_sum
+from oracles import (
+    dijkstra_single_source,
+    id_keyed,
+    navigable_ids,
+    observe_reperceiving,
+    route_visited_sum,
+    visited_ids,
+)
 
 
 # identity confusion: each node believes its true type with certainty
@@ -66,7 +73,7 @@ class TestObserve:
         topo.observe(scene, "hub", ORACLE, None)
         assert topo.current == "hub"
         assert topo.status("hub") == CURRENT
-        assert topo.navigable_ids() == {"n1", "n2"}
+        assert navigable_ids(topo) == {"n1", "n2"}
         assert id_keyed(topo)["hub"] == {"n1": 1.0, "n2": 2.0}
         assert topo.step == 1
 
@@ -77,7 +84,7 @@ class TestObserve:
         topo.observe(scene, "n2", ORACLE, None)
         assert topo.status("hub") == VISITED
         assert topo.status("n2") == CURRENT
-        assert topo.navigable_ids() == {"n1", "n3"}
+        assert navigable_ids(topo) == {"n1", "n3"}
 
     def test_each_edge_is_added_once(self):
         scene = star_scene()
@@ -125,7 +132,7 @@ class TestObserve:
         for node in ["hub", "n1", "hub", "n2", "n3"]:
             topo.observe(scene, node, ORACLE, None)
         assert set(topo.nodes) == set(scene.node_ids())
-        assert topo.visited_ids() == set(scene.node_ids()) - topo.navigable_ids()
+        assert visited_ids(topo) == set(scene.node_ids()) - navigable_ids(topo)
 
     def test_exactly_one_current_and_disjoint_statuses(self, rng):
         scene = star_scene()
@@ -149,8 +156,8 @@ class TestObserve:
     def test_status_sets_follow_every_status_change(self, rng):
         def assert_sets_match_statuses(topo):
             statuses = {nid: topo.status(nid) for nid in topo.nodes}
-            assert topo.visited_ids() == {n for n, s in statuses.items() if s in (VISITED, CURRENT)}
-            assert topo.navigable_ids() == {n for n, s in statuses.items() if s == NAVIGABLE}
+            assert visited_ids(topo) == {n for n, s in statuses.items() if s in (VISITED, CURRENT)}
+            assert navigable_ids(topo) == {n for n, s in statuses.items() if s == NAVIGABLE}
 
         scene = star_scene()
         for confusion in STATUS_MODELS * 20:
@@ -166,17 +173,12 @@ class TestObserve:
     def test_status_sets_are_read_only(self):
         topo = SemanticTopoMap()
         topo.observe(star_scene(), "hub", ORACLE, None)
-        for ids in (topo.visited_ids(), topo.navigable_ids()):
-            with pytest.raises(AttributeError):
-                ids.add("n9")
-            with pytest.raises(AttributeError):
-                ids.discard("hub")
         # navigable_sets hands out new lists, so changing them leaves the map alone
         F, C = topo.navigable_sets()
         F.append("n9")
         C.clear()
-        assert topo.visited_ids() == {"hub"}
-        assert topo.navigable_ids() == {"n1", "n2"}
+        assert visited_ids(topo) == {"hub"}
+        assert navigable_ids(topo) == {"n1", "n2"}
         assert topo.navigable_sets() == (["n1", "n2"], ["n1", "n2"])
 
     def test_known_node_keeps_its_belief_until_its_row_changes(self):
@@ -215,7 +217,7 @@ class TestObserve:
             node = sorted(scene.node_ids())[0]
             revisits = 0
             for k in range(40):
-                revisits += node in topo.visited_ids()
+                revisits += node in visited_ids(topo)
                 topo.observe(scene, node, confusion, np.random.default_rng(k))
                 for nbr, length in sorted(scene.neighbors(node)):
                     oracle.setdefault(node, {})[nbr] = length
@@ -245,7 +247,7 @@ class TestObserve:
             node = sorted(scene.node_ids())[0]
             revisits = 0
             for _ in range(150):
-                revisits += node in fast.visited_ids()
+                revisits += node in visited_ids(fast)
                 fast_before, slow_before = dict(fast.nodes), dict(slow.nodes)
                 fast.observe(scene, node, confusion, fast_rng)
                 observe_reperceiving(slow, scene, node, confusion, slow_rng)
@@ -255,8 +257,8 @@ class TestObserve:
                     # a belief object is kept or replaced on the same arrivals
                     assert (belief is fast_before.get(nid)) == (slow.nodes[nid] is slow_before.get(nid))
                     assert fast.status(nid) == slow.status(nid)
-                assert fast.visited_ids() == slow.visited_ids()
-                assert fast.navigable_ids() == slow.navigable_ids()
+                assert visited_ids(fast) == visited_ids(slow)
+                assert navigable_ids(fast) == navigable_ids(slow)
                 assert (fast.visited, fast.navigable, fast.rows) == (slow.visited, slow.navigable, slow.rows)
                 assert [(a, list(near.items())) for a, near in id_keyed(fast).items()] == [
                     (a, list(near.items())) for a, near in id_keyed(slow).items()
@@ -296,12 +298,13 @@ class TestIndexedState:
     @staticmethod
     def assert_state_matches_definition(topo, arrived, known):
         index = topo.index
-        assert topo.navigable == [index[i] for i in sorted(topo.navigable_ids())]
-        assert topo.visited == [index[i] for i in sorted(topo.visited_ids())]
+        assert topo.navigable == [index[i] for i in sorted(navigable_ids(topo))]
+        assert topo.visited == [index[i] for i in sorted(visited_ids(topo))]
         assert topo.rows == [topo.nodes[i].row for i in topo.ids]
         # the statuses themselves, from the walk alone
-        assert topo.visited_ids() == arrived
-        assert topo.navigable_ids() == known - arrived
+        assert visited_ids(topo) == arrived
+        assert navigable_ids(topo) == known - arrived
+        assert balance_features(topo) == features_from_sets(topo)
 
     @pytest.mark.parametrize("mode", ["distribution", "sampled"])
     @settings(derandomize=True, max_examples=150, deadline=None)
@@ -336,7 +339,25 @@ class TestIndexedState:
         assert moved > 0 if mode == "sampled" else moved == 0
 
 
+def features_from_sets(topo):
+    """balance_features' definition: the lengths of the navigable id lists."""
+    known = max(len(topo.nodes), 1)
+    F, C = topo.navigable_sets()
+    values = (len(visited_ids(topo)) / known, len(C) / known, len(F) / max(len(C), 1), float(topo.step))
+    return dict(zip(BALANCE_FEATURES, values))
+
+
 class TestNavigableSets:
+    def test_balance_features_match_navigable_set_lengths(self, rng):
+        local = 0
+        for _ in range(300):
+            topo = random_map(rng, int(rng.integers(1, 30)))
+            topo.step = int(rng.integers(0, 50))
+            features = balance_features(topo)
+            assert features == features_from_sets(topo)
+            local += 0 < features["local_fraction"] < 1
+        assert local > 50
+
     def test_empty_map_has_empty_sets(self):
         topo = SemanticTopoMap()
         F, C = topo.navigable_sets()
@@ -517,7 +538,7 @@ def visited_scores(rng, topo):
     """Scores of mixed sign and magnitude, so that a changed addition order
     shows in the last bits; some are -0.0, which a sum from 0 turns into 0.0."""
     scores = {}
-    for nid in sorted(topo.visited_ids()):
+    for nid in sorted(visited_ids(topo)):
         scores[nid] = -0.0 if rng.random() < 0.1 else float(rng.normal() * 10.0 ** rng.integers(-6, 7))
     return scores
 
