@@ -183,13 +183,7 @@ def cmd_build_kb(args) -> int:
                 f"scene {scene_id!r} has vocabularies different from scene {first.scene_id!r}"
             )
         accumulate_scene(counts, scene)
-    kb = build_kb(
-        counts,
-        first.type_vocabulary,
-        first.object_vocabulary,
-        top_k=args.top_k,
-        config={"scenes": len(scenes), "top_k": args.top_k},
-    )
+    kb = build_kb(counts, first.type_vocabulary, first.object_vocabulary, top_k=args.top_k)
     save_kb(kb, args.out)
     print(f"built KB from {counts.scene_count} scenes -> {args.out}")
     return EXIT_OK

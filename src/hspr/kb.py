@@ -4,6 +4,8 @@ Counts three kinds of co-occurrence over annotated scenes — region-type
 adjacency, object-type co-presence per view, and node-type/object-type
 correlation — then turns the count rows into probabilities in [0, 0.95]
 by clamping each row at its 95th percentile and min-max normalizing.
+A built KB's provenance is its scene count and top_k alone, so two KBs
+built from the same scenes save the same bytes and compare equal.
 
 A KB also keeps what every episode run on it shares: the successor table
 of its P_r, and `TargetScores`, whole lists of every perception row's
@@ -12,9 +14,6 @@ score against one target distribution, computed when first asked for.
 
 from __future__ import annotations
 
-import datetime
-import hashlib
-import json
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -217,25 +216,15 @@ def build_kb(
     type_vocabulary: list[str],
     object_vocabulary: list[str],
     top_k: int = DEFAULT_TOP_K,
-    config: dict | None = None,
 ) -> ProximityKB:
     """Normalize accumulated counts into an immutable knowledge base."""
-    config = dict(config or {})
-    config.setdefault("top_k", top_k)
-    fingerprint = hashlib.sha256(
-        json.dumps(config, sort_keys=True).encode("utf-8")
-    ).hexdigest()[:16]
     return ProximityKB(
         P_r=normalize_counts(counts.C_r),
         P_o=normalize_counts(counts.C_o),
         top_objects=top_k_objects(counts.C_ro, top_k),
         type_vocabulary=list(type_vocabulary),
         object_vocabulary=list(object_vocabulary),
-        provenance={
-            "scene_count": counts.scene_count,
-            "built_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "config_hash": fingerprint,
-        },
+        provenance={"scene_count": counts.scene_count, "top_k": top_k},
     )
 
 

@@ -92,8 +92,8 @@ def episode_metrics(
         )
 
     if ne_mode == "geodesic":
-        index = scene._index
-        dist, _ = dijkstra(scene._nbrs, scene._ids, index[episode.target_node], index[stop_node])
+        index = scene.index
+        dist, _ = dijkstra(scene.nbrs, scene.ids, index[episode.target_node], index[stop_node])
         ne = dist[index[stop_node]]
         nearest = min(dist[index[nid]] for nid in walked)
     else:

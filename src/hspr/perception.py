@@ -31,13 +31,16 @@ _SUM_TOL = 1e-9
 
 
 def _check_distribution(vec: np.ndarray, what: str) -> None:
+    """Refuse a vector, or each row of a matrix, that is not a distribution."""
     # NaN fails every comparison below, so it is refused first
     if not np.isfinite(vec).all():
         raise ValueError(f"{what} has a non-finite entry")
-    if np.any(vec < 0):
+    # array methods, not np.any: TargetSpec checks two vectors per episode
+    if (vec < 0).any():
         raise ValueError(f"{what} has a negative entry")
-    if abs(float(vec.sum()) - 1.0) > _SUM_TOL:
-        raise ValueError(f"{what} does not sum to 1 (got {vec.sum()!r})")
+    sums = vec.sum(axis=-1)
+    if (abs(sums - 1.0) > _SUM_TOL).any():
+        raise ValueError(f"{what} does not sum to 1 (got {sums!r})")
 
 
 @dataclass(eq=False)
@@ -93,13 +96,7 @@ class ConfusionModel:
             raise ValueError(f"unknown confusion mode {self.mode!r}")
         if self.M.ndim != 2 or self.M.shape[0] != self.M.shape[1]:
             raise ValueError("confusion matrix must be square")
-        if not np.isfinite(self.M).all():
-            raise ValueError("confusion matrix has a non-finite entry")
-        if np.any(self.M < 0):
-            raise ValueError("confusion matrix has a negative entry")
-        sums = self.M.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > _SUM_TOL):
-            raise ValueError("confusion matrix rows must sum to 1")
+        _check_distribution(self.M, "confusion matrix")
         self.M.flags.writeable = False
         if self.mode == "distribution":
             self.rows = self.M

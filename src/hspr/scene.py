@@ -51,21 +51,20 @@ class SceneGraph:
     edges: list[tuple[str, str, float]]
     type_vocabulary: list[str]
     object_vocabulary: list[str]
-    # nodes are numbered by their position in `nodes`: _ids[k] is node k's id
-    _ids: list[str] = field(default_factory=list, repr=False)
-    _index: dict[str, int] = field(default_factory=dict, repr=False)
+    # nodes are numbered by their position in `nodes`: ids[k] is node k's id
+    ids: list[str] = field(init=False, repr=False)
+    index: dict[str, int] = field(init=False, repr=False)
     # undirected edges, stored both ways as (index, length) in edge order: the shape dijkstra reads
-    _nbrs: list[list[tuple[int, float]]] = field(default_factory=list, repr=False)
+    nbrs: list[list[tuple[int, float]]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._ids = [n.node_id for n in self.nodes]
-        self._index = {node_id: k for k, node_id in enumerate(self._ids)}
-        self._nbrs = [[] for _ in self.nodes]
-        index = self._index
+        self.ids = [n.node_id for n in self.nodes]
+        self.index = index = {node_id: k for k, node_id in enumerate(self.ids)}
+        self.nbrs = [[] for _ in self.nodes]
         for a, b, length in self.edges:
             if a in index and b in index:
-                self._nbrs[index[a]].append((index[b], length))
-                self._nbrs[index[b]].append((index[a], length))
+                self.nbrs[index[a]].append((index[b], length))
+                self.nbrs[index[b]].append((index[a], length))
 
     @property
     def n_types(self) -> int:
@@ -76,18 +75,18 @@ class SceneGraph:
         return len(self.object_vocabulary)
 
     def node(self, node_id: str) -> NodeRecord:
-        return self.nodes[self._index[node_id]]
+        return self.nodes[self.index[node_id]]
 
     def has_node(self, node_id: str) -> bool:
-        return node_id in self._index
+        return node_id in self.index
 
     def neighbors(self, node_id: str) -> list[tuple[str, float]]:
         """Neighbors of a node with edge lengths, in stored edge order."""
-        ids = self._ids
-        return [(ids[j], length) for j, length in self._nbrs[self._index[node_id]]]
+        ids = self.ids
+        return [(ids[j], length) for j, length in self.nbrs[self.index[node_id]]]
 
     def node_ids(self) -> list[str]:
-        return list(self._ids)
+        return list(self.ids)
 
 
 def validate_scene(scene: SceneGraph) -> None:
@@ -338,9 +337,9 @@ def dijkstra(
 
 def hop_distances(scene: SceneGraph, source: str) -> dict[str, int]:
     """Unweighted hop counts from source via breadth-first search."""
-    ids, nbrs = scene._ids, scene._nbrs
+    ids, nbrs = scene.ids, scene.nbrs
     dist = {source: 0}
-    frontier = [scene._index[source]]
+    frontier = [scene.index[source]]
     while frontier:
         nxt = []
         for k in frontier:

@@ -313,8 +313,8 @@ def sample_episode(scene: SceneGraph, seed, episode_id: str | None = None) -> Ep
     target = eligible[int(rng.integers(len(eligible)))]
     target_record = scene.node(target)
     obj = target_record.objects[int(rng.integers(len(target_record.objects)))]
-    source, goal = scene._index[start], scene._index[target]
-    shortest = dijkstra(scene._nbrs, scene._ids, source, goal)[0][goal]
+    source, goal = scene.index[start], scene.index[target]
+    shortest = dijkstra(scene.nbrs, scene.ids, source, goal)[0][goal]
     if shortest == math.inf:
         raise ValueError(f"scene {scene.scene_id!r}: {target!r} cannot be reached from {start!r}")
     return Episode(

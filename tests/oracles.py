@@ -730,10 +730,8 @@ def id_keyed(graph, paths=None):
     """
     if isinstance(graph, RoutingTable):
         ids, paths = list(graph.index), (graph.dist, graph.prev)
-    elif isinstance(graph, SemanticTopoMap):
-        ids, rows, keep_bare = graph.ids, graph.nbrs, False
     else:
-        ids, rows, keep_bare = graph._ids, graph._nbrs, True
+        ids, rows, keep_bare = graph.ids, graph.nbrs, isinstance(graph, SceneGraph)
     if paths is not None:
         dist, prev = paths
         return (

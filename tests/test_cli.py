@@ -120,6 +120,31 @@ class TestSubcommands:
         assert outputs[0] == outputs[1]
         assert outputs[0] == outputs[2]
 
+    def test_every_pipeline_file_is_byte_identical_across_runs(self, tmp_path):
+        """gen-scenes -> gen-episodes -> build-kb -> run -> eval is a pure
+        function of its arguments: two runs write the same files, the KB too."""
+        runs = []
+        for base in (tmp_path / "a", tmp_path / "b"):
+            for step in (
+                ("gen-scenes", "--kb", "house", "--n", "4", "--seed", "5", "--out", base / "scenes"),
+                ("gen-episodes", "--scenes", base / "scenes", "--per-scene", "2", "--seed", "2",
+                 "--out", base / "episodes.json"),
+                ("build-kb", "--scenes", base / "scenes", "--out", base / "kb.json"),
+                ("run", "--scenes", base / "scenes", "--kb", base / "kb.json",
+                 "--episodes", base / "episodes.json", "--seed", "9", "--out", base / "traj.jsonl"),
+                ("eval", "--scenes", base / "scenes", "--episodes", base / "episodes.json",
+                 "--traj", base / "traj.jsonl", "--out", base / "report"),
+            ):
+                code, stderr = cli_in_process(*step)
+                assert code == 0, stderr
+            runs.append({p.relative_to(base).as_posix(): p.read_bytes() for p in base.rglob("*") if p.is_file()})
+        assert sorted(runs[0]) == [
+            "episodes.json", "kb.json", "report/report.json", "report/report.txt",
+            *(f"scenes/scene000{i}.json" for i in range(4)), "traj.jsonl",
+        ]
+        assert runs[0] == runs[1]
+        assert load_kb(tmp_path / "a" / "kb.json") == load_kb(tmp_path / "b" / "kb.json")
+
     def test_ablate_steps_table_layout(self, tmp_path):
         result = cli("ablate", "--sweep", "steps=1..2", "--scenes-n", "4",
                      "--episodes-per", "1", "--out", str(tmp_path / "ab"))

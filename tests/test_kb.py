@@ -282,5 +282,5 @@ class TestBuildKB:
         kb = build_kb(counts, ["a", "b", "c"], ["w", "x", "y", "z"], top_k=2)
         assert kb.P_r.max() <= 0.95
         assert kb.top_objects[0] == [0, 3]
-        assert kb.provenance["scene_count"] == 7
-        assert "config_hash" in kb.provenance
+        assert kb.provenance == {"scene_count": 7, "top_k": 2}
+        assert build_kb(counts, ["a", "b", "c"], ["w", "x", "y", "z"], top_k=2) == kb

@@ -58,6 +58,19 @@ def test_no_zero_based_uniform_in_the_package():
     assert calls == []
 
 
+def test_no_module_reaches_into_another_objects_private_attributes():
+    """An underscore attribute is touched only through self or cls; what another
+    module reads, such as a scene's node numbering, is public."""
+    reads = []
+    for path in sorted(Path(hspr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and not (node.attr.startswith("__") and node.attr.endswith("__"))
+                    and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))):
+                reads.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert reads == []
+
+
 def test_every_public_name_is_named_outside_its_definition():
     """Each public module-level function and class of hspr, and each public
     method of its public classes, is named (read, imported or looked up as an

@@ -294,9 +294,9 @@ def _random_integer_graph(rng, n):
 
 def _search(scene, source, target=None):
     """scene.dijkstra by node id: id-keyed (dist, prev) as id_keyed reads them."""
-    index = scene._index
+    index = scene.index
     stop = None if target is None else index[target]
-    return id_keyed(scene, dijkstra(scene._nbrs, scene._ids, index[source], stop))
+    return id_keyed(scene, dijkstra(scene.nbrs, scene.ids, index[source], stop))
 
 
 def _route(prev, source, node):
@@ -360,7 +360,7 @@ class TestIndexOrder:
             order = [ids[int(k)] for k in rng.permutation(n)]
             if graph == "scene":
                 g = make_scene([(nid, "r0", 0) for nid in order], edges)
-                numbered = g._ids
+                numbered = g.ids
                 search = lambda source: _search(g, source)
             else:
                 g = SemanticTopoMap()
